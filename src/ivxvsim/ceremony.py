@@ -139,7 +139,7 @@ class ElectionTranscript:
             head = json.loads(lines[0])
         except json.JSONDecodeError as exc:
             raise ReplayError(f"bad manifest line: {exc}") from None
-        if not isinstance(head, dict) or "manifest" not in head:
+        if not isinstance(head, dict) or not isinstance(head.get("manifest"), dict):
             raise ReplayError("first line is not a manifest")
         transcript = cls(head["manifest"])
         prev_seq = 0
@@ -150,8 +150,10 @@ class ElectionTranscript:
                 raise ReplayError(f"bad event line: {exc}") from None
             if not isinstance(event, dict) or not {"seq", "phase", "actor", "kind", "payload"} <= set(event):
                 raise ReplayError("event missing required fields")
-            if not isinstance(event["seq"], int) or event["seq"] <= prev_seq:
+            if type(event["seq"]) is not int or event["seq"] <= prev_seq:
                 raise ReplayError("event sequence not strictly increasing")
+            if not isinstance(event["kind"], str) or not isinstance(event["payload"], dict):
+                raise ReplayError(f"event {event['seq']}: kind must be a string, payload an object")
             prev_seq = event["seq"]
             transcript.events.append(event)
         return transcript
@@ -222,37 +224,35 @@ def _audit_core(sid, registry: CertRegistry, pk: PublicKey, priv_entries,
                 n_voters: int, dec_ok: bool, has_complaint: bool) -> AuditVerdict:
     """The auditor's checks over a private-board snapshot, in fixed
     order; the first failure names the verdict's reason."""
-    ballots = [e for _seq, e in priv_entries
-               if isinstance(e, dict) and e.get("kind") == "ballot"]
+    ballots = [e for _seq, e in priv_entries if e["kind"] == "ballot"]
     for e in ballots:
-        ct = Ciphertext(int(e["c"][0]), int(e["c"][1]))
+        ct = Ciphertext(*e["c"])
         if not registry.verify(sid, tuple(e["ssid"]), cipher_bytes(ct), e["sigma"]):
             return AuditVerdict(False, "bad-signature")
 
     shuffle_entry = None
     for _seq, e in reversed(tuple(priv_entries)):
-        if isinstance(e, dict) and e.get("kind") == "shuffle":
+        if e["kind"] == "shuffle":
             shuffle_entry = e
             break
     if shuffle_entry is None:
         return AuditVerdict(False, "shuffle-proof")
 
+    inputs, outputs = shuffle_entry["inputs"], shuffle_entry["outputs"]
+    if len(inputs) != n_voters:
+        return AuditVerdict(False, "last-ballot-mismatch")
     last: dict[int, list] = {}
     for e in ballots:  # board order, so later entries overwrite
-        last[int(e["ssid"][0])] = [int(e["c"][0]), int(e["c"][1])]
-    expected = [last.get(i) for i in range(1, n_voters + 1)]
-    posted_inputs = [[int(a), int(b)] for a, b in shuffle_entry["inputs"]]
-    if None in expected or expected != posted_inputs:
+        last[e["ssid"][0]] = e["c"]
+    if [last.get(i) for i in range(1, n_voters + 1)] != inputs:
         return AuditVerdict(False, "last-ballot-mismatch")
 
-    statement = ShuffleStatement(
-        pk=pk,
-        inputs=tuple(Ciphertext(int(a), int(b)) for a, b in shuffle_entry["inputs"]),
-        outputs=tuple(Ciphertext(int(a), int(b)) for a, b in shuffle_entry["outputs"]),
-    )
+    if len(outputs) != n_voters:
+        return AuditVerdict(False, "shuffle-proof")
+    statement = ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
     try:
         proof_blob = bytes.fromhex(shuffle_entry["proof"])
-    except (ValueError, TypeError):
+    except ValueError:
         return AuditVerdict(False, "shuffle-proof")
     if not verify_shuffle(statement, proof_blob):
         return AuditVerdict(False, "shuffle-proof")
@@ -447,73 +447,124 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     return ElectionResult(transcript, tally, verdict)
 
 
+def _is_int(value) -> bool:
+    return type(value) is int          # JSON true/false are not numbers here
+
+
+def _is_pair(value) -> bool:
+    return type(value) is list and len(value) == 2 and all(map(_is_int, value))
+
+
+def _is_list_of(check):
+    return lambda value: type(value) is list and all(map(check, value))
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_registry_row(row) -> bool:
+    # [ssid, certified message, handles]; messages are ASCII by construction
+    return (type(row) is list and len(row) == 3 and _is_pair(row[0]) and _is_str(row[1])
+            and row[1].isascii() and _is_list_of(_is_str)(row[2]))
+
+
+# The fields the replay reads, with the shape each must have: from the
+# manifest, from each kind of board entry, and from the last event of each
+# kind of audit material.
+_MANIFEST_FIELDS = {"sid": _is_str, "n_voters": lambda v: _is_int(v) and v >= 1,
+                    "candidate_bound": _is_int, "group_preset": _is_str}
+_BOARD_POST_FIELDS = {"board_seq": _is_int,
+                      "entry": lambda v: isinstance(v, dict) and _is_str(v.get("kind"))}
+_ENTRY_FIELDS = {
+    "pubkey": {"h": _is_int},
+    "ballot": {"ssid": _is_pair, "c": _is_pair, "sigma": _is_str},
+    "shuffle": {"inputs": _is_list_of(_is_pair), "outputs": _is_list_of(_is_pair),
+                "proof": _is_str},
+    "plaintexts": {"values": _is_list_of(_is_int)},
+}
+_MATERIAL_FIELDS = {
+    "registry-dump": {"rows": _is_list_of(_is_registry_row)},
+    "election-key": {"sk": _is_int},
+    "verdict": {"valid": lambda v: type(v) is bool, "reason": lambda v: v is None or _is_str(v)},
+}
+
+
+def _check_fields(obj: dict, fields: dict, where: str) -> None:
+    for key, check in fields.items():
+        if key not in obj or not check(obj[key]):
+            raise ReplayError(f"{where}: missing or malformed {key!r}")
+
+
 def _replay_board(transcript: ElectionTranscript, which: str):
     entries = []
     for e in transcript.events_of(f"{which}-post"):
         payload = e["payload"]
-        entries.append((payload["board_seq"], payload["entry"]))
+        _check_fields(payload, _BOARD_POST_FIELDS, f"event {e['seq']}")
+        entry = payload["entry"]
+        _check_fields(entry, _ENTRY_FIELDS.get(entry["kind"], {}),
+                      f"event {e['seq']} {entry['kind']} entry")
+        entries.append((payload["board_seq"], entry))
     return entries
 
 
 def _replay_dec_ok(params, sk_value: int, priv_entries, pub_entries) -> bool:
     shuffle_entry = None
     for _seq, e in reversed(priv_entries):
-        if isinstance(e, dict) and e.get("kind") == "shuffle":
+        if e["kind"] == "shuffle":
             shuffle_entry = e
             break
     posted = None
     for _seq, e in reversed(pub_entries):
-        if isinstance(e, dict) and e.get("kind") == "plaintexts":
+        if e["kind"] == "plaintexts":
             posted = e["values"]
             break
     if shuffle_entry is None or posted is None:
         return False
-    sk = SecretKey(params, int(sk_value))
+    sk = SecretKey(params, sk_value)
     recomputed = []
     for a, b in shuffle_entry["outputs"]:
         try:
-            recomputed.append(decrypt(sk, Ciphertext(int(a), int(b))))
+            recomputed.append(decrypt(sk, Ciphertext(a, b)))
         except NotACandidate:
             recomputed.append(REJECTED_PLAINTEXT)
-    return [int(v) for v in posted] == recomputed
+    return posted == recomputed
 
 
 def audit_transcript(transcript: ElectionTranscript):
     """Re-run the audit from a stored transcript.
 
-    Returns (recomputed verdict, recorded verdict); raises ReplayError
-    when the transcript lacks the pieces the audit needs."""
+    Returns (recomputed verdict, recorded verdict); raises ReplayError,
+    naming the field, when the transcript lacks the pieces the audit
+    needs or one of them has the wrong type or shape."""
     man = transcript.manifest
-    needed = {"sid", "n_voters", "candidate_bound", "group_preset"}
-    if not needed <= set(man):
-        raise ReplayError(f"manifest missing {sorted(needed - set(man))}")
-    params = setup(man["group_preset"], man["candidate_bound"])
+    _check_fields(man, _MANIFEST_FIELDS, "manifest")
+    try:
+        params = setup(man["group_preset"], man["candidate_bound"])
+    except ValueError as exc:   # unknown preset, or a bound the group cannot encode
+        raise ReplayError(f"manifest group_preset/candidate_bound: {exc}") from None
     sid = man["sid"]
 
     pub_entries = _replay_board(transcript, "pub")
     priv_entries = _replay_board(transcript, "priv")
 
-    pk_h = None
-    for _seq, e in pub_entries:
-        if isinstance(e, dict) and e.get("kind") == "pubkey":
-            pk_h = int(e["h"])
-            break
+    pk_h = next((e["h"] for _seq, e in pub_entries if e["kind"] == "pubkey"), None)
     if pk_h is None:
         raise ReplayError("no public key on the recorded board")
     pk = PublicKey(params, pk_h)
 
-    dumps = transcript.events_of("registry-dump")
-    keys = transcript.events_of("election-key")
-    verdicts = transcript.events_of("verdict")
-    if not dumps or not keys or not verdicts:
-        raise ReplayError("transcript is missing audit material")
-    registry = CertRegistry.from_dump(sid, dumps[-1]["payload"]["rows"])
-    sk_value = keys[-1]["payload"]["sk"]
-    recorded = AuditVerdict(bool(verdicts[-1]["payload"]["valid"]),
-                            verdicts[-1]["payload"]["reason"])
+    material = {}
+    for kind, fields in _MATERIAL_FIELDS.items():
+        events = transcript.events_of(kind)
+        if not events:
+            raise ReplayError(f"transcript is missing audit material: no {kind} event")
+        material[kind] = events[-1]["payload"]
+        _check_fields(material[kind], fields, f"{kind} event")
+    registry = CertRegistry.from_dump(sid, material["registry-dump"]["rows"])
+    recorded = AuditVerdict(material["verdict"]["valid"], material["verdict"]["reason"])
 
     has_complaint = bool(transcript.events_of("complaint"))
-    dec_ok = _replay_dec_ok(params, sk_value, priv_entries, pub_entries)
+    dec_ok = _replay_dec_ok(params, material["election-key"]["sk"], priv_entries, pub_entries)
     recomputed = _audit_core(sid, registry, pk, priv_entries,
-                             int(man["n_voters"]), dec_ok, has_complaint)
+                             man["n_voters"], dec_ok, has_complaint)
     return recomputed, recorded

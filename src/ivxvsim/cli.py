@@ -12,6 +12,7 @@ config file's seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,11 +26,7 @@ from .behavior import BadDistribution
 from .ceremony import (CeremonyError, ElectionConfig, ElectionTranscript,
                        ReplayError, TOOL_VERSION, audit_transcript, run_election)
 
-_CONFIG_KEYS = {
-    "n_voters", "n_trustees", "threshold", "candidate_bound", "group_preset",
-    "seed", "distribution", "corrupted", "policy", "manipulation_offset",
-    "intents", "scripts", "threshold_strict", "ea_strict_halt", "tamper", "sid",
-}
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(ElectionConfig)}
 _REQUIRED_KEYS = ("n_voters", "n_trustees", "threshold")
 
 

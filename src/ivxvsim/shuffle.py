@@ -15,6 +15,16 @@ challenges; the 2048-bit preset needs one round, the toy group twenty.
 
 Commitment generators are derived by hashing into the group, so no
 trusted setup is involved.
+
+Every element and scalar is encoded big-endian at one width, the byte
+length of p, for the statement digest, both challenges and the proof.
+In each repetition the n entries of u are cut from one SHAKE-256 stream
+over `u|statement digest|round|perm_commits` (domain
+`ivxvsim/shuffle-v2`), so hashing is linear in n.  A proof (`IVXVSHF2`)
+is the magic, n, the repetition count and the width (4, 4 and 2 bytes),
+then each repetition's 5n + 9 values in `ProofRound` field order, so its
+header fixes its length.  Proofs and transcripts of the length-prefixed
+v1 format no longer verify.
 """
 
 from __future__ import annotations
@@ -22,12 +32,16 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .elgamal import Ciphertext, PublicKey, rerandomize
 from .groups import GroupParams, hash_to_element
 
-FS_DOMAIN = b"ivxvsim/shuffle-v1"
-PROOF_MAGIC = b"IVXVSHF1"
+FS_DOMAIN = b"ivxvsim/shuffle-v2"
+PROOF_MAGIC = b"IVXVSHF2"
+
+_HEADER_LEN = len(PROOF_MAGIC) + 10   # magic, n, repetitions, width
+_MAX_WIDTH = 1024                     # bytes of an 8192-bit modulus
 
 # Target grinding resistance of ~2^80 across repetitions.
 _ROUND_TARGET_BITS = 80
@@ -42,34 +56,36 @@ def security_rounds(q: int) -> int:
     return max(1, -(-_ROUND_TARGET_BITS // q.bit_length()))
 
 
+def _fs_scalars(transcript: bytes, q: int, count: int, tag: bytes = FS_DOMAIN) -> list[int]:
+    need = (q.bit_length() + 128 + 7) // 8
+    stream = hashlib.shake_256(tag + b"|" + transcript).digest(count * need)
+    return [int.from_bytes(stream[i : i + need], "big") % q for i in range(0, count * need, need)]
+
+
 def fs_challenge(transcript: bytes, q: int, tag: bytes = FS_DOMAIN) -> int:
     """Deterministic, domain-separated hash of a transcript to a scalar mod q.
 
-    The digest is expanded with a counter until it exceeds the order by
-    128 bits, keeping the reduction bias negligible.
+    The SHAKE-256 output is read to 128 bits beyond the order, keeping
+    the reduction bias negligible.
     """
-    need = (q.bit_length() + 128 + 7) // 8
-    out = b""
-    counter = 0
-    while len(out) < need:
-        out += hashlib.sha256(tag + b"|" + counter.to_bytes(4, "big") + b"|" + transcript).digest()
-        counter += 1
-    return int.from_bytes(out[:need], "big") % q
+    return _fs_scalars(transcript, q, 1, tag)[0]
 
 
-def _int_bytes(x: int) -> bytes:
-    raw = x.to_bytes((x.bit_length() + 7) // 8 or 1, "big")
-    return len(raw).to_bytes(4, "big") + raw
+def _width(p: int) -> int:
+    return (p.bit_length() + 7) // 8
 
 
-def _read_int(blob: bytes, pos: int) -> tuple[int, int]:
-    if pos + 4 > len(blob):
-        raise ValueError("truncated serialization")
-    size = int.from_bytes(blob[pos : pos + 4], "big")
-    pos += 4
-    if size == 0 or pos + size > len(blob):
-        raise ValueError("truncated serialization")
-    return int.from_bytes(blob[pos : pos + size], "big"), pos + size
+def _encode(values, width: int) -> bytes:
+    """Each value big-endian in exactly `width` bytes, no separators."""
+    if width == 1:   # the toy group: the same bytes, built in C
+        return bytes(values)
+    return b"".join([x.to_bytes(width, "big") for x in values])
+
+
+def _decode(data: bytes, width: int) -> list[int]:
+    if width == 1:
+        return list(data)
+    return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
 
 
 @dataclass(frozen=True)
@@ -86,12 +102,9 @@ class ShuffleStatement:
 
     def to_bytes(self) -> bytes:
         params = self.pk.params
-        parts = [b"stmt", _int_bytes(params.p), _int_bytes(params.q), _int_bytes(params.g),
-                 _int_bytes(self.pk.h), len(self.inputs).to_bytes(4, "big")]
-        for ct in self.inputs + self.outputs:
-            parts.append(_int_bytes(ct.c1))
-            parts.append(_int_bytes(ct.c2))
-        return b"".join(parts)
+        values = (params.p, params.q, params.g, self.pk.h,
+                  *(x for ct in self.inputs + self.outputs for x in ct))
+        return b"stmt" + len(self.inputs).to_bytes(4, "big") + _encode(values, _width(params.p))
 
 
 @dataclass(frozen=True)
@@ -125,10 +138,17 @@ class ProofRound:
     s_hat: tuple[int, ...]
     s_prm: tuple[int, ...]
 
+    def values(self) -> tuple[int, ...]:
+        """All 5n + 9 values, in field order: the proof format's order."""
+        return (*self.perm_commits, *self.chain_commits, self.t1, self.t2, self.t3,
+                self.t4a, self.t4b, *self.t_hat, self.s_bar, self.s_dot, self.s_tld,
+                self.s_r, *self.s_hat, *self.s_prm)
+
 
 @dataclass(frozen=True)
 class ShuffleProof:
     n: int
+    width: int                # bytes per encoded value: the byte length of p
     rounds: tuple[ProofRound, ...]
 
 
@@ -140,16 +160,15 @@ def _generators(p: int, q: int, g: int, n: int) -> tuple[int, tuple[int, ...]]:
     return base, gens
 
 
-def _challenge_vector(stmt_digest: bytes, rnd: int, perm_commits, q: int) -> list[int]:
-    prefix = stmt_digest + rnd.to_bytes(4, "big") + b"".join(_int_bytes(c) for c in perm_commits)
-    return [fs_challenge(b"u|" + prefix + i.to_bytes(4, "big"), q) for i in range(len(perm_commits))]
+def _challenge_vector(stmt_digest: bytes, rnd: int, perm_bytes: bytes, n: int, q: int) -> list[int]:
+    """The n entries of u, from the encoded permutation commitments."""
+    return _fs_scalars(b"u|" + stmt_digest + rnd.to_bytes(4, "big") + perm_bytes, q, n)
 
 
-def _round_gamma(stmt_digest: bytes, rnd: int, r: ProofRound, q: int) -> int:
-    parts = [stmt_digest, rnd.to_bytes(4, "big")]
-    for group in (r.perm_commits, r.chain_commits, (r.t1, r.t2, r.t3, r.t4a, r.t4b), r.t_hat):
-        parts.extend(_int_bytes(x) for x in group)
-    return fs_challenge(b"gamma|" + b"".join(parts), q)
+def _round_gamma(stmt_digest: bytes, rnd: int, perm_bytes: bytes, rest, width: int, q: int) -> int:
+    """gamma over perm_commits (as encoded for u), then `rest`: chain, t1..t4b, t_hat."""
+    return fs_challenge(b"gamma|" + stmt_digest + rnd.to_bytes(4, "big") + perm_bytes
+                        + _encode(rest, width), q)
 
 
 def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> ShuffleProof:
@@ -167,6 +186,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
             raise BadWitness(f"output {i} is not a re-randomization of input {perm[i]}")
 
     base, gens = _generators(p, q, g, n)
+    width = _width(p)
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
     rounds = []
     for rnd in range(security_rounds(q)):
@@ -174,7 +194,8 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         commits = [0] * n
         for i in range(n):
             commits[perm[i]] = pow(g, rho[perm[i]], p) * gens[i] % p
-        u = _challenge_vector(stmt_digest, rnd, commits, q)
+        perm_bytes = _encode(commits, width)
+        u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, q)
         u_tld = [u[perm[i]] for i in range(n)]
 
         rho_hat = [rng.randrange(q) for _ in range(n)]
@@ -210,12 +231,8 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
             t_hat.append(pow(g, w_hat[i], p) * pow(prev, w_prm[i], p) % p)
             prev = chain[i]
 
-        partial = ProofRound(
-            perm_commits=tuple(commits), chain_commits=tuple(chain),
-            t1=t1, t2=t2, t3=t3, t4a=t4a, t4b=t4b, t_hat=tuple(t_hat),
-            s_bar=0, s_dot=0, s_tld=0, s_r=0, s_hat=(), s_prm=(),
-        )
-        gamma = _round_gamma(stmt_digest, rnd, partial, q)
+        gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
+                             (*chain, t1, t2, t3, t4a, t4b, *t_hat), width, q)
 
         rounds.append(ProofRound(
             perm_commits=tuple(commits),
@@ -228,7 +245,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
             s_hat=tuple((w_hat[i] + gamma * rho_hat[i]) % q for i in range(n)),
             s_prm=tuple((w_prm[i] + gamma * u_tld[i]) % q for i in range(n)),
         ))
-    return ShuffleProof(n=n, rounds=tuple(rounds))
+    return ShuffleProof(n=n, width=width, rounds=tuple(rounds))
 
 
 def _verify_round(statement: ShuffleStatement, stmt_digest: bytes, rnd: int, pr: ProofRound) -> bool:
@@ -247,8 +264,12 @@ def _verify_round(statement: ShuffleStatement, stmt_digest: bytes, rnd: int, pr:
     if not all(0 <= s < q for s in (pr.s_bar, pr.s_dot, pr.s_tld, pr.s_r, *pr.s_hat, *pr.s_prm)):
         return False
 
-    u = _challenge_vector(stmt_digest, rnd, pr.perm_commits, q)
-    gamma = _round_gamma(stmt_digest, rnd, pr, q)
+    width = _width(p)
+    perm_bytes = _encode(pr.perm_commits, width)
+    u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, q)
+    gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
+                         (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat),
+                         width, q)
 
     prod_u = 1
     for u_j in u:
@@ -309,9 +330,11 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
             return False
     params = statement.pk.params
     n = len(statement.inputs)
-    if proof.n != n or len(proof.rounds) != security_rounds(params.q):
+    if (proof.n != n or proof.width != _width(params.p)
+            or len(proof.rounds) != security_rounds(params.q)):
         return False
-    if not all(params.is_element(x) for ct in statement.inputs + statement.outputs for x in ct):
+    elements = (statement.pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct))
+    if not all(params.is_element(x) for x in elements):
         return False
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
     return all(_verify_round(statement, stmt_digest, rnd, pr)
@@ -319,51 +342,26 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
 
 
 def serialize_proof(proof: ShuffleProof) -> bytes:
-    parts = [PROOF_MAGIC, proof.n.to_bytes(4, "big"), len(proof.rounds).to_bytes(4, "big")]
-    for pr in proof.rounds:
-        for group in (pr.perm_commits, pr.chain_commits,
-                      (pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b),
-                      pr.t_hat, (pr.s_bar, pr.s_dot, pr.s_tld, pr.s_r),
-                      pr.s_hat, pr.s_prm):
-            parts.extend(_int_bytes(x) for x in group)
-    return b"".join(parts)
+    header = (PROOF_MAGIC + proof.n.to_bytes(4, "big") + len(proof.rounds).to_bytes(4, "big")
+              + proof.width.to_bytes(2, "big"))
+    return header + _encode([x for pr in proof.rounds for x in pr.values()], proof.width)
 
 
 def deserialize_proof(blob: bytes) -> ShuffleProof:
-    if blob[: len(PROOF_MAGIC)] != PROOF_MAGIC:
+    """Inverse of serialize_proof; raises ValueError on any other input."""
+    if len(blob) < _HEADER_LEN or blob[: len(PROOF_MAGIC)] != PROOF_MAGIC:
         raise ValueError("bad proof header")
     pos = len(PROOF_MAGIC)
-    if pos + 8 > len(blob):
-        raise ValueError("truncated serialization")
     n = int.from_bytes(blob[pos : pos + 4], "big")
     n_rounds = int.from_bytes(blob[pos + 4 : pos + 8], "big")
-    pos += 8
-    if n == 0 or n > 2**20 or n_rounds == 0 or n_rounds > 2**10:
+    width = int.from_bytes(blob[pos + 8 : pos + 10], "big")
+    if not (0 < n <= 2**20 and 0 < n_rounds <= 2**10 and 0 < width <= _MAX_WIDTH):
         raise ValueError("implausible proof dimensions")
+    if len(blob) != _HEADER_LEN + n_rounds * (5 * n + 9) * width:
+        raise ValueError("proof length does not match its header")
 
-    def take(count):
-        nonlocal pos
-        vals = []
-        for _ in range(count):
-            v, pos = _read_int(blob, pos)
-            vals.append(v)
-        return vals
-
-    rounds = []
-    for _ in range(n_rounds):
-        perm_commits = take(n)
-        chain_commits = take(n)
-        t1, t2, t3, t4a, t4b = take(5)
-        t_hat = take(n)
-        s_bar, s_dot, s_tld, s_r = take(4)
-        s_hat = take(n)
-        s_prm = take(n)
-        rounds.append(ProofRound(
-            perm_commits=tuple(perm_commits), chain_commits=tuple(chain_commits),
-            t1=t1, t2=t2, t3=t3, t4a=t4a, t4b=t4b, t_hat=tuple(t_hat),
-            s_bar=s_bar, s_dot=s_dot, s_tld=s_tld, s_r=s_r,
-            s_hat=tuple(s_hat), s_prm=tuple(s_prm),
-        ))
-    if pos != len(blob):
-        raise ValueError("trailing bytes after proof")
-    return ShuffleProof(n=n, rounds=tuple(rounds))
+    values = iter(_decode(blob[_HEADER_LEN:], width))
+    take = lambda count: tuple(islice(values, count))
+    rounds = tuple(ProofRound(take(n), take(n), *take(5), take(n), *take(4), take(n), take(n))
+                   for _ in range(n_rounds))
+    return ShuffleProof(n=n, width=width, rounds=rounds)

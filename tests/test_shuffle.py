@@ -1,18 +1,24 @@
 """Shuffle argument: completeness, soundness, challenges, serialization."""
 
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
+from ivxvsim import shuffle
 from ivxvsim.elgamal import decrypt, encrypt, keygen, rerandomize
 from ivxvsim.groups import setup
 from ivxvsim.shuffle import (
+    PROOF_MAGIC,
     BadWitness,
     ShuffleProof,
     ShuffleStatement,
     ShuffleWitness,
     deserialize_proof,
     fs_challenge,
+    _challenge_vector,
+    _encode,
     prove_shuffle,
     security_rounds,
     serialize_proof,
@@ -193,7 +199,7 @@ def test_wrong_round_count_rejects():
     stmt, wit = make_instance(rng, pk, 3)
     proof = prove_shuffle(stmt, wit, rng)
     assert len(proof.rounds) == 20
-    short = ShuffleProof(n=proof.n, rounds=proof.rounds[:-1])
+    short = replace(proof, rounds=proof.rounds[:-1])
     assert not verify_shuffle(stmt, short)
 
 
@@ -249,3 +255,137 @@ def test_standard_group_shuffle():
     ins = sorted(decrypt(sk, c) for c in stmt.inputs)
     outs = sorted(decrypt(sk, c) for c in stmt.outputs)
     assert ins == outs
+
+
+# ------------------------------------------------------- proof codec (v2)
+
+def toy_blob(seed, n=3):
+    rng = random.Random(seed)
+    pk, _ = keygen(TOY, rng)
+    stmt, wit = make_instance(rng, pk, n)
+    return stmt, serialize_proof(prove_shuffle(stmt, wit, rng))
+
+
+def with_header(blob, n=None, rounds=None, width=None):
+    """The blob with some of its header fields replaced."""
+    pos = len(PROOF_MAGIC)
+    head = bytearray(blob[: pos + 10])
+    for value, start, size in ((n, pos, 4), (rounds, pos + 4, 4), (width, pos + 8, 2)):
+        if value is not None:
+            head[start : start + size] = value.to_bytes(size, "big")
+    return bytes(head) + blob[pos + 10 :]
+
+
+def test_proof_length_is_fixed_by_header():
+    stmt, blob = toy_blob(20, n=3)
+    assert blob[: len(PROOF_MAGIC)] == b"IVXVSHF2"
+    assert len(blob) == len(PROOF_MAGIC) + 10 + 20 * (5 * 3 + 9) * 1
+    assert deserialize_proof(blob).width == 1
+
+
+def test_serialization_is_canonical():
+    # every blob that deserializes re-serializes to exactly the same bytes
+    stmt, blob = toy_blob(21)
+    rng = random.Random(22)
+    parsed = 0
+    for _ in range(400):
+        mutated = bytearray(blob)
+        for _ in range(rng.randrange(1, 4)):
+            mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+        try:
+            back = deserialize_proof(bytes(mutated))
+        except ValueError:
+            continue
+        parsed += 1
+        assert serialize_proof(back) == bytes(mutated)
+    assert parsed > 100
+    assert serialize_proof(deserialize_proof(blob)) == blob
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: with_header(b, width=1025),            # wider than any modulus allowed
+    lambda b: with_header(b, width=0),
+    lambda b: with_header(b, width=2),               # length no longer matches
+    lambda b: with_header(b, n=4),
+    lambda b: with_header(b, rounds=19),
+    lambda b: with_header(b, n=2**20 + 1),
+    lambda b: b[:-1],                                # one byte missing
+    lambda b: b + b"\x00",                           # one byte extra
+    lambda b: b[: len(PROOF_MAGIC) + 9],             # truncated header
+])
+def test_malformed_blob_raises_value_error(edit):
+    _stmt, blob = toy_blob(23)
+    with pytest.raises(ValueError):
+        deserialize_proof(edit(blob))
+
+
+def test_wider_encoding_deserializes_but_does_not_verify():
+    stmt, blob = toy_blob(24)
+    proof = deserialize_proof(blob)
+    wide = serialize_proof(ShuffleProof(n=proof.n, width=2, rounds=proof.rounds))
+    assert deserialize_proof(wide).rounds == proof.rounds
+    assert verify_shuffle(stmt, proof)
+    assert not verify_shuffle(stmt, wide)
+
+
+def test_v1_magic_rejected_without_exception():
+    stmt, blob = toy_blob(25)
+    assert not verify_shuffle(stmt, b"IVXVSHF1" + blob[len(PROOF_MAGIC) :])
+    with pytest.raises(ValueError):
+        deserialize_proof(b"IVXVSHF1" + blob[len(PROOF_MAGIC) :])
+
+
+# ------------------------------------------------------ challenge vector
+
+def test_challenge_vector_binds_commitments_round_and_statement():
+    rng = random.Random(26)
+    pk, _ = keygen(TOY, rng)
+    stmt, wit = make_instance(rng, pk, 9)
+    other, _ = make_instance(rng, pk, 9)
+    assert other.to_bytes() != stmt.to_bytes()
+    commits = list(prove_shuffle(stmt, wit, rng).rounds[0].perm_commits)
+    digest = hashlib.sha256(stmt.to_bytes()).digest()
+
+    def vector(commits, rnd=0, digest=digest):
+        return _challenge_vector(digest, rnd, _encode(commits, 1), len(commits), TOY.q)
+
+    base = vector(commits)
+    assert len(base) == 9 and all(0 <= u < TOY.q for u in base)
+    for i in (0, 4, 8):
+        changed = commits[:]
+        changed[i] = changed[i] * TOY.g % TOY.p
+        assert vector(changed) != base, f"commitment {i}"
+    assert vector(commits, rnd=1) != base
+    assert vector(commits, digest=hashlib.sha256(other.to_bytes()).digest()) != base
+
+
+class CountingHashlib:
+    """Stands in for hashlib inside the shuffle module, counting the bytes
+    each hash is constructed over (the module never calls update)."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def sha256(self, data=b""):
+        self.bytes += len(data)
+        return hashlib.sha256(data)
+
+    def shake_256(self, data=b""):
+        self.bytes += len(data)
+        return hashlib.shake_256(data)
+
+
+def test_hashing_is_linear_in_n(monkeypatch):
+    counted = {}
+    for n in (200, 400):
+        rng = random.Random(27)
+        pk, _ = keygen(TOY, rng)
+        stmt, wit = make_instance(rng, pk, n)
+        counter = CountingHashlib()
+        monkeypatch.setattr(shuffle, "hashlib", counter)
+        proof = prove_shuffle(stmt, wit, rng)
+        assert verify_shuffle(stmt, serialize_proof(proof))
+        monkeypatch.undo()
+        counted[n] = counter.bytes
+    assert counted[200] > 0
+    assert counted[400] <= 2.2 * counted[200], counted
