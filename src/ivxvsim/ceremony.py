@@ -75,6 +75,8 @@ class ElectionConfig:
     sid: str = "election-1"
 
     def __post_init__(self):
+        if not isinstance(self.sid, str):
+            raise ValueError("sid must be a string")   # replay reads it as one
         if self.n_voters < 1:
             raise ValueError("need at least one voter")
         if not 1 <= self.threshold <= self.n_trustees:
@@ -415,7 +417,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
         "kind": "shuffle",
         "inputs": [[c.c1, c.c2] for c in inputs],
         "outputs": [[c.c1, c.c2] for c in posted_outputs],
-        "proof": serialize_proof(proof).hex(),
+        "proof": serialize_proof(proof, params).hex(),
     })
     transcript.record("tally", "EA", "mix", {"ballots": n})
 

@@ -21,10 +21,10 @@ length of p, for the statement digest, both challenges and the proof.
 In each repetition the n entries of u are cut from one SHAKE-256 stream
 over `u|statement digest|round|perm_commits` (domain
 `ivxvsim/shuffle-v2`), so hashing is linear in n.  A proof (`IVXVSHF2`)
-is the magic, n, the repetition count and the width (4, 4 and 2 bytes),
-then each repetition's 5n + 9 values in `ProofRound` field order, so its
-header fixes its length.  Proofs and transcripts of the length-prefixed
-v1 format no longer verify.
+is the magic, n and the repetition count (4 bytes each), then each
+repetition's 5n + 9 values in `ProofRound` field order, so its header
+and the group fix its length.  Proofs and transcripts of the
+length-prefixed v1 format no longer verify.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .groups import GroupParams, hash_to_element
 FS_DOMAIN = b"ivxvsim/shuffle-v2"
 PROOF_MAGIC = b"IVXVSHF2"
 
-_HEADER_LEN = len(PROOF_MAGIC) + 10   # magic, n, repetitions, width
-_MAX_WIDTH = 1024                     # bytes of an 8192-bit modulus
+_HEADER_LEN = len(PROOF_MAGIC) + 8   # magic, n, repetitions
 
 # Target grinding resistance of ~2^80 across repetitions.
 _ROUND_TARGET_BITS = 80
@@ -77,14 +76,10 @@ def _width(p: int) -> int:
 
 def _encode(values, width: int) -> bytes:
     """Each value big-endian in exactly `width` bytes, no separators."""
-    if width == 1:   # the toy group: the same bytes, built in C
-        return bytes(values)
     return b"".join([x.to_bytes(width, "big") for x in values])
 
 
 def _decode(data: bytes, width: int) -> list[int]:
-    if width == 1:
-        return list(data)
     return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
 
 
@@ -148,7 +143,6 @@ class ProofRound:
 @dataclass(frozen=True)
 class ShuffleProof:
     n: int
-    width: int                # bytes per encoded value: the byte length of p
     rounds: tuple[ProofRound, ...]
 
 
@@ -245,7 +239,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
             s_hat=tuple((w_hat[i] + gamma * rho_hat[i]) % q for i in range(n)),
             s_prm=tuple((w_prm[i] + gamma * u_tld[i]) % q for i in range(n)),
         ))
-    return ShuffleProof(n=n, width=width, rounds=tuple(rounds))
+    return ShuffleProof(n=n, rounds=tuple(rounds))
 
 
 def _verify_round(statement: ShuffleStatement, stmt_digest: bytes, rnd: int, pr: ProofRound) -> bool:
@@ -325,13 +319,12 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
     error."""
     if isinstance(proof, (bytes, bytearray)):
         try:
-            proof = deserialize_proof(bytes(proof))
+            proof = deserialize_proof(bytes(proof), statement.pk.params)
         except ValueError:
             return False
     params = statement.pk.params
     n = len(statement.inputs)
-    if (proof.n != n or proof.width != _width(params.p)
-            or len(proof.rounds) != security_rounds(params.q)):
+    if proof.n != n or len(proof.rounds) != security_rounds(params.q):
         return False
     elements = (statement.pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct))
     if not all(params.is_element(x) for x in elements):
@@ -341,22 +334,23 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
                for rnd, pr in enumerate(proof.rounds))
 
 
-def serialize_proof(proof: ShuffleProof) -> bytes:
-    header = (PROOF_MAGIC + proof.n.to_bytes(4, "big") + len(proof.rounds).to_bytes(4, "big")
-              + proof.width.to_bytes(2, "big"))
-    return header + _encode([x for pr in proof.rounds for x in pr.values()], proof.width)
+def serialize_proof(proof: ShuffleProof, params: GroupParams) -> bytes:
+    """Every value at the byte length of params.p, after the header."""
+    header = PROOF_MAGIC + proof.n.to_bytes(4, "big") + len(proof.rounds).to_bytes(4, "big")
+    return header + _encode([x for pr in proof.rounds for x in pr.values()], _width(params.p))
 
 
-def deserialize_proof(blob: bytes) -> ShuffleProof:
-    """Inverse of serialize_proof; raises ValueError on any other input."""
+def deserialize_proof(blob: bytes, params: GroupParams) -> ShuffleProof:
+    """Inverse of serialize_proof for the same group; raises ValueError
+    on any other input."""
     if len(blob) < _HEADER_LEN or blob[: len(PROOF_MAGIC)] != PROOF_MAGIC:
         raise ValueError("bad proof header")
     pos = len(PROOF_MAGIC)
     n = int.from_bytes(blob[pos : pos + 4], "big")
     n_rounds = int.from_bytes(blob[pos + 4 : pos + 8], "big")
-    width = int.from_bytes(blob[pos + 8 : pos + 10], "big")
-    if not (0 < n <= 2**20 and 0 < n_rounds <= 2**10 and 0 < width <= _MAX_WIDTH):
+    if not (0 < n <= 2**20 and 0 < n_rounds <= 2**10):
         raise ValueError("implausible proof dimensions")
+    width = _width(params.p)
     if len(blob) != _HEADER_LEN + n_rounds * (5 * n + 9) * width:
         raise ValueError("proof length does not match its header")
 
@@ -364,4 +358,4 @@ def deserialize_proof(blob: bytes) -> ShuffleProof:
     take = lambda count: tuple(islice(values, count))
     rounds = tuple(ProofRound(take(n), take(n), *take(5), take(n), *take(4), take(n), take(n))
                    for _ in range(n_rounds))
-    return ShuffleProof(n=n, width=width, rounds=rounds)
+    return ShuffleProof(n=n, rounds=rounds)

@@ -344,6 +344,9 @@ def test_config_validation_errors():
         honest_config(scripts={7: "V"})  # unknown voter
     with pytest.raises(ValueError):
         honest_config(scripts={1: "CV"})  # malformed pattern
+    for sid in (7, None, ["e"]):
+        with pytest.raises(ValueError):
+            honest_config(sid=sid)  # replay accepts only a string sid
 
 
 def test_threshold_strict_election_runs():

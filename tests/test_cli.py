@@ -71,8 +71,9 @@ def test_run_config_errors_exit_one(tmp_path, capsys):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"n_voters": 2}))
     assert main(["run", str(partial)]) == 1
+    assert main(["run", write_config(tmp_path, "sid.json", sid=7)]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 4
+    assert err.count("error:") == 5
 
 
 def test_seed_precedence(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -172,8 +171,8 @@ def test_serialization_roundtrip():
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 4)
     proof = prove_shuffle(stmt, wit, rng)
-    blob = serialize_proof(proof)
-    back = deserialize_proof(blob)
+    blob = serialize_proof(proof, TOY)
+    back = deserialize_proof(blob, TOY)
     assert back == proof
     assert verify_shuffle(stmt, back)
     assert verify_shuffle(stmt, blob)  # raw bytes accepted directly
@@ -183,14 +182,14 @@ def test_truncated_or_garbled_proof_rejects():
     rng = random.Random(12)
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 3)
-    blob = serialize_proof(prove_shuffle(stmt, wit, rng))
+    blob = serialize_proof(prove_shuffle(stmt, wit, rng), TOY)
     assert not verify_shuffle(stmt, blob[: len(blob) // 2])
     assert not verify_shuffle(stmt, blob[:-1])
     assert not verify_shuffle(stmt, blob + b"\x00")
     assert not verify_shuffle(stmt, b"")
     assert not verify_shuffle(stmt, b"garbage bytes here")
     with pytest.raises(ValueError):
-        deserialize_proof(blob[:-1])
+        deserialize_proof(blob[:-1], TOY)
 
 
 def test_wrong_round_count_rejects():
@@ -199,7 +198,7 @@ def test_wrong_round_count_rejects():
     stmt, wit = make_instance(rng, pk, 3)
     proof = prove_shuffle(stmt, wit, rng)
     assert len(proof.rounds) == 20
-    short = replace(proof, rounds=proof.rounds[:-1])
+    short = ShuffleProof(n=proof.n, rounds=proof.rounds[:-1])
     assert not verify_shuffle(stmt, short)
 
 
@@ -263,24 +262,33 @@ def toy_blob(seed, n=3):
     rng = random.Random(seed)
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, n)
-    return stmt, serialize_proof(prove_shuffle(stmt, wit, rng))
+    return stmt, serialize_proof(prove_shuffle(stmt, wit, rng), TOY)
 
 
-def with_header(blob, n=None, rounds=None, width=None):
+HEADER_LEN = len(PROOF_MAGIC) + 8
+
+
+def with_header(blob, n=None, rounds=None):
     """The blob with some of its header fields replaced."""
     pos = len(PROOF_MAGIC)
-    head = bytearray(blob[: pos + 10])
-    for value, start, size in ((n, pos, 4), (rounds, pos + 4, 4), (width, pos + 8, 2)):
+    head = bytearray(blob[:HEADER_LEN])
+    for value, start in ((n, pos), (rounds, pos + 4)):
         if value is not None:
-            head[start : start + size] = value.to_bytes(size, "big")
-    return bytes(head) + blob[pos + 10 :]
+            head[start : start + 4] = value.to_bytes(4, "big")
+    return bytes(head) + blob[HEADER_LEN:]
 
 
-def test_proof_length_is_fixed_by_header():
+def widened(blob):
+    """The same values, each encoded two bytes wide instead of one."""
+    return blob[:HEADER_LEN] + _encode(blob[HEADER_LEN:], 2)
+
+
+def test_proof_length_is_fixed_by_header_and_group():
     stmt, blob = toy_blob(20, n=3)
     assert blob[: len(PROOF_MAGIC)] == b"IVXVSHF2"
-    assert len(blob) == len(PROOF_MAGIC) + 10 + 20 * (5 * 3 + 9) * 1
-    assert deserialize_proof(blob).width == 1
+    assert len(blob) == HEADER_LEN + 20 * (5 * 3 + 9) * 1
+    assert len(serialize_proof(deserialize_proof(blob, TOY), setup("standard", 8))) \
+        == HEADER_LEN + 20 * (5 * 3 + 9) * 256
 
 
 def test_serialization_is_canonical():
@@ -293,46 +301,37 @@ def test_serialization_is_canonical():
         for _ in range(rng.randrange(1, 4)):
             mutated[rng.randrange(len(mutated))] = rng.randrange(256)
         try:
-            back = deserialize_proof(bytes(mutated))
+            back = deserialize_proof(bytes(mutated), TOY)
         except ValueError:
             continue
         parsed += 1
-        assert serialize_proof(back) == bytes(mutated)
+        assert serialize_proof(back, TOY) == bytes(mutated)
     assert parsed > 100
-    assert serialize_proof(deserialize_proof(blob)) == blob
+    assert serialize_proof(deserialize_proof(blob, TOY), TOY) == blob
 
 
 @pytest.mark.parametrize("edit", [
-    lambda b: with_header(b, width=1025),            # wider than any modulus allowed
-    lambda b: with_header(b, width=0),
-    lambda b: with_header(b, width=2),               # length no longer matches
+    widened,                                         # wider than the group's p
     lambda b: with_header(b, n=4),
     lambda b: with_header(b, rounds=19),
+    lambda b: with_header(b, n=0),
     lambda b: with_header(b, n=2**20 + 1),
     lambda b: b[:-1],                                # one byte missing
     lambda b: b + b"\x00",                           # one byte extra
-    lambda b: b[: len(PROOF_MAGIC) + 9],             # truncated header
+    lambda b: b[: HEADER_LEN - 1],                   # truncated header
 ])
 def test_malformed_blob_raises_value_error(edit):
-    _stmt, blob = toy_blob(23)
+    stmt, blob = toy_blob(23)
     with pytest.raises(ValueError):
-        deserialize_proof(edit(blob))
-
-
-def test_wider_encoding_deserializes_but_does_not_verify():
-    stmt, blob = toy_blob(24)
-    proof = deserialize_proof(blob)
-    wide = serialize_proof(ShuffleProof(n=proof.n, width=2, rounds=proof.rounds))
-    assert deserialize_proof(wide).rounds == proof.rounds
-    assert verify_shuffle(stmt, proof)
-    assert not verify_shuffle(stmt, wide)
+        deserialize_proof(edit(blob), TOY)
+    assert not verify_shuffle(stmt, edit(blob))
 
 
 def test_v1_magic_rejected_without_exception():
     stmt, blob = toy_blob(25)
     assert not verify_shuffle(stmt, b"IVXVSHF1" + blob[len(PROOF_MAGIC) :])
     with pytest.raises(ValueError):
-        deserialize_proof(b"IVXVSHF1" + blob[len(PROOF_MAGIC) :])
+        deserialize_proof(b"IVXVSHF1" + blob[len(PROOF_MAGIC) :], TOY)
 
 
 # ------------------------------------------------------ challenge vector
@@ -384,7 +383,7 @@ def test_hashing_is_linear_in_n(monkeypatch):
         counter = CountingHashlib()
         monkeypatch.setattr(shuffle, "hashlib", counter)
         proof = prove_shuffle(stmt, wit, rng)
-        assert verify_shuffle(stmt, serialize_proof(proof))
+        assert verify_shuffle(stmt, serialize_proof(proof, TOY))
         monkeypatch.undo()
         counted[n] = counter.bytes
     assert counted[200] > 0
