@@ -19,15 +19,14 @@ from .behavior import BehaviorDistribution, BadDistribution  # noqa: F401
 from .functionalities import (BulletinBoard, CertRegistry, KeyGenService,  # noqa: F401
                               DecryptionService, VotingDevice, AuditDevice,
                               Ballot, VerificationToken, NotReady,
-                              ThresholdNotMet, MissingShuffle, UnknownSsid,
-                              vemu_sample)
+                              ThresholdNotMet, MissingShuffle, UnknownSsid)
 from .ceremony import (ElectionConfig, ElectionTranscript, ElectionResult,  # noqa: F401
                        AuditVerdict, CeremonyError, ReplayError, run_election,
                        voter_vote_loop, ea_accept_ballot, tally_alg,
                        audit_transcript)
 from .adversary import (ManipulationPolicy, PolicyDomainError, AttackOutcome,  # noqa: F401
                         AttackReport, load_distribution, default_distribution,
-                        simulate_policy_on_pattern, analytic_success,
-                        caught_probability, optimal_policy,
+                        simulate_policy_on_pattern, outcome_probabilities,
+                        optimal_policy,
                         undetected_probability, detection_probability,
                         monte_carlo_success, end_to_end_attack)

@@ -132,14 +132,14 @@ def simulate_policy_on_pattern(policy: ManipulationPolicy, pattern: str) -> Atta
     return AttackOutcome.SUCCESS if manipulated else AttackOutcome.SILENT_FAIL
 
 
-def analytic_success(policy: ManipulationPolicy, distribution: BehaviorDistribution) -> float:
-    return sum(prob for pattern, prob in distribution.items()
-               if simulate_policy_on_pattern(policy, pattern) is AttackOutcome.SUCCESS)
-
-
-def caught_probability(policy: ManipulationPolicy, distribution: BehaviorDistribution) -> float:
-    return sum(prob for pattern, prob in distribution.items()
-               if simulate_policy_on_pattern(policy, pattern) is AttackOutcome.CAUGHT)
+def outcome_probabilities(policy: ManipulationPolicy,
+                          distribution: BehaviorDistribution) -> dict[AttackOutcome, float]:
+    """Exact probability of each outcome: the mass of the patterns that
+    end in it, summed in the distribution's order."""
+    mass = dict.fromkeys(AttackOutcome, 0.0)
+    for pattern, prob in distribution.items():
+        mass[simulate_policy_on_pattern(policy, pattern)] += prob
+    return mass
 
 
 def reachable_histories(distribution: BehaviorDistribution) -> tuple:
@@ -170,7 +170,7 @@ def optimal_policy(distribution: BehaviorDistribution, max_len: int):
     for decisions in itertools.product((True, False), repeat=len(histories)):
         table = dict(zip(histories, decisions))
         policy = ManipulationPolicy.from_table(table, name="candidate")
-        score = analytic_success(policy, distribution)
+        score = outcome_probabilities(policy, distribution)[AttackOutcome.SUCCESS]
         if score > best:
             best = score
             best_table = table
@@ -192,8 +192,8 @@ def detection_probability(p: float, k: int) -> float:
 
 def monte_carlo_success(policy: ManipulationPolicy, distribution: BehaviorDistribution,
                         trials: int, seed: int):
-    """Sampled estimate of analytic_success with its binomial standard
-    error."""
+    """Sampled estimate of the success probability with its binomial
+    standard error."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = rng_for(seed, "mc")
@@ -242,7 +242,7 @@ def end_to_end_attack(config: ElectionConfig, policy: ManipulationPolicy,
     if seed is None:
         seed = config.seed
     dist = config.distribution if config.distribution is not None else default_distribution()
-    p = 1.0 - caught_probability(policy, dist)
+    p = 1.0 - outcome_probabilities(policy, dist)[AttackOutcome.CAUGHT]
 
     corrupted = tuple(range(1, corrupted_count + 1))
     detected_count = 0

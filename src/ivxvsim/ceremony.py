@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .behavior import BehaviorDistribution, default_distribution, validate_pattern
-from .elgamal import Ciphertext, NotACandidate, PublicKey, SecretKey, decrypt, encrypt, rerandomize
+from .elgamal import Ciphertext, PublicKey, SecretKey, encrypt, rerandomize
 from .groups import setup
 from .functionalities import (AuditDevice, BulletinBoard, CertRegistry,
-                              DecryptionService, KeyGenService, ROLE_AUDITOR,
-                              REJECTED_PLAINTEXT, VotingDevice, cipher_bytes,
-                              vemu_sample)
+                              DecryptionService, KeyGenService, REJECTED_PLAINTEXT,
+                              VotingDevice, cipher_bytes, decrypt_all, latest_entry)
 from .seeding import rng_for
 from .shamir import reconstruct
 from .shuffle import (ShuffleStatement, ShuffleWitness, prove_shuffle,
@@ -222,50 +221,6 @@ def ea_accept_ballot(sid, registry: CertRegistry, board: BulletinBoard,
     return True
 
 
-def _audit_core(sid, registry: CertRegistry, pk: PublicKey, priv_entries,
-                n_voters: int, dec_ok: bool, has_complaint: bool) -> AuditVerdict:
-    """The auditor's checks over a private-board snapshot, in fixed
-    order; the first failure names the verdict's reason."""
-    ballots = [e for _seq, e in priv_entries if e["kind"] == "ballot"]
-    for e in ballots:
-        ct = Ciphertext(*e["c"])
-        if not registry.verify(sid, tuple(e["ssid"]), cipher_bytes(ct), e["sigma"]):
-            return AuditVerdict(False, "bad-signature")
-
-    shuffle_entry = None
-    for _seq, e in reversed(tuple(priv_entries)):
-        if e["kind"] == "shuffle":
-            shuffle_entry = e
-            break
-    if shuffle_entry is None:
-        return AuditVerdict(False, "shuffle-proof")
-
-    inputs, outputs = shuffle_entry["inputs"], shuffle_entry["outputs"]
-    if len(inputs) != n_voters:
-        return AuditVerdict(False, "last-ballot-mismatch")
-    last: dict[int, list] = {}
-    for e in ballots:  # board order, so later entries overwrite
-        last[e["ssid"][0]] = e["c"]
-    if [last.get(i) for i in range(1, n_voters + 1)] != inputs:
-        return AuditVerdict(False, "last-ballot-mismatch")
-
-    if len(outputs) != n_voters:
-        return AuditVerdict(False, "shuffle-proof")
-    statement = ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
-    try:
-        proof_blob = bytes.fromhex(shuffle_entry["proof"])
-    except ValueError:
-        return AuditVerdict(False, "shuffle-proof")
-    if not verify_shuffle(statement, proof_blob):
-        return AuditVerdict(False, "shuffle-proof")
-
-    if not dec_ok:
-        return AuditVerdict(False, "decryption")
-    if has_complaint:
-        return AuditVerdict(False, "complaint")
-    return AuditVerdict(True, None)
-
-
 def run_election(config: ElectionConfig) -> ElectionResult:
     params = setup(config.group_preset, config.candidate_bound)
     dist = config.distribution if config.distribution is not None else default_distribution()
@@ -355,7 +310,6 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     phase_box[0] = "voting"
     transcript.record("voting", "EA", "phase-open", {})
     checker = AuditDevice(sid, board, pk)
-    complaints = []
     for i in range(1, n + 1):
         device = VotingDevice(sid, i, registry, rng_for(seed, "vsd", i),
                               policy=policy if i in config.corrupted else None,
@@ -363,15 +317,13 @@ def run_election(config: ElectionConfig) -> ElectionResult:
         if config.scripts and i in config.scripts:
             script = config.scripts[i]
         else:
-            script = vemu_sample(sid, dist, rng_for(seed, "vemu", i))
+            script = dist.sample(rng_for(seed, "vemu", i))
         transcript.record("voting", f"voter-{i}", "script", {"script": script})
-        events, complained = voter_vote_loop(script, sid, i, intents[i - 1], pk,
-                                             device, checker, ea_accept)
+        events, _complained = voter_vote_loop(script, sid, i, intents[i - 1], pk,
+                                              device, checker, ea_accept)
         for ev in events:
             transcript.record("voting", f"voter-{i}", ev["kind"],
                               {key: val for key, val in ev.items() if key != "kind"})
-        if complained:
-            complaints.append({"voter": i})
 
     # Tally: close, mix with proof, threshold-decrypt, count.
     phase_box[0] = "tally"
@@ -424,26 +376,16 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     for trustee_id in range(1, k + 1):
         dec.submit_key(trustee_id)
         transcript.record("tally", f"trustee-{trustee_id}", "key-submit", {})
-    dec.decrypt_and_post()
-
-    pub_snap, _ = board.read(sid, ROLE_AUDITOR)
-    plaintexts = None
-    for _seq, entry in reversed(pub_snap):
-        if isinstance(entry, dict) and entry.get("kind") == "plaintexts":
-            plaintexts = entry["values"]
-            break
-    tally = tally_alg(plaintexts, config.candidate_bound)
+    tally = tally_alg(dec.decrypt_and_post(), config.candidate_bound)
     board.pub_post(sid, {"kind": "tally", "counts": {str(c): v for c, v in tally.items()}})
 
-    # Audit: the five checks, then the verdict.
+    # Audit: publish the audit material, then judge the run by the same
+    # checks a replay of its transcript makes.
     phase_box[0] = "audit"
-    dec_ok = dec.audit()
-    _pub, priv_snap = board.read(sid, ROLE_AUDITOR)
-    verdict = _audit_core(sid, registry, pk, priv_snap, n, dec_ok, bool(complaints))
-
     sk_value = reconstruct([kg.share_for(j) for j in range(1, t + 1)], t, params.q)
     transcript.record("audit", "simulator", "registry-dump", {"rows": registry.dump()})
     transcript.record("audit", "simulator", "election-key", {"sk": sk_value})
+    verdict = _audit(transcript)
     transcript.record("audit", "auditor", "verdict",
                       {"valid": verdict.valid, "reason": verdict.reason})
     return ElectionResult(transcript, tally, verdict)
@@ -510,33 +452,19 @@ def _replay_board(transcript: ElectionTranscript, which: str):
     return entries
 
 
-def _replay_dec_ok(params, sk_value: int, priv_entries, pub_entries) -> bool:
-    shuffle_entry = None
-    for _seq, e in reversed(priv_entries):
-        if e["kind"] == "shuffle":
-            shuffle_entry = e
-            break
-    posted = None
-    for _seq, e in reversed(pub_entries):
-        if e["kind"] == "plaintexts":
-            posted = e["values"]
-            break
-    if shuffle_entry is None or posted is None:
-        return False
-    sk = SecretKey(params, sk_value)
-    recomputed = []
-    for a, b in shuffle_entry["outputs"]:
-        try:
-            recomputed.append(decrypt(sk, Ciphertext(a, b)))
-        except NotACandidate:
-            recomputed.append(REJECTED_PLAINTEXT)
-    return posted == recomputed
+def _material(transcript: ElectionTranscript, kind: str) -> dict:
+    """Payload of the last event of one kind of audit material."""
+    events = transcript.events_of(kind)
+    if not events:
+        raise ReplayError(f"transcript is missing audit material: no {kind} event")
+    payload = events[-1]["payload"]
+    _check_fields(payload, _MATERIAL_FIELDS[kind], f"{kind} event")
+    return payload
 
 
-def audit_transcript(transcript: ElectionTranscript):
-    """Re-run the audit from a stored transcript.
-
-    Returns (recomputed verdict, recorded verdict); raises ReplayError,
+def _audit(transcript: ElectionTranscript) -> AuditVerdict:
+    """The auditor's checks over a transcript's events, in fixed order;
+    the first failure names the verdict's reason.  Raises ReplayError,
     naming the field, when the transcript lacks the pieces the audit
     needs or one of them has the wrong type or shape."""
     man = transcript.manifest
@@ -545,28 +473,60 @@ def audit_transcript(transcript: ElectionTranscript):
         params = setup(man["group_preset"], man["candidate_bound"])
     except ValueError as exc:   # unknown preset, or a bound the group cannot encode
         raise ReplayError(f"manifest group_preset/candidate_bound: {exc}") from None
-    sid = man["sid"]
+    sid, n_voters = man["sid"], man["n_voters"]
 
     pub_entries = _replay_board(transcript, "pub")
     priv_entries = _replay_board(transcript, "priv")
-
-    pk_h = next((e["h"] for _seq, e in pub_entries if e["kind"] == "pubkey"), None)
-    if pk_h is None:
+    pubkey = latest_entry(pub_entries, "pubkey")
+    if pubkey is None:
         raise ReplayError("no public key on the recorded board")
-    pk = PublicKey(params, pk_h)
+    pk = PublicKey(params, pubkey["h"])
+    registry = CertRegistry.from_dump(sid, _material(transcript, "registry-dump")["rows"])
+    sk_value = _material(transcript, "election-key")["sk"]
 
-    material = {}
-    for kind, fields in _MATERIAL_FIELDS.items():
-        events = transcript.events_of(kind)
-        if not events:
-            raise ReplayError(f"transcript is missing audit material: no {kind} event")
-        material[kind] = events[-1]["payload"]
-        _check_fields(material[kind], fields, f"{kind} event")
-    registry = CertRegistry.from_dump(sid, material["registry-dump"]["rows"])
-    recorded = AuditVerdict(material["verdict"]["valid"], material["verdict"]["reason"])
+    ballots = [e for _seq, e in priv_entries if e["kind"] == "ballot"]
+    for e in ballots:
+        ct = Ciphertext(*e["c"])
+        if not registry.verify(sid, tuple(e["ssid"]), cipher_bytes(ct), e["sigma"]):
+            return AuditVerdict(False, "bad-signature")
 
-    has_complaint = bool(transcript.events_of("complaint"))
-    dec_ok = _replay_dec_ok(params, material["election-key"]["sk"], priv_entries, pub_entries)
-    recomputed = _audit_core(sid, registry, pk, priv_entries,
-                             man["n_voters"], dec_ok, has_complaint)
-    return recomputed, recorded
+    shuffle_entry = latest_entry(priv_entries, "shuffle")
+    if shuffle_entry is None:
+        return AuditVerdict(False, "shuffle-proof")
+
+    inputs, outputs = shuffle_entry["inputs"], shuffle_entry["outputs"]
+    if len(inputs) != n_voters:
+        return AuditVerdict(False, "last-ballot-mismatch")
+    last: dict[int, list] = {}
+    for e in ballots:  # board order, so later entries overwrite
+        last[e["ssid"][0]] = e["c"]
+    if [last.get(i) for i in range(1, n_voters + 1)] != inputs:
+        return AuditVerdict(False, "last-ballot-mismatch")
+
+    if len(outputs) != n_voters:
+        return AuditVerdict(False, "shuffle-proof")
+    statement = ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
+    try:
+        proof_blob = bytes.fromhex(shuffle_entry["proof"])
+    except ValueError:
+        return AuditVerdict(False, "shuffle-proof")
+    if not verify_shuffle(statement, proof_blob):
+        return AuditVerdict(False, "shuffle-proof")
+
+    posted = latest_entry(pub_entries, "plaintexts")
+    if posted is None or posted["values"] != decrypt_all(SecretKey(params, sk_value), outputs):
+        return AuditVerdict(False, "decryption")
+    if transcript.events_of("complaint"):
+        return AuditVerdict(False, "complaint")
+    return AuditVerdict(True, None)
+
+
+def audit_transcript(transcript: ElectionTranscript):
+    """Re-run the audit from a stored transcript.
+
+    Returns (recomputed verdict, recorded verdict); raises ReplayError,
+    naming the field, when the transcript lacks the pieces the audit
+    needs or one of them has the wrong type or shape."""
+    recomputed = _audit(transcript)
+    recorded = _material(transcript, "verdict")
+    return recomputed, AuditVerdict(recorded["valid"], recorded["reason"])

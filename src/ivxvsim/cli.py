@@ -19,8 +19,8 @@ import os
 import sys
 from pathlib import Path
 
-from .adversary import (analytic_success, end_to_end_attack, optimal_policy,
-                        policy_from_spec, undetected_probability,
+from .adversary import (AttackOutcome, end_to_end_attack, optimal_policy,
+                        outcome_probabilities, policy_from_spec, undetected_probability,
                         CSV_REPORT_HEADER, default_distribution, load_distribution)
 from .behavior import BadDistribution
 from .ceremony import (CeremonyError, ElectionConfig, ElectionTranscript,
@@ -121,7 +121,8 @@ def cmd_analyze(args) -> int:
     else:
         dist = load_distribution(args.distribution)
     policy = policy_from_spec(args.policy)
-    print(f"analytic-success {analytic_success(policy, dist):.6f}")
+    success = outcome_probabilities(policy, dist)[AttackOutcome.SUCCESS]
+    print(f"analytic-success {success:.6f}")
     if args.max_len is not None:
         best, value = optimal_policy(dist, args.max_len)
         print(f"optimal-success {value:.6f}")

@@ -1,6 +1,6 @@
 """Trusted in-process components the protocol runs against: bulletin
 board, certification registry, key generation, threshold decryption,
-the voter-side devices, and the behavior emulator.
+and the voter-side devices.
 
 Each is a single-threaded object addressed by an election identifier;
 "ideal" means the component itself is incorruptible, while its callers
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .behavior import BehaviorDistribution
 from .elgamal import (Ciphertext, NotACandidate, PublicKey, RandomnessMismatch,
                       SecretKey, decrypt, encrypt, keygen, trapdoor_decrypt)
 from .shamir import SecretShare, deal, reconstruct
@@ -58,6 +57,29 @@ class VerificationToken(NamedTuple):
     ssid: tuple
     r: int               # encryption randomness, the trapdoor
     intent: int          # candidate the device claims it encrypted
+
+
+def latest_entry(entries, kind: str, ssid=None):
+    """The last board entry of the given kind among (seq, entry) pairs,
+    restricted to one submission when ssid is given; None if there is
+    none.  Entries that are not objects are skipped."""
+    for _seq, entry in reversed(entries):
+        if (isinstance(entry, dict) and entry.get("kind") == kind
+                and (ssid is None or tuple(entry["ssid"]) == tuple(ssid))):
+            return entry
+    return None
+
+
+def decrypt_all(sk: SecretKey, pairs) -> list[int]:
+    """Plaintexts of a list of [c1, c2] ciphertexts, REJECTED_PLAINTEXT
+    for each that decrypts outside the candidate range."""
+    out = []
+    for c1, c2 in pairs:
+        try:
+            out.append(decrypt(sk, Ciphertext(c1, c2)))
+        except NotACandidate:
+            out.append(REJECTED_PLAINTEXT)
+    return out
 
 
 class BulletinBoard:
@@ -181,8 +203,7 @@ class DecryptionService:
 
     Trustees submit their key shares; once enough are in, the service
     reconstructs the secret, decrypts the posted shuffled ciphertexts,
-    and publishes the plaintexts.  Its audit hook re-decrypts and
-    compares against what was published."""
+    and publishes the plaintexts."""
 
     def __init__(self, sid, board: BulletinBoard, keygen_service: KeyGenService,
                  t: int, strict: bool = False, corrupt_output_fn=None):
@@ -207,48 +228,21 @@ class DecryptionService:
         shares = list(self._submitted.values())[: self.t]
         return reconstruct(shares, self.t, self.keygen_service.params.q)
 
-    def _posted_shuffle(self):
-        _pub, priv = self.board.snapshot()
-        for _seq, entry in reversed(priv):
-            if isinstance(entry, dict) and entry.get("kind") == "shuffle":
-                return entry
-        return None
-
-    def _decrypt_list(self, ciphertexts) -> list[int]:
-        sk = SecretKey(self.keygen_service.params, self._secret())
-        out = []
-        for c1, c2 in ciphertexts:
-            try:
-                out.append(decrypt(sk, Ciphertext(c1, c2)))
-            except NotACandidate:
-                out.append(REJECTED_PLAINTEXT)
-        return out
-
-    def decrypt_and_post(self) -> None:
+    def decrypt_and_post(self) -> list[int]:
+        """Decrypt the latest shuffled list, post the plaintexts and
+        return the values posted."""
         if not self._quorum():
             need = self.t + 1 if self.strict else self.t
             raise ThresholdNotMet(f"threshold-not-met: {len(self._submitted)} < {need}")
-        entry = self._posted_shuffle()
+        entry = latest_entry(self.board.snapshot()[1], "shuffle")
         if entry is None:
             raise MissingShuffle("missing-shuffle: no shuffled list on the board")
-        values = self._decrypt_list(entry["outputs"])
+        sk = SecretKey(self.keygen_service.params, self._secret())
+        values = decrypt_all(sk, entry["outputs"])
         if self.corrupt_output_fn is not None:
             values = list(self.corrupt_output_fn(values))
         self.board.pub_post(self.sid, {"kind": "plaintexts", "values": values})
-
-    def audit(self) -> bool:
-        entry = self._posted_shuffle()
-        if entry is None or not self._quorum():
-            return False
-        pub, _priv = self.board.snapshot()
-        posted = None
-        for _seq, e in reversed(pub):
-            if isinstance(e, dict) and e.get("kind") == "plaintexts":
-                posted = e["values"]
-                break
-        if posted is None:
-            return False
-        return list(posted) == self._decrypt_list(entry["outputs"])
+        return values
 
 
 class VotingDevice:
@@ -293,22 +287,12 @@ class AuditDevice:
         self.pk = pk
 
     def check(self, token: VerificationToken):
-        _pub, priv = self.board.snapshot()
-        recorded = None
-        for _seq, entry in reversed(priv):
-            if (isinstance(entry, dict) and entry.get("kind") == "ballot"
-                    and tuple(entry["ssid"]) == tuple(token.ssid)):
-                recorded = Ciphertext(*entry["c"])
-                break
-        if recorded is None:
+        entry = latest_entry(self.board.snapshot()[1], "ballot", token.ssid)
+        if entry is None:
             raise UnknownSsid(f"unknown-ssid: {token.ssid}")
         try:
-            observed = trapdoor_decrypt(self.pk, recorded, token.r)
+            observed = trapdoor_decrypt(self.pk, Ciphertext(*entry["c"]), token.r)
         except (RandomnessMismatch, NotACandidate):
             return 0, None
         return int(observed == token.intent), observed
 
-
-def vemu_sample(sid, distribution: BehaviorDistribution, rng) -> str:
-    """Draw one voter's action script."""
-    return distribution.sample(rng)

@@ -11,12 +11,11 @@ from ivxvsim.adversary import (
     CSV_REPORT_HEADER,
     ManipulationPolicy,
     PolicyDomainError,
-    analytic_success,
-    caught_probability,
     detection_probability,
     end_to_end_attack,
     monte_carlo_success,
     optimal_policy,
+    outcome_probabilities,
     policy_from_spec,
     reachable_histories,
     simulate_policy_on_pattern,
@@ -107,24 +106,29 @@ def test_simulate_rejects_bad_patterns():
 
 # ---------------------------------------------------------- analytic math
 
+def success(policy, distribution):
+    return outcome_probabilities(policy, distribution)[AttackOutcome.SUCCESS]
+
+
 def test_analytic_success_default_distribution():
-    v = analytic_success(ManipulationPolicy.always(), default_distribution())
+    v = success(ManipulationPolicy.always(), default_distribution())
     assert abs(v - 0.96) < 1e-12
 
 
 def test_analytic_success_edge_policies():
     d = default_distribution()
-    assert analytic_success(ManipulationPolicy.never(), d) == 0.0
-    assert analytic_success(ManipulationPolicy.always(),
-                            BehaviorDistribution({"V": 1.0})) == 1.0
+    assert success(ManipulationPolicy.never(), d) == 0.0
+    assert success(ManipulationPolicy.always(), BehaviorDistribution({"V": 1.0})) == 1.0
 
 
 def test_caught_probability_complements_success_for_always():
     d = default_distribution()
-    caught = caught_probability(ManipulationPolicy.always(), d)
-    success = analytic_success(ManipulationPolicy.always(), d)
-    assert caught == pytest.approx(0.04)
-    assert caught + success == pytest.approx(1.0)  # no silent outcomes
+    mass = outcome_probabilities(ManipulationPolicy.always(), d)
+    assert mass[AttackOutcome.CAUGHT] == pytest.approx(0.04)
+    assert mass[AttackOutcome.CAUGHT] + mass[AttackOutcome.SUCCESS] == pytest.approx(1.0)
+    assert mass[AttackOutcome.SILENT_FAIL] == 0.0
+    never = outcome_probabilities(ManipulationPolicy.never(), d)
+    assert never[AttackOutcome.SILENT_FAIL] == 1.0
 
 
 def test_reachable_histories_default():
@@ -160,7 +164,7 @@ def test_optimal_policy_can_beat_always_by_waiting():
     # With enough mass on check-then-revote patterns, patience wins.
     d = BehaviorDistribution({"V": 0.25, "VC": 0.2, "VCVV": 0.55})
     policy, value = optimal_policy(d, 4)
-    assert analytic_success(ManipulationPolicy.always(), d) == pytest.approx(0.25)
+    assert success(ManipulationPolicy.always(), d) == pytest.approx(0.25)
     assert value == pytest.approx(0.55)
     assert policy.decide("") is False
     assert policy.decide("VCV") is True
@@ -183,7 +187,7 @@ def test_optimal_matches_always_on_terminal_check_family():
         entries[patterns[0]] += 1.0 - sum(entries.values())
         d = BehaviorDistribution(entries)
         _, best = optimal_policy(d, 4)
-        always_value = analytic_success(ManipulationPolicy.always(), d)
+        always_value = success(ManipulationPolicy.always(), d)
         assert best == pytest.approx(always_value, abs=1e-12), entries
 
 
@@ -198,7 +202,7 @@ def test_optimal_never_below_always():
         entries[chosen[0]] += 1.0 - sum(entries.values())
         d = BehaviorDistribution(entries)
         _, best = optimal_policy(d, 4)
-        assert best >= analytic_success(ManipulationPolicy.always(), d) - 1e-12
+        assert best >= success(ManipulationPolicy.always(), d) - 1e-12
 
 
 # ------------------------------------------------------------ scale curves

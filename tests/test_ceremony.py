@@ -262,12 +262,22 @@ def test_replay_agrees_with_recorded_verdict():
     assert recomputed == recorded == result.verdict
 
 
-@pytest.mark.parametrize("mode", TAMPER_MODES)
-def test_replay_agrees_on_tampered_runs(mode):
-    result = run_election(tamper_config(mode))
-    recomputed, recorded = audit_transcript(result.transcript)
-    assert recomputed == recorded
-    assert not recomputed.valid
+REPLAY_CASES = {
+    "honest": (honest_config(), None),
+    **{mode: (tamper_config(mode), reason) for mode, reason in TAMPER_REASONS.items()},
+    "complaint": (corrupted_config(scripts={1: "VC"}), "complaint"),
+}
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_replay_agrees_on_tampered_runs(case):
+    # through the stored form: the live verdict is the audit of the
+    # in-memory transcript, so only a round trip can disagree with it
+    config, reason = REPLAY_CASES[case]
+    result = run_election(config)
+    stored = ElectionTranscript.from_jsonl(result.transcript.to_jsonl())
+    recomputed, recorded = audit_transcript(stored)
+    assert recomputed == recorded == result.verdict == AuditVerdict(reason is None, reason)
 
 
 def test_replay_detects_transcript_edits():
