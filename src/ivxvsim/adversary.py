@@ -34,6 +34,8 @@ _MAX_PATTERN_LEN = 8
 class PolicyDomainError(KeyError):
     """History exceeds what the policy's table covers."""
 
+    __str__ = Exception.__str__     # the message, without KeyError's quotes
+
 
 class ManipulationPolicy:
     """Decision rule history -> manipulate?  Either a constant or a
@@ -101,6 +103,8 @@ class ManipulationPolicy:
 
 def policy_from_spec(text: str) -> ManipulationPolicy:
     """CLI shorthand: 'always', 'never', or a policy CSV path."""
+    if not isinstance(text, str):   # an integer would open a file descriptor
+        raise ValueError(f"policy must be 'always', 'never' or a CSV path, not {text!r}")
     if text == "always":
         return ManipulationPolicy.always()
     if text == "never":

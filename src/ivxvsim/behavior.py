@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from importlib import resources
 
 PATTERN_ALPHABET = frozenset("VC")
@@ -47,11 +48,18 @@ class BehaviorDistribution:
     def __init__(self, entries):
         pairs = list(entries.items()) if hasattr(entries, "items") else list(entries)
         table: dict[str, float] = {}
-        for pattern, prob in pairs:
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise BadDistribution(f"{pair!r} is not a pattern/probability pair")
+            pattern, prob = pair
             validate_pattern(pattern)
             if pattern in table:
                 raise BadDistribution(f"duplicate pattern {pattern!r}")
-            prob = float(prob)
+            try:
+                prob = float(prob)
+            except (TypeError, ValueError):
+                raise BadDistribution(
+                    f"probability {prob!r} for {pattern!r} is not a number") from None
             if not 0.0 <= prob <= 1.0:
                 raise BadDistribution(f"probability {prob!r} for {pattern!r} out of [0, 1]")
             table[pattern] = prob
@@ -121,6 +129,9 @@ def load_distribution(source) -> BehaviorDistribution:
         return source
     if hasattr(source, "items") or isinstance(source, (list, tuple)):
         return BehaviorDistribution(source)
+    if not isinstance(source, (str, os.PathLike)):   # an integer would open a file descriptor
+        raise BadDistribution(f"distribution must be pattern/probability pairs or a CSV path, "
+                              f"not {source!r}")
     with open(source, newline="") as fh:
         return _parse_rows(csv.DictReader(fh), str(source))
 

@@ -12,7 +12,7 @@ authority-side modification that exactly one audit check must catch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 from .behavior import BehaviorDistribution, default_distribution, validate_pattern
@@ -20,9 +20,9 @@ from .elgamal import Ciphertext, PublicKey, SecretKey, encrypt, rerandomize
 from .groups import setup
 from .functionalities import (AuditDevice, BulletinBoard, CertRegistry,
                               DecryptionService, KeyGenService, REJECTED_PLAINTEXT,
-                              VotingDevice, cipher_bytes, decrypt_all, latest_entry)
+                              VotingDevice, cipher_bytes, decrypt_all, last_ballots,
+                              latest_entry)
 from .seeding import rng_for
-from .shamir import reconstruct
 from .shuffle import (ShuffleStatement, ShuffleWitness, prove_shuffle,
                       serialize_proof, verify_shuffle)
 
@@ -54,6 +54,34 @@ class ElectionResult(NamedTuple):
     verdict: AuditVerdict
 
 
+def _is_int(value) -> bool:
+    return type(value) is int          # JSON true/false are not numbers here
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+def _is_int_seq(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
+
+
+# The type of each config field, checked before any rule on its value.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("n_voters", "n_trustees", "threshold", "candidate_bound", "seed",
+                     "manipulation_offset"), _is_int),
+    "group_preset": _is_str, "sid": _is_str, "tamper": _optional(_is_str),
+    "distribution": _optional(lambda v: isinstance(v, BehaviorDistribution)),
+    "corrupted": _is_int_seq, "intents": _optional(_is_int_seq),
+    "policy": _optional(lambda v: hasattr(v, "decide")),
+    "scripts": _optional(lambda v: isinstance(v, dict)),
+}
+
+
 @dataclass(frozen=True)
 class ElectionConfig:
     n_voters: int
@@ -68,14 +96,14 @@ class ElectionConfig:
     manipulation_offset: int = 1
     intents: Optional[tuple] = None    # None = drawn from the seed
     scripts: Optional[dict] = None     # per-voter forced scripts, else sampled
-    threshold_strict: bool = False     # require strictly more than t key shares
-    ea_strict_halt: bool = False       # abort the run on a bad certification
     tamper: Optional[str] = None
-    sid: str = "election-1"
+    sid: str = "election-1"            # a string, as replay reads it
 
     def __post_init__(self):
-        if not isinstance(self.sid, str):
-            raise ValueError("sid must be a string")   # replay reads it as one
+        for name, check in _CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
         if self.n_voters < 1:
             raise ValueError("need at least one voter")
         if not 1 <= self.threshold <= self.n_trustees:
@@ -89,7 +117,7 @@ class ElectionConfig:
         if corrupted and self.candidate_bound < 2:
             raise ValueError("manipulation needs at least two candidates")
         if self.intents is not None:
-            intents = tuple(int(x) for x in self.intents)
+            intents = tuple(self.intents)
             if len(intents) != self.n_voters:
                 raise ValueError("need one intent per voter")
             if any(not 0 <= x < self.candidate_bound for x in intents):
@@ -202,20 +230,16 @@ def voter_vote_loop(script: str, sid, voter_id: int, intent: int, pk: PublicKey,
 
 
 def ea_accept_ballot(sid, registry: CertRegistry, board: BulletinBoard,
-                     ledger: dict, ballot, strict: bool = False,
-                     transform=None) -> bool:
-    """Authority-side ballot intake: certification check, then ledger
-    update and private-board post.  A rejected ballot leaves both
-    untouched (or aborts the run when strict).
+                     ballot, transform=None) -> bool:
+    """Authority-side ballot intake: certification check, then a post to
+    the private board, the only record of ballots.  A rejected ballot
+    leaves the board untouched.
 
     transform, when given, maps the verified ciphertext to what actually
     gets recorded; the honest authority passes None."""
     if not registry.verify(sid, ballot.ssid, cipher_bytes(ballot.c), ballot.sigma):
-        if strict:
-            raise CeremonyError("authority halt: ballot failed certification")
         return False
     c_posted = ballot.c if transform is None else transform(ballot.c)
-    ledger[ballot.ssid[0]] = c_posted
     board.priv_post(sid, {"kind": "ballot", "ssid": list(ballot.ssid),
                           "c": [c_posted.c1, c_posted.c2], "sigma": ballot.sigma})
     return True
@@ -238,25 +262,16 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     policy_desc = None
     if policy is not None:
         policy_desc = policy.describe() if hasattr(policy, "describe") else str(policy)
-    manifest = {
-        "version": TOOL_VERSION,
-        "sid": sid,
-        "seed": seed,
-        "n_voters": n,
-        "n_trustees": k,
-        "threshold": t,
-        "candidate_bound": config.candidate_bound,
-        "group_preset": config.group_preset,
-        "threshold_strict": config.threshold_strict,
-        "ea_strict_halt": config.ea_strict_halt,
-        "tamper": config.tamper,
-        "corrupted": list(config.corrupted),
-        "manipulation_offset": config.manipulation_offset,
-        "policy": policy_desc,
-        "distribution": [[pat, prob] for pat, prob in dist.items()],
-        "intents": list(intents),
-        "scripts": {str(v): s for v, s in (config.scripts or {}).items()},
-    }
+    # every config field, with the JSON form of those that are not JSON values
+    manifest = {field.name: getattr(config, field.name) for field in fields(config)}
+    manifest.update(
+        version=TOOL_VERSION,
+        corrupted=list(config.corrupted),
+        policy=policy_desc,
+        distribution=[[pat, prob] for pat, prob in dist.items()],
+        intents=list(intents),
+        scripts={str(v): s for v, s in (config.scripts or {}).items()},
+    )
     transcript = ElectionTranscript(manifest)
     phase_box = ["preparation"]
 
@@ -271,40 +286,25 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     if config.tamper == "tamper-plaintext":
         bound = config.candidate_bound
         corrupt_fn = lambda values: [(values[0] + 1) % bound] + list(values[1:])
-    dec = DecryptionService(sid, board, kg, t, strict=config.threshold_strict,
-                            corrupt_output_fn=corrupt_fn)
+    dec = DecryptionService(sid, board, kg, t, corrupt_output_fn=corrupt_fn)
 
     # Preparation: trustees report in, the key comes up, the authority
-    # publishes it and opens an empty ledger.
+    # publishes it.
     for trustee_id in range(1, k + 1):
         kg.ready(trustee_id)
         transcript.record("preparation", f"trustee-{trustee_id}", "ready", {})
     pk = kg.pubkey()
     board.pub_post(sid, {"kind": "pubkey", "h": pk.h})
-    ledger: dict[int, Ciphertext] = {}
-    first_ballot: dict[int, Ciphertext] = {}
-    accepted_counts: dict[int, int] = {}
 
-    forge_pending = [config.tamper == "forge-signature"]
+    forge = lambda c: Ciphertext(c.c1, c.c2 * params.g % params.p)
 
     def ea_accept(ballot) -> bool:
-        transform = None
-        if forge_pending[0]:
-            # authority-side tamper: record a modified ciphertext under
-            # the original certification handle
-            transform = lambda c: Ciphertext(c.c1, c.c2 * params.g % params.p)
-        ok = ea_accept_ballot(sid, registry, board, ledger, ballot,
-                              strict=config.ea_strict_halt, transform=transform)
-        if not ok:
-            transcript.record(phase_box[0], "EA", "ballot-rejected",
-                              {"ssid": list(ballot.ssid)})
-            return False
-        if transform is not None:
-            forge_pending[0] = False
-        voter_id = ballot.ssid[0]
-        first_ballot.setdefault(voter_id, ledger[voter_id])
-        accepted_counts[voter_id] = accepted_counts.get(voter_id, 0) + 1
-        return True
+        # forge-signature records a modified ciphertext under the original
+        # certification handle of the first ballot posted to the private board:
+        # voter 1 votes first and every script opens with a V, so ssid (1, 1)
+        forged = config.tamper == "forge-signature" and ballot.ssid == (1, 1)
+        return ea_accept_ballot(sid, registry, board, ballot,
+                                transform=forge if forged else None)
 
     # Voting: each voter runs their script to completion, in id order.
     phase_box[0] = "voting"
@@ -325,28 +325,29 @@ def run_election(config: ElectionConfig) -> ElectionResult:
             transcript.record("voting", f"voter-{i}", ev["kind"],
                               {key: val for key, val in ev.items() if key != "kind"})
 
-    # Tally: close, mix with proof, threshold-decrypt, count.
+    # Tally: close, mix each voter's last ballot on the private board with
+    # proof, threshold-decrypt, count.  Every voter has a ballot there: each
+    # script opens with a V, and every device certifies what it submits.
     phase_box[0] = "tally"
-    missing = [i for i in range(1, n + 1) if i not in ledger]
-    if missing:
-        raise CeremonyError(f"voters {missing} have no accepted ballot to mix")
-
-    mix_inputs = dict(ledger)
+    ballots = [e for _seq, e in board.snapshot()[1] if e["kind"] == "ballot"]
+    mix_inputs = [Ciphertext(*c) for c in last_ballots(ballots, n)]
     if config.tamper == "mix-non-last":
-        revoters = [i for i in range(1, n + 1) if accepted_counts.get(i, 0) >= 2]
+        # a device numbers its voter's casts from 1, and every cast is on the board
+        first = {e["ssid"][0]: Ciphertext(*e["c"]) for e in ballots if e["ssid"][1] == 1}
+        revoters = sorted({e["ssid"][0] for e in ballots if e["ssid"][1] == 2})
         if not revoters:
             raise CeremonyError("mix-non-last tamper needs a voter with two ballots")
         # prefer a voter whose first and last ballots differ as ciphertexts;
         # in the tiny group they can collide, in which case shifting the
         # first ballot still yields a valid encryption that is not the
         # recorded last one
-        revoter = next((i for i in revoters if first_ballot[i] != ledger[i]), revoters[0])
-        substituted = first_ballot[revoter]
-        if substituted == ledger[revoter]:
+        revoter = next((i for i in revoters if first[i] != mix_inputs[i - 1]), revoters[0])
+        substituted = first[revoter]
+        if substituted == mix_inputs[revoter - 1]:
             substituted = rerandomize(pk, substituted, 1)
-        mix_inputs[revoter] = substituted
+        mix_inputs[revoter - 1] = substituted
 
-    inputs = tuple(mix_inputs[i] for i in range(1, n + 1))
+    inputs = tuple(mix_inputs)
     mix_rng = rng_for(seed, "ea.mix")
     perm = list(range(n))
     mix_rng.shuffle(perm)
@@ -382,17 +383,12 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     # Audit: publish the audit material, then judge the run by the same
     # checks a replay of its transcript makes.
     phase_box[0] = "audit"
-    sk_value = reconstruct([kg.share_for(j) for j in range(1, t + 1)], t, params.q)
     transcript.record("audit", "simulator", "registry-dump", {"rows": registry.dump()})
-    transcript.record("audit", "simulator", "election-key", {"sk": sk_value})
+    transcript.record("audit", "simulator", "election-key", {"sk": dec.secret_key.sk})
     verdict = _audit(transcript)
     transcript.record("audit", "auditor", "verdict",
                       {"valid": verdict.valid, "reason": verdict.reason})
     return ElectionResult(transcript, tally, verdict)
-
-
-def _is_int(value) -> bool:
-    return type(value) is int          # JSON true/false are not numbers here
 
 
 def _is_pair(value) -> bool:
@@ -401,10 +397,6 @@ def _is_pair(value) -> bool:
 
 def _is_list_of(check):
     return lambda value: type(value) is list and all(map(check, value))
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
 
 
 def _is_registry_row(row) -> bool:
@@ -495,12 +487,7 @@ def _audit(transcript: ElectionTranscript) -> AuditVerdict:
         return AuditVerdict(False, "shuffle-proof")
 
     inputs, outputs = shuffle_entry["inputs"], shuffle_entry["outputs"]
-    if len(inputs) != n_voters:
-        return AuditVerdict(False, "last-ballot-mismatch")
-    last: dict[int, list] = {}
-    for e in ballots:  # board order, so later entries overwrite
-        last[e["ssid"][0]] = e["c"]
-    if [last.get(i) for i in range(1, n_voters + 1)] != inputs:
+    if len(inputs) != n_voters or last_ballots(ballots, n_voters) != inputs:
         return AuditVerdict(False, "last-ballot-mismatch")
 
     if len(outputs) != n_voters:

@@ -19,15 +19,16 @@ import os
 import sys
 from pathlib import Path
 
-from .adversary import (AttackOutcome, end_to_end_attack, optimal_policy,
-                        outcome_probabilities, policy_from_spec, undetected_probability,
-                        CSV_REPORT_HEADER, default_distribution, load_distribution)
-from .behavior import BadDistribution
+from .adversary import (AttackOutcome, PolicyDomainError, end_to_end_attack,
+                        optimal_policy, outcome_probabilities, policy_from_spec,
+                        undetected_probability, CSV_REPORT_HEADER, default_distribution,
+                        load_distribution)
 from .ceremony import (CeremonyError, ElectionConfig, ElectionTranscript,
                        ReplayError, TOOL_VERSION, audit_transcript, run_election)
 
 _CONFIG_KEYS = {field.name for field in dataclasses.fields(ElectionConfig)}
-_REQUIRED_KEYS = ("n_voters", "n_trustees", "threshold")
+_REQUIRED_KEYS = tuple(field.name for field in dataclasses.fields(ElectionConfig)
+                       if field.default is dataclasses.MISSING)
 
 
 class CliError(Exception):
@@ -65,17 +66,10 @@ def _load_config(path, flag_seed) -> tuple[ElectionConfig, dict]:
         raise CliError(f"config must set {missing} explicitly")
 
     kwargs = dict(raw)
-    if "distribution" in kwargs and kwargs["distribution"] is not None:
-        source = kwargs["distribution"]
-        if isinstance(source, list):
-            source = [tuple(pair) for pair in source]
-        kwargs["distribution"] = load_distribution(source)
-    if "policy" in kwargs and kwargs["policy"] is not None:
+    if kwargs.get("distribution") is not None:
+        kwargs["distribution"] = load_distribution(kwargs["distribution"])
+    if kwargs.get("policy") is not None:
         kwargs["policy"] = policy_from_spec(kwargs["policy"])
-    if "corrupted" in kwargs and kwargs["corrupted"] is not None:
-        kwargs["corrupted"] = tuple(kwargs["corrupted"])
-    if "intents" in kwargs and kwargs["intents"] is not None:
-        kwargs["intents"] = tuple(kwargs["intents"])
     for key in ("corrupted", "intents", "scripts"):
         if key in kwargs and kwargs[key] is None:
             del kwargs[key]
@@ -237,10 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, BadDistribution) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, PolicyDomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -70,6 +70,16 @@ def latest_entry(entries, kind: str, ssid=None):
     return None
 
 
+def last_ballots(ballot_entries, n_voters: int) -> list:
+    """Each voter's last recorded [c1, c2] among ballot entries in board
+    order, for voter ids 1..n_voters in id order; None for a voter with
+    no ballot."""
+    last = {}
+    for entry in ballot_entries:   # a re-vote overwrites the voter's earlier ballot
+        last[entry["ssid"][0]] = entry["c"]
+    return [last.get(i) for i in range(1, n_voters + 1)]
+
+
 def decrypt_all(sk: SecretKey, pairs) -> list[int]:
     """Plaintexts of a list of [c1, c2] ciphertexts, REJECTED_PLAINTEXT
     for each that decrypts outside the candidate range."""
@@ -201,44 +211,36 @@ class KeyGenService:
 class DecryptionService:
     """Threshold decryption over the shuffled list on the board.
 
-    Trustees submit their key shares; once enough are in, the service
-    reconstructs the secret, decrypts the posted shuffled ciphertexts,
-    and publishes the plaintexts."""
+    Trustees submit their key shares; once t are in, the service
+    reconstructs the secret from the first t submitted, decrypts the
+    posted shuffled ciphertexts, and publishes the plaintexts."""
 
     def __init__(self, sid, board: BulletinBoard, keygen_service: KeyGenService,
-                 t: int, strict: bool = False, corrupt_output_fn=None):
+                 t: int, corrupt_output_fn=None):
         self.sid = sid
         self.board = board
         self.keygen_service = keygen_service
         self.t = t
-        # strict: require strictly more than t submissions
-        self.strict = strict
         # test/tamper hook applied to the plaintext list before posting
         self.corrupt_output_fn = corrupt_output_fn
         self._submitted: dict[int, SecretShare] = {}
+        self.secret_key: Optional[SecretKey] = None   # set by decrypt_and_post
 
     def submit_key(self, trustee_id: int) -> None:
         self._submitted[trustee_id] = self.keygen_service.share_for(trustee_id)
 
-    def _quorum(self) -> bool:
-        count = len(self._submitted)
-        return count > self.t if self.strict else count >= self.t
-
-    def _secret(self) -> int:
-        shares = list(self._submitted.values())[: self.t]
-        return reconstruct(shares, self.t, self.keygen_service.params.q)
-
     def decrypt_and_post(self) -> list[int]:
         """Decrypt the latest shuffled list, post the plaintexts and
         return the values posted."""
-        if not self._quorum():
-            need = self.t + 1 if self.strict else self.t
-            raise ThresholdNotMet(f"threshold-not-met: {len(self._submitted)} < {need}")
+        if len(self._submitted) < self.t:
+            raise ThresholdNotMet(f"threshold-not-met: {len(self._submitted)} < {self.t}")
         entry = latest_entry(self.board.snapshot()[1], "shuffle")
         if entry is None:
             raise MissingShuffle("missing-shuffle: no shuffled list on the board")
-        sk = SecretKey(self.keygen_service.params, self._secret())
-        values = decrypt_all(sk, entry["outputs"])
+        shares = list(self._submitted.values())[: self.t]
+        params = self.keygen_service.params
+        self.secret_key = SecretKey(params, reconstruct(shares, self.t, params.q))
+        values = decrypt_all(self.secret_key, entry["outputs"])
         if self.corrupt_output_fn is not None:
             values = list(self.corrupt_output_fn(values))
         self.board.pub_post(self.sid, {"kind": "plaintexts", "values": values})

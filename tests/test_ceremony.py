@@ -26,6 +26,7 @@ from ivxvsim.functionalities import (
     CertRegistry,
     KeyGenService,
     VotingDevice,
+    last_ballots,
 )
 from ivxvsim.groups import setup
 
@@ -197,13 +198,13 @@ def test_ea_accept_ballot_records_and_overwrites():
         kg.ready(j)
     pk = kg.pubkey()
     dev = VotingDevice(SID, 1, reg, random.Random(1))
-    ledger = {}
     b1, _ = dev.cast(pk, 0)
     b2, _ = dev.cast(pk, 2)
-    assert ea_accept_ballot(SID, reg, board, ledger, b1)
-    assert ea_accept_ballot(SID, reg, board, ledger, b2)
-    assert ledger[1] == b2.c  # the ledger tracks the latest accepted ballot
-    assert len(board.snapshot()[1]) == 2
+    assert ea_accept_ballot(SID, reg, board, b1)
+    assert ea_accept_ballot(SID, reg, board, b2)
+    entries = [e for _, e in board.snapshot()[1]]
+    assert len(entries) == 2
+    assert last_ballots(entries, 1) == [list(b2.c)]  # the re-vote is the one counted
 
 
 def test_ea_accept_ballot_rejects_forged_signature():
@@ -217,12 +218,8 @@ def test_ea_accept_ballot_rejects_forged_signature():
     dev = VotingDevice(SID, 1, reg, random.Random(1))
     ballot, _ = dev.cast(pk, 0)
     forged = Ballot(ballot.ssid, ballot.c, "f" * 32)
-    ledger = {}
-    assert not ea_accept_ballot(SID, reg, board, ledger, forged)
-    assert ledger == {}
+    assert not ea_accept_ballot(SID, reg, board, forged)
     assert board.snapshot()[1] == ()
-    with pytest.raises(CeremonyError):
-        ea_accept_ballot(SID, reg, board, ledger, forged, strict=True)
 
 
 # ------------------------------------------------------------- tampering
@@ -247,6 +244,11 @@ def test_tamper_modes_flip_the_verdict(mode):
     for seed in range(10):
         result = run_election(tamper_config(mode, seed=seed))
         assert result.verdict == AuditVerdict(False, TAMPER_REASONS[mode]), seed
+
+
+def test_mix_non_last_needs_a_revoter():
+    with pytest.raises(CeremonyError):
+        run_election(tamper_config("mix-non-last", scripts={i: "V" for i in range(1, 7)}))
 
 
 def test_unknown_tamper_mode_rejected():
@@ -357,8 +359,9 @@ def test_config_validation_errors():
     for sid in (7, None, ["e"]):
         with pytest.raises(ValueError):
             honest_config(sid=sid)  # replay accepts only a string sid
-
-
-def test_threshold_strict_election_runs():
-    cfg = honest_config(threshold_strict=True)
-    assert run_election(cfg).verdict.valid
+    for wrong_type in (dict(n_voters=True),  # a bool is not an integer here
+                       dict(candidate_bound=3.0),
+                       dict(corrupted=(True,), policy=ManipulationPolicy.always()),
+                       dict(intents=["0"] * 6), dict(scripts=["V"])):
+        with pytest.raises(ValueError):
+            honest_config(**wrong_type)

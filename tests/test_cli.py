@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, output formats, seed precedence."""
 
+import dataclasses
 import json
+import os
+import re
+from pathlib import Path
 
 import pytest
 
+from ivxvsim.ceremony import ElectionConfig
 from ivxvsim.cli import main
 
 
@@ -72,8 +77,60 @@ def test_run_config_errors_exit_one(tmp_path, capsys):
     partial.write_text(json.dumps({"n_voters": 2}))
     assert main(["run", str(partial)]) == 1
     assert main(["run", write_config(tmp_path, "sid.json", sid=7)]) == 1
+    # removed settings that changed nothing a completed run shows
+    assert main(["run", write_config(tmp_path, "ts.json", threshold_strict=True)]) == 1
+    assert main(["run", write_config(tmp_path, "eh.json", ea_strict_halt=True)]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 5
+    assert err.count("error:") == 7
+
+
+WRONG_TYPED_FIELDS = [
+    ("corrupted", 5), ("intents", 5), ("distribution", [1, 2]), ("candidate_bound", "3"),
+    ("seed", "x"), ("n_trustees", 2.5), ("manipulation_offset", "a"), ("scripts", [1]),
+    ("policy", 3), ("distribution", 0), ("distribution", [["V", None]]),
+    ("group_preset", [1]), ("tamper", 5), ("n_voters", True),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "attack"])
+@pytest.mark.parametrize("key,value", WRONG_TYPED_FIELDS)
+def test_wrong_typed_config_field_exits_one(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path, **dict(dict(n_voters=3), **{key: value}))
+    extra = ["--trials", "1"] if command == "attack" else []
+    assert main([command, cfg, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,text", [("distribution", "pattern,probability\nV,1.0\n"),
+                                      ("policy", "history,decision\n,M\n")])
+def test_config_integer_is_not_a_file_descriptor(tmp_path, capsys, key, text):
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, text.encode())
+    os.close(write_fd)
+    try:
+        assert main(["run", write_config(tmp_path, **{key: read_fd})]) == 1
+    finally:
+        os.close(read_fd)
+    assert "error:" in capsys.readouterr().err
+
+
+def test_policy_table_missing_a_reached_history_exits_one(tmp_path, capsys):
+    table = tmp_path / "policy.csv"
+    table.write_text("history,decision\n,M\n")  # no decision after one V
+    cfg = write_config(tmp_path, corrupted=[1], policy=str(table), scripts={"1": "VV"})
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: history 'V' exceeds the policy table\n"
+
+
+def test_readme_lists_every_optional_config_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.findall(r"^- `(\w+)`", readme.split("Optional fields:\n\n", 1)[1]
+                        .split("\n\n", 1)[0], re.M)
+    optional = [field.name for field in dataclasses.fields(ElectionConfig)
+                if field.default is not dataclasses.MISSING]
+    assert sorted(listed) == sorted(optional)
 
 
 def test_seed_precedence(tmp_path, capsys, monkeypatch):

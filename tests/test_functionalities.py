@@ -25,6 +25,7 @@ from ivxvsim.functionalities import (
     UnknownSsid,
     VerificationToken,
     VotingDevice,
+    last_ballots,
     latest_entry,
 )
 from ivxvsim.groups import setup
@@ -113,6 +114,17 @@ def test_latest_entry_picks_the_last_match():
     assert latest_entry(entries, "ballot", ssid=(3, 1)) is None
     assert latest_entry(entries, "plaintexts") is None
     assert latest_entry((), "ballot") is None
+
+
+def test_last_ballots_takes_each_voters_last_in_id_order():
+    entries = [{"kind": "ballot", "ssid": [3, 1], "c": [1, 1]},
+               {"kind": "ballot", "ssid": [1, 1], "c": [2, 2]},
+               {"kind": "ballot", "ssid": [3, 2], "c": [3, 3]},   # re-vote overwrites
+               {"kind": "ballot", "ssid": [1, 2], "c": [4, 4]},
+               {"kind": "ballot", "ssid": [3, 3], "c": [5, 5]}]
+    assert last_ballots(entries, 4) == [[4, 4], None, [5, 5], None]
+    assert last_ballots(entries, 1) == [[4, 4]]
+    assert last_ballots([], 2) == [None, None]
 
 
 # ------------------------------------------------------------- registry
@@ -220,7 +232,9 @@ def test_decryption_happy_path():
     dec = DecryptionService(SID, board, kg, 2)
     dec.submit_key(1)
     dec.submit_key(3)
+    assert dec.secret_key is None
     assert dec.decrypt_and_post() == [0, 1, 2, 1]
+    assert pow(TOY.g, dec.secret_key.sk, TOY.p) == pk.h  # the key it decrypted with
     pub, _ = board.snapshot()
     posted = [e for _, e in pub if e.get("kind") == "plaintexts"]
     assert posted[-1]["values"] == [0, 1, 2, 1]
@@ -245,19 +259,6 @@ def test_decryption_missing_shuffle():
     dec.submit_key(2)
     with pytest.raises(MissingShuffle):
         dec.decrypt_and_post()
-
-
-def test_decryption_strict_needs_one_extra_key():
-    board = BulletinBoard(SID)
-    kg = ready_keygen(seed=7)
-    post_shuffle(board, [encrypt(kg.pubkey(), 1, 2)])
-    dec = DecryptionService(SID, board, kg, 2, strict=True)
-    dec.submit_key(1)
-    dec.submit_key(2)
-    with pytest.raises(ThresholdNotMet):
-        dec.decrypt_and_post()
-    dec.submit_key(3)
-    dec.decrypt_and_post()
 
 
 def test_decryption_marks_non_candidate_outputs():
@@ -296,7 +297,7 @@ def test_honest_cast_passes_verification():
     ballot, token = dev.cast(pk, 2)
     assert reg.verify(SID, ballot.ssid, b"%d|%d" % (ballot.c.c1, ballot.c.c2),
                       ballot.sigma) == 1
-    assert ea_accept_ballot(SID, reg, board, {}, ballot)
+    assert ea_accept_ballot(SID, reg, board, ballot)
     matches, observed = asd.check(token)
     assert (matches, observed) == (1, 2)
 
@@ -306,7 +307,7 @@ def test_manipulated_cast_is_detected_by_check():
     board, reg, pk, dev, asd = make_voting_world(seed=2, policy=policy)
     ballot, token = dev.cast(pk, 2, history="")
     assert token.intent == 2  # the device still claims the real intent
-    ea_accept_ballot(SID, reg, board, {}, ballot)
+    ea_accept_ballot(SID, reg, board, ballot)
     matches, observed = asd.check(token)
     assert matches == 0
     assert observed == 3  # intent shifted by the default offset
@@ -320,7 +321,7 @@ def test_detection_is_complete_for_manipulated_casts():
         board, reg, pk, dev, asd = make_voting_world(seed=trial, policy=policy)
         intent = rng.randrange(TOY.candidate_bound)
         ballot, token = dev.cast(pk, intent)
-        ea_accept_ballot(SID, reg, board, {}, ballot)
+        ea_accept_ballot(SID, reg, board, ballot)
         matches, observed = asd.check(token)
         assert matches == 0
         assert observed == (intent + 1) % TOY.candidate_bound
@@ -331,8 +332,8 @@ def test_check_uses_latest_ballot_for_the_session():
     b1, t1 = dev.cast(pk, 0)
     b2, t2 = dev.cast(pk, 3)
     assert b1.ssid != b2.ssid  # fresh sub-session per cast
-    ea_accept_ballot(SID, reg, board, {}, b1)
-    ea_accept_ballot(SID, reg, board, {}, b2)
+    ea_accept_ballot(SID, reg, board, b1)
+    ea_accept_ballot(SID, reg, board, b2)
     assert asd.check(t2) == (1, 3)
     assert asd.check(t1) == (1, 0)
 
@@ -340,7 +341,7 @@ def test_check_uses_latest_ballot_for_the_session():
 def test_check_with_wrong_trapdoor_fails_closed():
     board, reg, pk, dev, asd = make_voting_world(seed=5)
     ballot, token = dev.cast(pk, 1)
-    ea_accept_ballot(SID, reg, board, {}, ballot)
+    ea_accept_ballot(SID, reg, board, ballot)
     bad = VerificationToken(token.ssid, (token.r + 1) % TOY.q, token.intent)
     assert asd.check(bad) == (0, None)
 
