@@ -29,6 +29,13 @@ from .ceremony import (CeremonyError, ElectionConfig, ElectionTranscript,
 _CONFIG_KEYS = {field.name for field in dataclasses.fields(ElectionConfig)}
 _REQUIRED_KEYS = tuple(field.name for field in dataclasses.fields(ElectionConfig)
                        if field.default is dataclasses.MISSING)
+# Config fields `attack` would otherwise override or misread, each with its error.
+_ATTACK_REFUSED = {
+    "corrupted": "attack does not read the config's 'corrupted': --corrupted sets it",
+    "policy": "attack does not read the config's 'policy': --policy sets it",
+    "tamper": "attack does not take the config's 'tamper': it counts only "
+              "invalid(complaint) as detected",
+}
 
 
 class CliError(Exception):
@@ -47,7 +54,9 @@ def _resolve_seed(flag_seed, config_seed=0) -> int:
     return config_seed
 
 
-def _load_config(path, flag_seed) -> tuple[ElectionConfig, dict]:
+def _load_config(path, flag_seed, refused=None) -> tuple[ElectionConfig, dict]:
+    """The config at `path`; `refused` maps fields the command sets
+    itself to the error for a config that sets one."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -64,6 +73,9 @@ def _load_config(path, flag_seed) -> tuple[ElectionConfig, dict]:
     missing = [key for key in _REQUIRED_KEYS if key not in raw]
     if missing:
         raise CliError(f"config must set {missing} explicitly")
+    for key, error in (refused or {}).items():
+        if raw.get(key) is not None:
+            raise CliError(error)
 
     kwargs = dict(raw)
     if kwargs.get("distribution") is not None:
@@ -144,7 +156,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    config, _digests = _load_config(args.config, args.seed)
+    config, _digests = _load_config(args.config, args.seed, _ATTACK_REFUSED)
     if args.trials < 1:
         raise CliError("need at least one trial")
     policy = policy_from_spec(args.policy)

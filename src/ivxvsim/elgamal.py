@@ -2,14 +2,17 @@
 given the encryption randomness (the cast-as-intended primitive).
 
 Messages are candidate indices m < candidate_bound, encoded as g^m and
-recovered by a small linear scan of the exponent range.
+recovered by a small linear scan of the exponent range.  Powers of g and
+of the public key h go through the group's fixed-base exponentiation
+(`groups.fixed_base`), which caches one comb table per base in large
+groups.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groups import GroupParams
+from .groups import GroupParams, fixed_base
 
 
 class NotACandidate(ValueError):
@@ -44,7 +47,7 @@ def keygen(params: GroupParams, rng) -> tuple[PublicKey, SecretKey]:
 def make_keypair(params: GroupParams, sk: int) -> tuple[PublicKey, SecretKey]:
     if not 1 <= sk < params.q:
         raise ValueError("secret key out of range")
-    h = pow(params.g, sk, params.p)
+    h = fixed_base(params, params.g)(sk)
     return PublicKey(params, h), SecretKey(params, sk)
 
 
@@ -54,9 +57,8 @@ def encrypt(pk: PublicKey, m: int, r: int) -> Ciphertext:
     if not 0 <= m < params.candidate_bound:
         raise ValueError(f"message {m} outside candidate range [0, {params.candidate_bound})")
     r %= params.q
-    c1 = pow(params.g, r, params.p)
-    c2 = pow(params.g, m, params.p) * pow(pk.h, r, params.p) % params.p
-    return Ciphertext(c1, c2)
+    g_pow = fixed_base(params, params.g)
+    return Ciphertext(g_pow(r), g_pow(m) * fixed_base(params, pk.h)(r) % params.p)
 
 
 def _scan_dlog(params: GroupParams, target: int) -> int:
@@ -81,21 +83,21 @@ def rerandomize(pk: PublicKey, ct: Ciphertext, r: int) -> Ciphertext:
     params = pk.params
     r %= params.q
     return Ciphertext(
-        ct.c1 * pow(params.g, r, params.p) % params.p,
-        ct.c2 * pow(pk.h, r, params.p) % params.p,
+        ct.c1 * fixed_base(params, params.g)(r) % params.p,
+        ct.c2 * fixed_base(params, pk.h)(r) % params.p,
     )
 
 
 def trapdoor_decrypt(pk: PublicKey, ct: Ciphertext, r: int) -> int:
     """Extract the plaintext from the claimed encryption randomness.
 
-    Checks c1 = g^r and, if so, scans c2 / h^r = g^m.  This needs no secret
-    key, which is what lets an audit device verify a recorded ballot
-    against the voter's intent.
+    Checks c1 = g^r and, if so, scans c2 / h^r = c2 * h^(q - r) = g^m (h
+    has order q).  This needs no secret key, which is what lets an audit
+    device verify a recorded ballot against the voter's intent.
     """
     params = pk.params
     r %= params.q
-    if pow(params.g, r, params.p) != ct.c1:
+    if fixed_base(params, params.g)(r) != ct.c1:
         raise RandomnessMismatch("c1 does not match g^r for the claimed randomness")
-    lifted = ct.c2 * pow(pow(pk.h, r, params.p), -1, params.p) % params.p
+    lifted = ct.c2 * fixed_base(params, pk.h)(params.q - r) % params.p
     return _scan_dlog(params, lifted)

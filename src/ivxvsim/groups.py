@@ -3,12 +3,21 @@
 Two presets are provided: "toy" (p=23, q=11) for fast deterministic tests
 and demos, and "standard", the 2048-bit safe-prime MODP group from RFC 3526
 in which g=2 generates the order-q subgroup of quadratic residues.
+
+Every group is a safe-prime group, p = 2q + 1, so its order-q subgroup is
+exactly the set of quadratic residues mod p and membership is a Legendre
+symbol.  For large p the module also gives the cheaper ways to compute
+the same powers that the builtin `pow` computes: fixed-base comb tables
+(Lim and Lee, CRYPTO 1994) and Straus' simultaneous multi-exponentiation.
+Below `_FAST_MIN_BITS` the builtin `pow` is faster than any of these
+Python-level loops, so small groups (the toy preset) keep it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 # RFC 3526, 2048-bit MODP group. p is a safe prime, q = (p-1)/2 is prime,
 # and 2 has order exactly q (2^q = 1 mod p, checked in the test suite).
@@ -26,6 +35,15 @@ _MODP_2048_P = int(
 
 MAX_CANDIDATE_BOUND = 2**16
 
+# Size of p from which the Jacobi loop, comb tables and Straus' method
+# beat the builtin pow; measured crossover about 128 bits for all three.
+_FAST_MIN_BITS = 128
+
+# Comb rows: a table of 2^8 entries, about 80 KB at 2048 bits.
+_COMB_ROWS = 8
+# Straus window: 2^5 - 1 powers of each base.
+_STRAUS_WINDOW = 5
+
 
 class UnknownPreset(ValueError):
     pass
@@ -33,17 +51,30 @@ class UnknownPreset(ValueError):
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Ambient modulus p, prime subgroup order q, generator g, and the
-    exclusive upper bound on encodable candidate indices."""
+    """Ambient modulus p, a safe prime 2q + 1, prime subgroup order q,
+    generator g, and the exclusive upper bound on encodable candidate
+    indices."""
 
     p: int
     q: int
     g: int
     candidate_bound: int
 
+    def __post_init__(self):
+        if self.p != 2 * self.q + 1:
+            raise ValueError("p must be the safe prime 2q + 1")
+        # chosen once per group: Python-level arithmetic pays off only for large p
+        object.__setattr__(self, "_fast", self.p.bit_length() >= _FAST_MIN_BITS)
+
     def is_element(self, x: int) -> bool:
-        """Membership test for the order-q subgroup."""
-        return 0 < x < self.p and pow(x, self.q, self.p) == 1
+        """Membership test for the order-q subgroup, the quadratic residues:
+        the Legendre symbol (x|p) = 1, computed as a Jacobi symbol, or by
+        Euler's criterion x^q = 1 in small groups."""
+        if not 0 < x < self.p:
+            return False
+        if self._fast:
+            return _jacobi(x, self.p) == 1
+        return pow(x, self.q, self.p) == 1
 
     def random_scalar(self, rng) -> int:
         return rng.randrange(self.q)
@@ -91,3 +122,112 @@ def hash_to_element(params: GroupParams, tag: bytes, index: int) -> int:
             if candidate != 1:
                 return candidate
         counter += 1
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0, by the binary algorithm."""
+    a %= n
+    result = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and n & 7 in (3, 5):
+            result = -result
+        if a & n & 3 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+class _Comb:
+    """Lim-Lee fixed-base comb for one base of order q.
+
+    An exponent's bits are laid out in `_COMB_ROWS` rows of `cols` bits;
+    the table holds, for each column pattern d, the product of the
+    base^(2^(i * cols)) over the rows i set in d.  One exponentiation is
+    then `cols` squarings and at most `cols` multiplications, against
+    about 1.2 * 2048 multiplications for the builtin pow at 2048 bits.
+    Building the table costs about one exponentiation.
+    """
+
+    def __init__(self, p: int, q: int, base: int):
+        self.p, self.q = p, q
+        self.cols = -(-q.bit_length() // _COMB_ROWS)
+        table = [1]
+        head = base                   # base^(2^(row * cols))
+        for row in range(_COMB_ROWS):
+            if row:
+                for _ in range(self.cols):
+                    head = head * head % p
+            table += [x * head % p for x in table]
+        self.table = table
+
+    def pow(self, e: int) -> int:
+        e %= self.q
+        p, cols, table = self.p, self.cols, self.table
+        # one bit string per row, the top row first, so that each column
+        # read top to bottom is the binary index of its table entry
+        rows = [format(e >> (i * cols) & ((1 << cols) - 1), f"0{cols}b")
+                for i in reversed(range(_COMB_ROWS))]
+        acc = 1
+        for column in zip(*rows):
+            acc = acc * acc % p
+            d = int("".join(column), 2)
+            if d:
+                acc = acc * table[d] % p
+        return acc
+
+
+@lru_cache(maxsize=32)
+def _comb(p: int, q: int, base: int):
+    return _Comb(p, q, base).pow
+
+
+def fixed_base(params: GroupParams, base: int):
+    """The function e -> base^e mod p for a base of order q (g, a public
+    key, a commitment generator), e taken mod q.
+
+    In a large group it is a comb table, kept in a bounded cache, so that
+    every call for the same base shares one table; in a small group it
+    is the builtin pow.  Look it up once per batch of exponentiations."""
+    if params._fast:
+        return _comb(params.p, params.q, base)
+    p = params.p
+    return lambda e: pow(base, e, p)   # half the call cost of a keyword partial
+
+
+def multi_exp(params: GroupParams, bases, exponents) -> int:
+    """The product of base_i^e_i mod p for bases of order q, each e_i taken
+    mod q; 1 for no bases.
+
+    In a large group Straus' method shares one chain of squarings among
+    all the bases, against one chain per base for separate pows."""
+    p = params.p
+    if not params._fast:
+        acc = 1
+        for b, e in zip(bases, exponents):
+            acc = acc * pow(b, e, p) % p
+        return acc
+    q, width = params.q, _STRAUS_WINDOW
+    mask = (1 << width) - 1
+    powers, exps = [], []      # b^0 .. b^mask for each base with a nonzero exponent
+    for b, e in zip(bases, exponents):
+        e %= q
+        if e:
+            row = [1, b]
+            for _ in range(mask - 1):
+                row.append(row[-1] * b % p)
+            powers.append(row)
+            exps.append(e)
+    if not exps:
+        return 1
+    count = -(-max(e.bit_length() for e in exps) // width)
+    digits = [[e >> (width * k) & mask for k in reversed(range(count))] for e in exps]
+    acc = 1
+    for column in zip(*digits):
+        for _ in range(width):
+            acc = acc * acc % p
+        for row, d in zip(powers, column):
+            if d:
+                acc = acc * row[d] % p
+    return acc

@@ -14,7 +14,10 @@ whole argument is repeated `security_rounds(q)` times with independent
 challenges; the 2048-bit preset needs one round, the toy group twenty.
 
 Commitment generators are derived by hashing into the group, so no
-trusted setup is involved.
+trusted setup is involved.  Powers of g, of the key h, of the commitment
+base and of the generators use fixed-base tables in large groups, and
+each product of powers of varying bases is one multi-exponentiation
+(`groups.fixed_base`, `groups.multi_exp`).
 
 Every element and scalar is encoded big-endian at one width, the byte
 length of p, for the statement digest, both challenges and the proof.
@@ -33,9 +36,11 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import mul
+from typing import Callable, NamedTuple
 
 from .elgamal import Ciphertext, PublicKey, rerandomize
-from .groups import GroupParams, hash_to_element
+from .groups import GroupParams, fixed_base, hash_to_element, multi_exp
 
 FS_DOMAIN = b"ivxvsim/shuffle-v2"
 PROOF_MAGIC = b"IVXVSHF2"
@@ -146,12 +151,27 @@ class ShuffleProof:
     rounds: tuple[ProofRound, ...]
 
 
-@lru_cache(maxsize=None)
-def _generators(p: int, q: int, g: int, n: int) -> tuple[int, tuple[int, ...]]:
+class _Commitments(NamedTuple):
+    """The n generators, the fixed-base exponentiations of the commitment
+    base and of each generator, and the inverse of the generators' product."""
+    gens: tuple[int, ...]
+    base_pow: Callable[[int], int]
+    gen_pows: tuple[Callable[[int], int], ...]
+    gens_inverse: int
+
+
+# Bounded: in a large group each cached size n holds n + 1 comb tables.
+@lru_cache(maxsize=4)
+def _generators(p: int, q: int, g: int, n: int) -> _Commitments:
     params = GroupParams(p=p, q=q, g=g, candidate_bound=1)
     base = hash_to_element(params, b"commit-base", 0)
     gens = tuple(hash_to_element(params, b"commit-gen", i) for i in range(n))
-    return base, gens
+    gens_product = 1
+    for h_j in gens:
+        gens_product = gens_product * h_j % p
+    return _Commitments(gens, fixed_base(params, base),
+                        tuple(fixed_base(params, h_j) for h_j in gens),
+                        pow(gens_product, -1, p))
 
 
 def _challenge_vector(stmt_digest: bytes, rnd: int, perm_bytes: bytes, n: int, q: int) -> list[int]:
@@ -170,7 +190,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     per repetition."""
     pk = statement.pk
     params = pk.params
-    p, q, g, y = params.p, params.q, params.g, pk.h
+    p, q = params.p, params.q
     n = len(statement.inputs)
     perm, rands = witness.perm, witness.rands
     if len(perm) != n:
@@ -179,7 +199,10 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         if rerandomize(pk, statement.inputs[perm[i]], rands[i]) != statement.outputs[i]:
             raise BadWitness(f"output {i} is not a re-randomization of input {perm[i]}")
 
-    base, gens = _generators(p, q, g, n)
+    gens, base_pow, gen_pows, _ = _generators(p, q, params.g, n)
+    g_pow, y_pow = fixed_base(params, params.g), fixed_base(params, pk.h)
+    out_a = [ct.c1 for ct in statement.outputs]
+    out_b = [ct.c2 for ct in statement.outputs]
     width = _width(p)
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
     rounds = []
@@ -187,43 +210,39 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         rho = [rng.randrange(q) for _ in range(n)]
         commits = [0] * n
         for i in range(n):
-            commits[perm[i]] = pow(g, rho[perm[i]], p) * gens[i] % p
+            commits[perm[i]] = g_pow(rho[perm[i]]) * gens[i] % p
         perm_bytes = _encode(commits, width)
         u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, q)
         u_tld = [u[perm[i]] for i in range(n)]
 
         rho_hat = [rng.randrange(q) for _ in range(n)]
         chain = []
-        prev = base
         for i in range(n):
-            prev = pow(g, rho_hat[i], p) * pow(prev, u_tld[i], p) % p
-            chain.append(prev)
+            prev_pow = base_pow(u_tld[0]) if i == 0 else pow(chain[-1], u_tld[i], p)
+            chain.append(g_pow(rho_hat[i]) * prev_pow % p)
 
         rho_bar = sum(rho) % q
         rho_dot = 0
         for i in range(n):
             rho_dot = (rho_hat[i] + u_tld[i] * rho_dot) % q
-        rho_tld = sum(r_j * u_j for r_j, u_j in zip(rho, u)) % q
-        r_tld = sum(rands[i] * u_tld[i] for i in range(n)) % q
+        rho_tld = sum(map(mul, rho, u)) % q
+        r_tld = sum(map(mul, rands, u_tld)) % q
 
-        w_bar, w_dot, w_tld, w_r = (rng.randrange(q) for _ in range(4))
+        w_bar, w_dot, w_tld, w_r = [rng.randrange(q) for _ in range(4)]
         w_hat = [rng.randrange(q) for _ in range(n)]
         w_prm = [rng.randrange(q) for _ in range(n)]
 
-        t1 = pow(g, w_bar, p)
-        t2 = pow(g, w_dot, p)
-        t3 = pow(g, w_tld, p)
-        t4a = pow(g, -w_r % q, p)
-        t4b = pow(y, -w_r % q, p)
-        for i in range(n):
-            t3 = t3 * pow(gens[i], w_prm[i], p) % p
-            t4a = t4a * pow(statement.outputs[i].c1, w_prm[i], p) % p
-            t4b = t4b * pow(statement.outputs[i].c2, w_prm[i], p) % p
+        t1 = g_pow(w_bar)
+        t2 = g_pow(w_dot)
+        t3 = g_pow(w_tld)
+        for gen_pow, w_i in zip(gen_pows, w_prm):
+            t3 = t3 * gen_pow(w_i) % p
+        t4a = g_pow(-w_r % q) * multi_exp(params, out_a, w_prm) % p
+        t4b = y_pow(-w_r % q) * multi_exp(params, out_b, w_prm) % p
         t_hat = []
-        prev = base
         for i in range(n):
-            t_hat.append(pow(g, w_hat[i], p) * pow(prev, w_prm[i], p) % p)
-            prev = chain[i]
+            prev_pow = base_pow(w_prm[0]) if i == 0 else pow(chain[i - 1], w_prm[i], p)
+            t_hat.append(g_pow(w_hat[i]) * prev_pow % p)
 
         gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
                              (*chain, t1, t2, t3, t4a, t4b, *t_hat), width, q)
@@ -236,26 +255,23 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
             s_dot=(w_dot + gamma * rho_dot) % q,
             s_tld=(w_tld + gamma * rho_tld) % q,
             s_r=(w_r + gamma * r_tld) % q,
-            s_hat=tuple((w_hat[i] + gamma * rho_hat[i]) % q for i in range(n)),
-            s_prm=tuple((w_prm[i] + gamma * u_tld[i]) % q for i in range(n)),
+            s_hat=tuple([(w + gamma * r) % q for w, r in zip(w_hat, rho_hat)]),
+            s_prm=tuple([(w + gamma * u_i) % q for w, u_i in zip(w_prm, u_tld)]),
         ))
     return ShuffleProof(n=n, rounds=tuple(rounds))
 
 
-def _verify_round(statement: ShuffleStatement, stmt_digest: bytes, rnd: int, pr: ProofRound) -> bool:
-    pk = statement.pk
-    params = pk.params
-    p, q, g, y = params.p, params.q, params.g, pk.h
+def _verify_round(statement: ShuffleStatement, stmt_digest: bytes, rnd: int, pr: ProofRound,
+                  commitments: _Commitments, g_pow, parts) -> bool:
+    """One repetition's equations; verify_shuffle has checked the shapes
+    and that every element of the statement and proof is in the group.
+    `parts` holds, for c1 and then c2, the power function of its key (g,
+    h) and that component of every input and of every output."""
+    params = statement.pk.params
+    p, q = params.p, params.q
     n = len(statement.inputs)
-    base, gens = _generators(p, q, g, n)
-
-    if not (len(pr.perm_commits) == len(pr.chain_commits) == len(pr.t_hat)
-            == len(pr.s_hat) == len(pr.s_prm) == n):
-        return False
-    elements = (*pr.perm_commits, *pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat)
-    if not all(params.is_element(x) for x in elements):
-        return False
-    if not all(0 <= s < q for s in (pr.s_bar, pr.s_dot, pr.s_tld, pr.s_r, *pr.s_hat, *pr.s_prm)):
+    scalars = (pr.s_bar, pr.s_dot, pr.s_tld, pr.s_r, *pr.s_hat, *pr.s_prm)
+    if min(scalars) < 0 or max(scalars) >= q:
         return False
 
     width = _width(p)
@@ -264,52 +280,41 @@ def _verify_round(statement: ShuffleStatement, stmt_digest: bytes, rnd: int, pr:
     gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
                          (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat),
                          width, q)
+    # (prod c_j^u_j)^gamma = prod c_j^(u_j * gamma) for elements of order q
+    u_gamma = [u_j * gamma % q for u_j in u]
 
     prod_u = 1
     for u_j in u:
         prod_u = prod_u * u_j % q
 
-    c_bar = 1
+    c_bar = commitments.gens_inverse
     for c_j in pr.perm_commits:
         c_bar = c_bar * c_j % p
-    for h_j in gens:
-        c_bar = c_bar * pow(h_j, -1, p) % p
-    if pow(g, pr.s_bar, p) != pr.t1 * pow(c_bar, gamma, p) % p:
+    if g_pow(pr.s_bar) != pr.t1 * pow(c_bar, gamma, p) % p:
         return False
 
-    c_dot = pr.chain_commits[-1] * pow(pow(base, prod_u, p), -1, p) % p
-    if pow(g, pr.s_dot, p) != pr.t2 * pow(c_dot, gamma, p) % p:
+    c_dot = pr.chain_commits[-1] * commitments.base_pow(-prod_u % q) % p
+    if g_pow(pr.s_dot) != pr.t2 * pow(c_dot, gamma, p) % p:
         return False
 
-    c_tld = 1
-    for c_j, u_j in zip(pr.perm_commits, u):
-        c_tld = c_tld * pow(c_j, u_j, p) % p
-    lhs = pow(g, pr.s_tld, p)
-    for h_i, s_i in zip(gens, pr.s_prm):
-        lhs = lhs * pow(h_i, s_i, p) % p
-    if lhs != pr.t3 * pow(c_tld, gamma, p) % p:
+    lhs = g_pow(pr.s_tld)
+    for gen_pow, s_i in zip(commitments.gen_pows, pr.s_prm):
+        lhs = lhs * gen_pow(s_i) % p
+    if lhs != pr.t3 * multi_exp(params, pr.perm_commits, u_gamma) % p:
         return False
 
-    agg_a = agg_b = 1
-    for ct, u_j in zip(statement.inputs, u):
-        agg_a = agg_a * pow(ct.c1, u_j, p) % p
-        agg_b = agg_b * pow(ct.c2, u_j, p) % p
-    lhs_a = pow(g, -pr.s_r % q, p)
-    lhs_b = pow(y, -pr.s_r % q, p)
-    for ct, s_i in zip(statement.outputs, pr.s_prm):
-        lhs_a = lhs_a * pow(ct.c1, s_i, p) % p
-        lhs_b = lhs_b * pow(ct.c2, s_i, p) % p
-    if lhs_a != pr.t4a * pow(agg_a, gamma, p) % p:
-        return False
-    if lhs_b != pr.t4b * pow(agg_b, gamma, p) % p:
-        return False
-
-    prev = base
-    for i in range(n):
-        lhs = pow(g, pr.s_hat[i], p) * pow(prev, pr.s_prm[i], p) % p
-        if lhs != pr.t_hat[i] * pow(pr.chain_commits[i], gamma, p) % p:
+    for t4, (key_pow, ins, outs) in zip((pr.t4a, pr.t4b), parts):
+        lhs = key_pow(-pr.s_r % q) * multi_exp(params, outs, pr.s_prm) % p
+        if lhs != t4 * multi_exp(params, ins, u_gamma) % p:
             return False
-        prev = pr.chain_commits[i]
+
+    for i in range(n):
+        if i == 0:
+            prev_pow = commitments.base_pow(pr.s_prm[0])
+        else:
+            prev_pow = pow(pr.chain_commits[i - 1], pr.s_prm[i], p)
+        if g_pow(pr.s_hat[i]) * prev_pow % p != pr.t_hat[i] * pow(pr.chain_commits[i], gamma, p) % p:
+            return False
     return True
 
 
@@ -322,15 +327,26 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
             proof = deserialize_proof(bytes(proof), statement.pk.params)
         except ValueError:
             return False
-    params = statement.pk.params
+    pk = statement.pk
+    params = pk.params
     n = len(statement.inputs)
     if proof.n != n or len(proof.rounds) != security_rounds(params.q):
         return False
-    elements = (statement.pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct))
-    if not all(params.is_element(x) for x in elements):
+    # each distinct element of the statement and of every round is tested once
+    elements = {pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct)}
+    for pr in proof.rounds:
+        if not (len(pr.perm_commits) == len(pr.chain_commits) == len(pr.t_hat)
+                == len(pr.s_hat) == len(pr.s_prm) == n):
+            return False
+        elements.update(pr.values()[: 3 * n + 5])   # commitments, t1..t4b, t_hat
+    if not all(map(params.is_element, elements)):
         return False
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
-    return all(_verify_round(statement, stmt_digest, rnd, pr)
+    commitments = _generators(params.p, params.q, params.g, n)
+    g_pow = fixed_base(params, params.g)
+    parts = tuple((fixed_base(params, key), [ct[k] for ct in statement.inputs],
+                   [ct[k] for ct in statement.outputs]) for k, key in enumerate((params.g, pk.h)))
+    return all(_verify_round(statement, stmt_digest, rnd, pr, commitments, g_pow, parts)
                for rnd, pr in enumerate(proof.rounds))
 
 

@@ -226,6 +226,23 @@ def test_attack_writes_csv(tmp_path, capsys):
     assert out.read_text().startswith("k,p,")
 
 
+@pytest.mark.parametrize("key,value", [("corrupted", [1, 2]), ("corrupted", []),
+                                       ("policy", "never"), ("tamper", "tamper-plaintext")])
+def test_attack_refuses_fields_its_flags_set(tmp_path, capsys, key, value):
+    # overriding these silently made a tamper-plaintext config report 0
+    # detected although every trial ended invalid(decryption)
+    cfg = write_config(tmp_path, n_voters=2, **{key: value})
+    assert main(["attack", cfg, "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and f"'{key}'" in err
+
+
+def test_attack_accepts_null_for_fields_its_flags_set(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_voters=2, corrupted=None, policy=None, tamper=None)
+    assert main(["attack", cfg, "--trials", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_attack_argument_validation(tmp_path, capsys):
     cfg = write_config(tmp_path, n_voters=2)
     assert main(["attack", cfg, "--trials", "0"]) == 1

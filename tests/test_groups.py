@@ -7,10 +7,15 @@ import sympy
 
 from ivxvsim.groups import (
     MAX_CANDIDATE_BOUND,
+    GroupParams,
     UnknownPreset,
+    fixed_base,
     hash_to_element,
+    multi_exp,
     setup,
 )
+
+PRESETS = ["toy", "standard"]
 
 
 def test_toy_preset_values():
@@ -92,3 +97,70 @@ def test_hash_to_element_separates_inputs_in_large_group():
     assert len({a, b, c}) == 3
     for x in (a, b, c):
         assert params.is_element(x)
+
+
+# ------------------------------------- cheaper arithmetic, same results
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_presets_are_safe_prime_groups(preset):
+    # membership as a Legendre symbol needs the subgroup to be exactly the
+    # quadratic residues, which holds when p = 2q + 1 (primality: above)
+    params = setup(preset, 2)
+    assert params.p == 2 * params.q + 1
+
+
+def test_group_params_rejects_a_modulus_that_is_not_2q_plus_1():
+    with pytest.raises(ValueError, match="2q \\+ 1"):
+        GroupParams(p=23, q=22, g=2, candidate_bound=2)
+    with pytest.raises(ValueError):
+        GroupParams(p=47, q=11, g=2, candidate_bound=2)
+    assert GroupParams(p=47, q=23, g=2, candidate_bound=2).q == 23
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_is_element_equals_eulers_criterion(preset):
+    params = setup(preset, 2)
+    p, q = params.p, params.q
+    rng = random.Random(f"is-element/{preset}")
+    values = [-1, 0, 1, p - 1, p, p + 1, params.g, p - params.g]
+    values += [rng.randrange(1, p) for _ in range(60)]
+    values += [pow(params.g, rng.randrange(q), p) for _ in range(10)]
+    members = 0
+    for x in values:
+        euler = 0 < x < p and pow(x, q, p) == 1
+        assert params.is_element(x) == euler, x
+        members += euler
+    assert 10 <= members < len(values)   # both answers occur
+
+
+def _random_subgroup_elements(params, rng, count):
+    return [pow(params.g, rng.randrange(1, params.q), params.p) for _ in range(count)]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_fixed_base_equals_builtin_pow(preset):
+    params = setup(preset, 2)
+    p, q = params.p, params.q
+    rng = random.Random(f"fixed-base/{preset}")
+    for base in [params.g, *_random_subgroup_elements(params, rng, 2)]:
+        power = fixed_base(params, base)
+        exponents = [0, 1, 2, q - 1, q, q + 1, -1, -q, 2 * q + 5]
+        exponents += [rng.randrange(q) for _ in range(10)] + [rng.randrange(2**16)]
+        for e in exponents:
+            assert power(e) == pow(base, e, p), (base, e)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_multi_exp_equals_product_of_pows(preset):
+    params = setup(preset, 2)
+    p, q = params.p, params.q
+    rng = random.Random(f"multi-exp/{preset}")
+    assert multi_exp(params, [], []) == 1
+    bases = _random_subgroup_elements(params, rng, 6)
+    for count in range(1, 7):
+        for exponents in ([rng.randrange(q) for _ in range(count)], [0] * count,
+                          [0, q - 1, 1, q, -1, 7][:count]):
+            expected = 1
+            for b, e in zip(bases, exponents):
+                expected = expected * pow(b, e, p) % p
+            assert multi_exp(params, bases[:count], exponents) == expected

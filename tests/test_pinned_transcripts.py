@@ -1,0 +1,35 @@
+"""Pinned transcript digests: a guard against silent value changes.
+
+A change that should compute the same numbers faster (cheaper
+membership tests, exponentiation tables, multi-exponentiation) must
+leave every transcript byte-identical.  The digests below were recorded
+before the group arithmetic was first optimised; a change that moves one
+of them changed a value, and must say why.
+"""
+
+import hashlib
+
+import pytest
+
+from ivxvsim.ceremony import ElectionConfig, run_election
+
+PINNED = {
+    # toy group, 8 voters, re-votes and checks
+    "toy": (dict(n_voters=8, n_trustees=3, threshold=2, candidate_bound=3, seed=11,
+                 scripts={1: "VVC", 2: "VC", 3: "VV", 4: "VCV"}),
+            "631785ec471dc5d7b571fe5a4987df8b3db0bf2ebc59d30134729987519b1005"),
+    # 2048-bit group, 2 voters, one of whom re-votes
+    "standard": (dict(n_voters=2, n_trustees=3, threshold=2, candidate_bound=3, seed=7,
+                      group_preset="standard", scripts={1: "VVC", 2: "VC"}),
+                 "843de8bc2db49c2972bebcea8e13ff8c33773cb7f39d5a2e086f59770ab8d021"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_transcript_digest_is_pinned(name):
+    config, digest = PINNED[name]
+    result = run_election(ElectionConfig(**config))
+    assert result.verdict.valid
+    kinds = {event["kind"] for event in result.transcript.events}
+    assert {"cast", "check"} <= kinds
+    assert hashlib.sha256(result.transcript.to_jsonl().encode()).hexdigest() == digest

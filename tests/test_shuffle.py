@@ -1,16 +1,18 @@
 """Shuffle argument: completeness, soundness, challenges, serialization."""
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
 from ivxvsim import shuffle
-from ivxvsim.elgamal import decrypt, encrypt, keygen, rerandomize
+from ivxvsim.elgamal import Ciphertext, decrypt, encrypt, keygen, rerandomize
 from ivxvsim.groups import setup
 from ivxvsim.shuffle import (
     PROOF_MAGIC,
     BadWitness,
+    ProofRound,
     ShuffleProof,
     ShuffleStatement,
     ShuffleWitness,
@@ -254,6 +256,85 @@ def test_standard_group_shuffle():
     ins = sorted(decrypt(sk, c) for c in stmt.inputs)
     outs = sorted(decrypt(sk, c) for c in stmt.outputs)
     assert ins == outs
+
+
+# ------------------------------------ soundness in the standard group
+# The toy tests above cannot reach the large-modulus arithmetic (Jacobi
+# membership, comb tables, multi-exponentiation); these reach it through
+# one n=2 proof.
+
+ELEMENT_FIELDS = ("perm_commits", "chain_commits", "t1", "t2", "t3", "t4a", "t4b", "t_hat")
+SCALAR_FIELDS = ("s_bar", "s_dot", "s_tld", "s_r", "s_hat", "s_prm")
+
+
+@pytest.fixture(scope="module")
+def standard_proof():
+    params = setup("standard", 4)
+    rng = random.Random(18)
+    pk, _ = keygen(params, rng)
+    stmt, wit = make_instance(rng, pk, 2, params)
+    proof = prove_shuffle(stmt, wit, rng)
+    assert verify_shuffle(stmt, proof)
+    return stmt, proof
+
+
+def with_round(proof, **changes):
+    return ShuffleProof(n=proof.n, rounds=(dataclasses.replace(proof.rounds[0], **changes),))
+
+
+def test_field_lists_cover_the_proof_round():
+    assert {f.name for f in dataclasses.fields(ProofRound)} == {*ELEMENT_FIELDS, *SCALAR_FIELDS}
+    assert len(ELEMENT_FIELDS + SCALAR_FIELDS) == 14
+
+
+@pytest.mark.parametrize("field,change", [(f, "plus-one") for f in ELEMENT_FIELDS + SCALAR_FIELDS]
+                         + [(f, "times-g") for f in ELEMENT_FIELDS])
+def test_standard_group_rejects_each_changed_field(standard_proof, field, change):
+    # +1 mod p for elements (in or out of the group), +1 mod q for scalars;
+    # times g keeps an element in the group, so the equations must catch it
+    stmt, proof = standard_proof
+    params = stmt.pk.params
+    if field in SCALAR_FIELDS:
+        bump = lambda x: (x + 1) % params.q
+    elif change == "plus-one":
+        bump = lambda x: (x + 1) % params.p
+    else:
+        bump = lambda x: x * params.g % params.p
+    value = getattr(proof.rounds[0], field)
+    changed = (bump(value[0]), *value[1:]) if isinstance(value, tuple) else bump(value)
+    assert not verify_shuffle(stmt, with_round(proof, **{field: changed}))
+
+
+def test_standard_group_rejects_non_residues(standard_proof):
+    # p - x = (-1) * x is a non-residue: -1 is one, since p = 3 mod 4
+    stmt, proof = standard_proof
+    params = stmt.pk.params
+    p = params.p
+    assert p % 4 == 3
+    commits = proof.rounds[0].perm_commits
+    assert not params.is_element(p - commits[0])
+    assert not verify_shuffle(stmt, with_round(proof, perm_commits=(p - commits[0], *commits[1:])))
+    first = stmt.inputs[0]
+    assert not params.is_element(p - first.c2)
+    bad = ShuffleStatement(pk=stmt.pk, inputs=(Ciphertext(first.c1, p - first.c2), *stmt.inputs[1:]),
+                           outputs=stmt.outputs)
+    assert not verify_shuffle(bad, proof)
+
+
+def test_standard_group_rejects_an_honest_proof_over_a_non_residue():
+    # The prover does not test membership, so it proves a shuffle whose
+    # first input has c1 = p - x, of order 2q.  With this seed the stray
+    # signs cancel in every equation: only the membership test rejects it.
+    params = setup("standard", 4)
+    rng = random.Random(0)
+    pk, _ = keygen(params, rng)
+    ins = [encrypt(pk, rng.randrange(4), rng.randrange(params.q)) for _ in range(2)]
+    ins[0] = Ciphertext(params.p - ins[0].c1, ins[0].c2)
+    perm, rands = (1, 0), tuple(rng.randrange(params.q) for _ in range(2))
+    outs = tuple(rerandomize(pk, ins[perm[i]], rands[i]) for i in range(2))
+    stmt = ShuffleStatement(pk=pk, inputs=tuple(ins), outputs=outs)
+    proof = prove_shuffle(stmt, ShuffleWitness(perm, rands), rng)
+    assert not verify_shuffle(stmt, proof)
 
 
 # ------------------------------------------------------- proof codec (v2)
