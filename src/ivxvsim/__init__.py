@@ -15,7 +15,8 @@ from .shuffle import (ShuffleStatement, ShuffleWitness, ShuffleProof,  # noqa: F
                       BadWitness, prove_shuffle, verify_shuffle,
                       serialize_proof, deserialize_proof, fs_challenge,
                       security_rounds)
-from .behavior import BehaviorDistribution, BadDistribution  # noqa: F401
+from .behavior import (BehaviorDistribution, BadDistribution,  # noqa: F401
+                       default_distribution, load_distribution)
 from .functionalities import (BulletinBoard, CertRegistry, KeyGenService,  # noqa: F401
                               DecryptionService, VotingDevice, AuditDevice,
                               Ballot, VerificationToken, NotReady,
@@ -25,8 +26,7 @@ from .ceremony import (ElectionConfig, ElectionTranscript, ElectionResult,  # no
                        voter_vote_loop, ea_accept_ballot, tally_alg,
                        audit_transcript)
 from .adversary import (ManipulationPolicy, PolicyDomainError, AttackOutcome,  # noqa: F401
-                        AttackReport, load_distribution, default_distribution,
-                        simulate_policy_on_pattern, outcome_probabilities,
+                        AttackReport, simulate_policy_on_pattern, outcome_probabilities,
                         optimal_policy,
                         undetected_probability, detection_probability,
                         monte_carlo_success, end_to_end_attack)

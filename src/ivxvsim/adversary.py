@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .behavior import (BadDistribution, BehaviorDistribution,  # noqa: F401  (re-exported)
-                       default_distribution, load_distribution, validate_pattern)
+from .behavior import BehaviorDistribution, default_distribution, validate_pattern
 from .ceremony import ElectionConfig, run_election
 from .seeding import derive_seed, rng_for
 

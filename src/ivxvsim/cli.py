@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .adversary import (AttackOutcome, PolicyDomainError, end_to_end_attack,
                         optimal_policy, outcome_probabilities, policy_from_spec,
-                        undetected_probability, CSV_REPORT_HEADER, default_distribution,
-                        load_distribution)
+                        undetected_probability, CSV_REPORT_HEADER)
+from .behavior import default_distribution, load_distribution
 from .ceremony import (CeremonyError, ElectionConfig, ElectionTranscript,
                        ReplayError, TOOL_VERSION, audit_transcript, run_election)
 

@@ -15,11 +15,6 @@ from .elgamal import (Ciphertext, NotACandidate, PublicKey, RandomnessMismatch,
                       SecretKey, decrypt, encrypt, keygen, trapdoor_decrypt)
 from .shamir import SecretShare, deal, reconstruct
 
-ROLE_EA = "EA"
-ROLE_AUDITOR = "auditor"
-ROLE_VOTER = "voter"
-ROLE_TRUSTEE = "trustee"
-
 # Tally marker for a shuffled ciphertext that decrypts outside the
 # candidate range.
 REJECTED_PLAINTEXT = -1
@@ -93,9 +88,9 @@ def decrypt_all(sk: SecretKey, pairs) -> list[int]:
 
 
 class BulletinBoard:
-    """Append-only two-part board.  Everyone reads the public part; the
-    private part is readable by the authority and the auditor only.
-    Sequence numbers are global across both parts."""
+    """Append-only two-part board: a public part, and a private part meant
+    for the authority and the auditor.  Sequence numbers are global across
+    both parts."""
 
     def __init__(self, sid):
         self.sid = sid
@@ -124,17 +119,9 @@ class BulletinBoard:
         self._check_sid(sid)
         return self._append(self._priv, "priv", entry)
 
-    def read(self, sid, role: str):
-        """Snapshot of (pub, priv); priv comes back None for roles
-        without private access."""
-        self._check_sid(sid)
-        pub = tuple(self._pub)
-        if role in (ROLE_EA, ROLE_AUDITOR):
-            return pub, tuple(self._priv)
-        return pub, None
-
     def snapshot(self):
-        # ungated view for the trusted components themselves
+        """(pub, priv), each a tuple of (seq, entry): how the trusted
+        components read the board."""
         return tuple(self._pub), tuple(self._priv)
 
 

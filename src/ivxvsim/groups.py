@@ -110,15 +110,15 @@ def hash_to_element(params: GroupParams, tag: bytes, index: int) -> int:
     known discrete log relative to g or to other derived elements.
 
     Candidates x are hashed from (tag, index, counter) and mapped into the
-    subgroup via x^((p-1)/q); the counter advances past the identity.
+    subgroup by squaring, x^((p-1)/q) with cofactor 2 since p = 2q + 1;
+    the counter advances past the identity.
     """
-    cofactor = (params.p - 1) // params.q
     counter = 0
     while True:
         material = b"ivxvsim/group|%b|%d|%d" % (tag, index, counter)
         x = int.from_bytes(hashlib.sha256(material).digest(), "big") % params.p
         if x > 1:
-            candidate = pow(x, cofactor, params.p)
+            candidate = x * x % params.p
             if candidate != 1:
                 return candidate
         counter += 1
@@ -185,7 +185,7 @@ def _comb(p: int, q: int, base: int):
 
 def fixed_base(params: GroupParams, base: int):
     """The function e -> base^e mod p for a base of order q (g, a public
-    key, a commitment generator), e taken mod q.
+    key, the shuffle's commitment base), e taken mod q.
 
     In a large group it is a comb table, kept in a bounded cache, so that
     every call for the same base shares one table; in a small group it

@@ -14,10 +14,13 @@ whole argument is repeated `security_rounds(q)` times with independent
 challenges; the 2048-bit preset needs one round, the toy group twenty.
 
 Commitment generators are derived by hashing into the group, so no
-trusted setup is involved.  Powers of g, of the key h, of the commitment
-base and of the generators use fixed-base tables in large groups, and
-each product of powers of varying bases is one multi-exponentiation
-(`groups.fixed_base`, `groups.multi_exp`).
+trusted setup is involved.  Single powers of g, of the key h and of the
+commitment base use `groups.fixed_base`, which keeps a table for each of
+them in a large group.  Each product over the generators, and each
+product of powers of varying bases, is one `groups.multi_exp`: the
+verifier moves the right-hand side of an equation to the left with
+exponents -u_j * gamma, so the t3, t4a and t4b checks are one product
+each.  Only `groups` decides which bases get tables.
 
 Every element and scalar is encoded big-endian at one width, the byte
 length of p, for the statement digest, both challenges and the proof.
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import mul
-from typing import Callable, NamedTuple
 
 from .elgamal import Ciphertext, PublicKey, rerandomize
 from .groups import GroupParams, fixed_base, hash_to_element, multi_exp
@@ -85,6 +87,8 @@ def _encode(values, width: int) -> bytes:
 
 
 def _decode(data: bytes, width: int) -> list[int]:
+    if width == 1:
+        return list(data)   # a bytes object iterates as its byte values
     return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
 
 
@@ -151,27 +155,17 @@ class ShuffleProof:
     rounds: tuple[ProofRound, ...]
 
 
-class _Commitments(NamedTuple):
-    """The n generators, the fixed-base exponentiations of the commitment
-    base and of each generator, and the inverse of the generators' product."""
-    gens: tuple[int, ...]
-    base_pow: Callable[[int], int]
-    gen_pows: tuple[Callable[[int], int], ...]
-    gens_inverse: int
-
-
-# Bounded: in a large group each cached size n holds n + 1 comb tables.
 @lru_cache(maxsize=4)
-def _generators(p: int, q: int, g: int, n: int) -> _Commitments:
+def _generators(p: int, q: int, g: int, n: int) -> tuple[int, tuple[int, ...], int]:
+    """The commitment base, the n commitment generators and the inverse of
+    the generators' product; cached, since each generator costs a hash."""
     params = GroupParams(p=p, q=q, g=g, candidate_bound=1)
     base = hash_to_element(params, b"commit-base", 0)
     gens = tuple(hash_to_element(params, b"commit-gen", i) for i in range(n))
     gens_product = 1
     for h_j in gens:
         gens_product = gens_product * h_j % p
-    return _Commitments(gens, fixed_base(params, base),
-                        tuple(fixed_base(params, h_j) for h_j in gens),
-                        pow(gens_product, -1, p))
+    return base, gens, pow(gens_product, -1, p)
 
 
 def _challenge_vector(stmt_digest: bytes, rnd: int, perm_bytes: bytes, n: int, q: int) -> list[int]:
@@ -199,7 +193,8 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         if rerandomize(pk, statement.inputs[perm[i]], rands[i]) != statement.outputs[i]:
             raise BadWitness(f"output {i} is not a re-randomization of input {perm[i]}")
 
-    gens, base_pow, gen_pows, _ = _generators(p, q, params.g, n)
+    base, gens, _ = _generators(p, q, params.g, n)
+    base_pow = fixed_base(params, base)
     g_pow, y_pow = fixed_base(params, params.g), fixed_base(params, pk.h)
     out_a = [ct.c1 for ct in statement.outputs]
     out_b = [ct.c2 for ct in statement.outputs]
@@ -234,9 +229,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
 
         t1 = g_pow(w_bar)
         t2 = g_pow(w_dot)
-        t3 = g_pow(w_tld)
-        for gen_pow, w_i in zip(gen_pows, w_prm):
-            t3 = t3 * gen_pow(w_i) % p
+        t3 = multi_exp(params, (params.g, *gens), (w_tld, *w_prm))
         t4a = g_pow(-w_r % q) * multi_exp(params, out_a, w_prm) % p
         t4b = y_pow(-w_r % q) * multi_exp(params, out_b, w_prm) % p
         t_hat = []
@@ -262,11 +255,13 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
 
 
 def _verify_round(statement: ShuffleStatement, stmt_digest: bytes, rnd: int, pr: ProofRound,
-                  commitments: _Commitments, g_pow, parts) -> bool:
+                  gens, gens_inverse: int, g_pow, base_pow, parts) -> bool:
     """One repetition's equations; verify_shuffle has checked the shapes
     and that every element of the statement and proof is in the group.
-    `parts` holds, for c1 and then c2, the power function of its key (g,
-    h) and that component of every input and of every output."""
+    `gens` and `gens_inverse` come from `_generators`, `g_pow` and
+    `base_pow` are the fixed-base powers of g and of the commitment base,
+    and `parts` holds, for c1 and then c2, the power function of its key
+    (g, h) and that component of every output and then of every input."""
     params = statement.pk.params
     p, q = params.p, params.q
     n = len(statement.inputs)
@@ -280,37 +275,33 @@ def _verify_round(statement: ShuffleStatement, stmt_digest: bytes, rnd: int, pr:
     gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
                          (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat),
                          width, q)
-    # (prod c_j^u_j)^gamma = prod c_j^(u_j * gamma) for elements of order q
-    u_gamma = [u_j * gamma % q for u_j in u]
 
     prod_u = 1
     for u_j in u:
         prod_u = prod_u * u_j % q
 
-    c_bar = commitments.gens_inverse
+    c_bar = gens_inverse
     for c_j in pr.perm_commits:
         c_bar = c_bar * c_j % p
     if g_pow(pr.s_bar) != pr.t1 * pow(c_bar, gamma, p) % p:
         return False
 
-    c_dot = pr.chain_commits[-1] * commitments.base_pow(-prod_u % q) % p
+    c_dot = pr.chain_commits[-1] * base_pow(-prod_u % q) % p
     if g_pow(pr.s_dot) != pr.t2 * pow(c_dot, gamma, p) % p:
         return False
 
-    lhs = g_pow(pr.s_tld)
-    for gen_pow, s_i in zip(commitments.gen_pows, pr.s_prm):
-        lhs = lhs * gen_pow(s_i) % p
-    if lhs != pr.t3 * multi_exp(params, pr.perm_commits, u_gamma) % p:
+    # t3 and t4 equations as lhs * (prod x_j^u_j)^-gamma == t, which for
+    # elements of order q is one product with exponents -u_j * gamma
+    exps = (*pr.s_prm, *[-u_j * gamma % q for u_j in u])
+    if g_pow(pr.s_tld) * multi_exp(params, (*gens, *pr.perm_commits), exps) % p != pr.t3:
         return False
-
-    for t4, (key_pow, ins, outs) in zip((pr.t4a, pr.t4b), parts):
-        lhs = key_pow(-pr.s_r % q) * multi_exp(params, outs, pr.s_prm) % p
-        if lhs != t4 * multi_exp(params, ins, u_gamma) % p:
+    for t4, (key_pow, outs_ins) in zip((pr.t4a, pr.t4b), parts):
+        if key_pow(-pr.s_r % q) * multi_exp(params, outs_ins, exps) % p != t4:
             return False
 
     for i in range(n):
         if i == 0:
-            prev_pow = commitments.base_pow(pr.s_prm[0])
+            prev_pow = base_pow(pr.s_prm[0])
         else:
             prev_pow = pow(pr.chain_commits[i - 1], pr.s_prm[i], p)
         if g_pow(pr.s_hat[i]) * prev_pow % p != pr.t_hat[i] * pow(pr.chain_commits[i], gamma, p) % p:
@@ -342,11 +333,12 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
     if not all(map(params.is_element, elements)):
         return False
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
-    commitments = _generators(params.p, params.q, params.g, n)
-    g_pow = fixed_base(params, params.g)
-    parts = tuple((fixed_base(params, key), [ct[k] for ct in statement.inputs],
-                   [ct[k] for ct in statement.outputs]) for k, key in enumerate((params.g, pk.h)))
-    return all(_verify_round(statement, stmt_digest, rnd, pr, commitments, g_pow, parts)
+    base, gens, gens_inverse = _generators(params.p, params.q, params.g, n)
+    g_pow, base_pow = fixed_base(params, params.g), fixed_base(params, base)
+    parts = tuple((fixed_base(params, key), [ct[k] for ct in statement.outputs + statement.inputs])
+                  for k, key in enumerate((params.g, pk.h)))
+    return all(_verify_round(statement, stmt_digest, rnd, pr, gens, gens_inverse, g_pow, base_pow,
+                             parts)
                for rnd, pr in enumerate(proof.rounds))
 
 

@@ -11,9 +11,6 @@ from ivxvsim.ceremony import ea_accept_ballot
 from ivxvsim.elgamal import Ciphertext, encrypt
 from ivxvsim.functionalities import (
     REJECTED_PLAINTEXT,
-    ROLE_AUDITOR,
-    ROLE_EA,
-    ROLE_VOTER,
     AuditDevice,
     BulletinBoard,
     CertRegistry,
@@ -50,18 +47,13 @@ def post_shuffle(board, cts):
 
 # ---------------------------------------------------------------- board
 
-def test_board_append_and_read_roles():
+def test_board_append_and_snapshot():
     board = BulletinBoard(SID)
-    board.pub_post(SID, {"kind": "notice", "n": 1})
-    board.priv_post(SID, {"kind": "ballot", "n": 2})
-    pub, priv = board.read(SID, ROLE_EA)
-    assert [e["n"] for _, e in pub] == [1]
-    assert [e["n"] for _, e in priv] == [2]
-    pub, priv = board.read(SID, ROLE_AUDITOR)
-    assert priv is not None
-    pub, priv = board.read(SID, ROLE_VOTER)
-    assert [e["n"] for _, e in pub] == [1]
-    assert priv is None
+    s1 = board.pub_post(SID, {"kind": "notice", "n": 1})
+    s2 = board.priv_post(SID, {"kind": "ballot", "n": 2})
+    pub, priv = board.snapshot()
+    assert pub == ((s1, {"kind": "notice", "n": 1}),)
+    assert priv == ((s2, {"kind": "ballot", "n": 2}),)
 
 
 def test_board_sequence_is_global_and_increasing():
@@ -78,8 +70,6 @@ def test_board_rejects_unknown_sid():
         board.pub_post("other", {"a": 1})
     with pytest.raises(ValueError):
         board.priv_post("other", {"a": 1})
-    with pytest.raises(ValueError):
-        board.read("other", ROLE_EA)
 
 
 def test_board_is_append_only():

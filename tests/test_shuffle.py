@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ivxvsim import shuffle
+from ivxvsim import groups, shuffle
 from ivxvsim.elgamal import Ciphertext, decrypt, encrypt, keygen, rerandomize
 from ivxvsim.groups import setup
 from ivxvsim.shuffle import (
@@ -335,6 +335,25 @@ def test_standard_group_rejects_an_honest_proof_over_a_non_residue():
     stmt = ShuffleStatement(pk=pk, inputs=tuple(ins), outputs=outs)
     proof = prove_shuffle(stmt, ShuffleWitness(perm, rands), rng)
     assert not verify_shuffle(stmt, proof)
+
+
+def test_standard_group_shuffle_builds_tables_only_for_fixed_bases():
+    # Each commitment generator is used once by the prover and once by the
+    # verifier, so it enters a multi-exponentiation and gets no comb table:
+    # with n = 4 only g, h and the commitment base have one.
+    shuffle._generators.cache_clear()
+    groups._comb.cache_clear()
+    params = setup("standard", 4)
+    rng = random.Random(19)
+    pk, _ = keygen(params, rng)
+    stmt, wit = make_instance(rng, pk, 4, params)
+    proof = prove_shuffle(stmt, wit, rng)
+    assert verify_shuffle(stmt, proof)
+    assert groups._comb.cache_info().currsize <= 3
+    # the t3 and t4b equations, each one product over 2n bases, still bind
+    for field in ("t3", "t4b"):
+        changed = getattr(proof.rounds[0], field) * params.g % params.p
+        assert not verify_shuffle(stmt, with_round(proof, **{field: changed}))
 
 
 # ------------------------------------------------------- proof codec (v2)
