@@ -20,8 +20,8 @@ from .elgamal import Ciphertext, PublicKey, SecretKey, encrypt, rerandomize
 from .groups import setup
 from .functionalities import (AuditDevice, BulletinBoard, CertRegistry,
                               DecryptionService, KeyGenService, REJECTED_PLAINTEXT,
-                              VotingDevice, cipher_bytes, decrypt_all, last_ballots,
-                              latest_entry)
+                              VotingDevice, cipher_bytes, last_ballots, latest_entry,
+                              plaintexts_match)
 from .seeding import rng_for
 from .shuffle import (ShuffleStatement, ShuffleWitness, prove_shuffle,
                       serialize_proof, verify_shuffle)
@@ -501,7 +501,9 @@ def _audit(transcript: ElectionTranscript) -> AuditVerdict:
         return AuditVerdict(False, "shuffle-proof")
 
     posted = latest_entry(pub_entries, "plaintexts")
-    if posted is None or posted["values"] != decrypt_all(SecretKey(params, sk_value), outputs):
+    # verify_shuffle has accepted, so every output is in the group
+    if posted is None or not plaintexts_match(SecretKey(params, sk_value), outputs,
+                                              posted["values"]):
         return AuditVerdict(False, "decryption")
     if transcript.events_of("complaint"):
         return AuditVerdict(False, "complaint")

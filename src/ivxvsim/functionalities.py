@@ -9,10 +9,12 @@ Each is a single-threaded object addressed by an election identifier;
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 from .elgamal import (Ciphertext, NotACandidate, PublicKey, RandomnessMismatch,
                       SecretKey, decrypt, encrypt, keygen, trapdoor_decrypt)
+from .groups import products_equal
 from .shamir import SecretShare, deal, reconstruct
 
 # Tally marker for a shuffled ciphertext that decrypts outside the
@@ -85,6 +87,30 @@ def decrypt_all(sk: SecretKey, pairs) -> list[int]:
         except NotACandidate:
             out.append(REJECTED_PLAINTEXT)
     return out
+
+
+def plaintexts_match(sk: SecretKey, pairs, values) -> bool:
+    """Whether `values` is what decrypt_all(sk, pairs) returns, checked
+    as one equation c1^sk * g^m = c2 for each value m in the candidate
+    range, all through `groups.products_equal`; a REJECTED_PLAINTEXT is
+    confirmed by decrypting its ciphertext.  Every c1 and c2 must be in
+    the order-q subgroup, as an accepted shuffle proof establishes for
+    its outputs."""
+    params = sk.params
+    if len(values) != len(pairs):
+        return False
+    key = sk.sk % params.q
+    equations = []
+    for (c1, c2), m in zip(pairs, values):
+        if m == REJECTED_PLAINTEXT:
+            if decrypt_all(sk, [(c1, c2)]) != [REJECTED_PLAINTEXT]:
+                return False
+        elif 0 <= m < params.candidate_bound:
+            equations.append(((c1, params.g), (key, m), c2))
+        else:
+            return False
+    seed = b"|".join(b"%d" % x for x in (key, *chain.from_iterable(pairs), *values))
+    return products_equal(params, equations, b"plaintexts|" + seed)
 
 
 class BulletinBoard:

@@ -11,6 +11,12 @@ the same powers that the builtin `pow` computes: fixed-base comb tables
 (Lim and Lee, CRYPTO 1994) and Straus' simultaneous multi-exponentiation.
 Below `_FAST_MIN_BITS` the builtin `pow` is faster than any of these
 Python-level loops, so small groups (the toy preset) keep it.
+
+`products_equal` checks equations prod base_i^e_i = target: in a large
+group all at once, by the small-exponents test of Bellare, Garay and
+Rabin ("Fast Batch Verification for Modular Exponentiation and Digital
+Signatures", EUROCRYPT 1998) with weights hashed from a seed, and in a
+small group, where weights cannot be sound, one by one.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 # RFC 3526, 2048-bit MODP group. p is a safe prime, q = (p-1)/2 is prime,
 # and 2 has order exactly q (2^q = 1 mod p, checked in the test suite).
@@ -43,6 +50,9 @@ _FAST_MIN_BITS = 128
 _COMB_ROWS = 8
 # Straus window: 2^5 - 1 powers of each base.
 _STRAUS_WINDOW = 5
+
+# Domain tag of the SHAKE-256 stream that products_equal cuts its weights from.
+_BATCH_DOMAIN = b"ivxvsim/batch-v1"
 
 
 class UnknownPreset(ValueError):
@@ -231,3 +241,53 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
             if d:
                 acc = acc * row[d] % p
     return acc
+
+
+def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
+    """Whether every equation (bases, exponents, target) holds, that is
+    prod base_i^e_i = target mod p with each e_i taken mod q; True for no
+    equations.  `equations` may be any iterable, read once; each bases
+    and exponents a sequence.
+
+    Precondition: every base and target is in the order-q subgroup.  A
+    factor of order 2 would pass the large-group check for about half of
+    all weights.
+
+    In a large group equation k gets a 128-bit weight w_k from a SHAKE-256
+    stream over `seed`, and prod_k (prod_i base_i^e_i)^w_k = prod_k
+    target_k^w_k is checked as one full-exponent `multi_exp` over the
+    distinct bases, their weighted exponents summed, against one
+    short-exponent `multi_exp` over the targets.  If an equation fails, at
+    most one value of its weight makes the sum hold, so a false set passes
+    with probability at most 2^-128; the seed must cover everything the
+    equations are built from, so that none can be chosen after the weights.
+
+    In a small group each equation is checked in turn, up to the first
+    that fails: with q = 11 a weighted check would pass a false set one
+    time in eleven.  An equation over more than q bases repeats some, so
+    their exponents are summed first."""
+    p = params.p
+    if not params._fast:
+        q, rp = params.q, repeat(p)
+        for bases, exponents, target in equations:
+            if len(bases) > q:
+                merged = {}
+                for b, e in zip(bases, exponents):
+                    merged[b] = merged.get(b, 0) + e
+                bases, exponents = merged, merged.values()
+            acc = 1
+            for x in map(pow, bases, exponents, rp):
+                acc = acc * x % p
+            if acc != target:
+                return False
+        return True
+    equations = list(equations)
+    stream = hashlib.shake_256(_BATCH_DOMAIN + b"|" + seed).digest(16 * len(equations))
+    merged, targets = {}, {}    # base -> summed weighted exponent, target -> summed weight
+    for k, (bases, exponents, target) in enumerate(equations):
+        w = int.from_bytes(stream[16 * k : 16 * k + 16], "big")     # 128 bits
+        for b, e in zip(bases, exponents):
+            merged[b] = merged.get(b, 0) + w * e
+        targets[target] = targets.get(target, 0) + w
+    return (multi_exp(params, merged, merged.values())
+            == multi_exp(params, targets, targets.values()))

@@ -14,13 +14,22 @@ whole argument is repeated `security_rounds(q)` times with independent
 challenges; the 2048-bit preset needs one round, the toy group twenty.
 
 Commitment generators are derived by hashing into the group, so no
-trusted setup is involved.  Single powers of g, of the key h and of the
-commitment base use `groups.fixed_base`, which keeps a table for each of
-them in a large group.  Each product over the generators, and each
-product of powers of varying bases, is one `groups.multi_exp`: the
-verifier moves the right-hand side of an equation to the left with
-exponents -u_j * gamma, so the t3, t4a and t4b checks are one product
-each.  Only `groups` decides which bases get tables.
+trusted setup is involved.  The prover's single powers of g, of the key
+h and of the commitment base use `groups.fixed_base`, which keeps a
+table for each of them in a large group, and each of its products over
+the generators is one `groups.multi_exp`.  Only `groups` decides which
+bases get tables.
+
+The verifier checks the proof's shape, that every response is in [0, q)
+and that every distinct element is in the order-q subgroup.  It then
+states each repetition's n + 5 equations (t1, t2, t3, t4a, t4b, the n
+t_hat) as products of powers equal to a target, every right-hand power
+moved left, and hands them all, lazily, to `groups.products_equal`.  In
+a large group that is one random linear combination with 128-bit
+weights seeded by the statement digest and the proof's bytes, so the
+weights cover the responses and the verifier stays a pure function of
+its input; a false proof passes with probability at most 2^-128 more
+than when each equation is checked, as the toy group does.
 
 Every element and scalar is encoded big-endian at one width, the byte
 length of p, for the statement digest, both challenges and the proof.
@@ -38,11 +47,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import mul
 
 from .elgamal import Ciphertext, PublicKey, rerandomize
-from .groups import GroupParams, fixed_base, hash_to_element, multi_exp
+from .groups import GroupParams, fixed_base, hash_to_element, multi_exp, products_equal
 
 FS_DOMAIN = b"ivxvsim/shuffle-v2"
 PROOF_MAGIC = b"IVXVSHF2"
@@ -83,6 +92,8 @@ def _width(p: int) -> int:
 
 def _encode(values, width: int) -> bytes:
     """Each value big-endian in exactly `width` bytes, no separators."""
+    if width == 1:
+        return bytes(values)   # one byte per value, as _decode reads it
     return b"".join([x.to_bytes(width, "big") for x in values])
 
 
@@ -254,74 +265,66 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     return ShuffleProof(n=n, rounds=tuple(rounds))
 
 
-def _verify_round(statement: ShuffleStatement, stmt_digest: bytes, rnd: int, pr: ProofRound,
-                  gens, gens_inverse: int, g_pow, base_pow, parts) -> bool:
-    """One repetition's equations; verify_shuffle has checked the shapes
-    and that every element of the statement and proof is in the group.
-    `gens` and `gens_inverse` come from `_generators`, `g_pow` and
-    `base_pow` are the fixed-base powers of g and of the commitment base,
-    and `parts` holds, for c1 and then c2, the power function of its key
-    (g, h) and that component of every output and then of every input."""
-    params = statement.pk.params
-    p, q = params.p, params.q
-    n = len(statement.inputs)
-    scalars = (pr.s_bar, pr.s_dot, pr.s_tld, pr.s_r, *pr.s_hat, *pr.s_prm)
-    if min(scalars) < 0 or max(scalars) >= q:
-        return False
-
+def _round_equations(stmt_digest: bytes, rnd: int, pr: ProofRound, params: GroupParams,
+                     gens, gens_inverse: int, base: int, parts):
+    """One repetition's equations as (bases, exponents, target), each
+    asserting prod base^e = target: t1, t2, t3, t4a, t4b, then the n t_hat.
+    verify_shuffle has checked the shapes, the scalar ranges and that
+    every element of the statement and the proof is in the group.
+    `gens`, `gens_inverse` and `base` come from `_generators`, and
+    `parts` holds, for c1 and then c2, its key (g, h) and that component
+    of every output and then of every input."""
+    p, q, g = params.p, params.q, params.g
+    n = len(pr.perm_commits)
     width = _width(p)
     perm_bytes = _encode(pr.perm_commits, width)
     u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, q)
     gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
                          (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat),
                          width, q)
+    neg_gamma = -gamma % q
 
     prod_u = 1
     for u_j in u:
         prod_u = prod_u * u_j % q
-
     c_bar = gens_inverse
     for c_j in pr.perm_commits:
         c_bar = c_bar * c_j % p
-    if g_pow(pr.s_bar) != pr.t1 * pow(c_bar, gamma, p) % p:
-        return False
-
-    c_dot = pr.chain_commits[-1] * base_pow(-prod_u % q) % p
-    if g_pow(pr.s_dot) != pr.t2 * pow(c_dot, gamma, p) % p:
-        return False
+    # g^s_bar = t1 * c_bar^gamma, and g^s_dot = t2 * c_dot^gamma with
+    # c_dot = chain[-1] * base^-prod_u, each right-hand power moved left
+    yield (g, c_bar), (pr.s_bar, neg_gamma), pr.t1
+    yield (g, pr.chain_commits[-1], base), (pr.s_dot, neg_gamma, prod_u * gamma % q), pr.t2
 
     # t3 and t4 equations as lhs * (prod x_j^u_j)^-gamma == t, which for
     # elements of order q is one product with exponents -u_j * gamma
     exps = (*pr.s_prm, *[-u_j * gamma % q for u_j in u])
-    if g_pow(pr.s_tld) * multi_exp(params, (*gens, *pr.perm_commits), exps) % p != pr.t3:
-        return False
-    for t4, (key_pow, outs_ins) in zip((pr.t4a, pr.t4b), parts):
-        if key_pow(-pr.s_r % q) * multi_exp(params, outs_ins, exps) % p != t4:
-            return False
+    yield (g, *gens, *pr.perm_commits), (pr.s_tld, *exps), pr.t3
+    neg_s_r = -pr.s_r % q
+    for t4, (key, outs_ins) in zip((pr.t4a, pr.t4b), parts):
+        yield (key, *outs_ins), (neg_s_r, *exps), t4
 
-    for i in range(n):
-        if i == 0:
-            prev_pow = base_pow(pr.s_prm[0])
-        else:
-            prev_pow = pow(pr.chain_commits[i - 1], pr.s_prm[i], p)
-        if g_pow(pr.s_hat[i]) * prev_pow % p != pr.t_hat[i] * pow(pr.chain_commits[i], gamma, p) % p:
-            return False
-    return True
+    # g^s_hat_i * prev^s'_i = t_hat_i * chain_i^gamma, where prev is the
+    # commitment base for i = 0 and chain_(i-1) after
+    yield from zip(zip(repeat(g), (base, *pr.chain_commits), pr.chain_commits),
+                   zip(pr.s_hat, pr.s_prm, repeat(neg_gamma)), pr.t_hat)
 
 
 def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
     """Check a proof against a statement.  Accepts either a ShuffleProof
     or its byte serialization; anything malformed is a reject, not an
     error."""
-    if isinstance(proof, (bytes, bytearray)):
-        try:
-            proof = deserialize_proof(bytes(proof), statement.pk.params)
-        except ValueError:
-            return False
     pk = statement.pk
     params = pk.params
+    q = params.q
+    blob = None
+    if isinstance(proof, (bytes, bytearray)):
+        blob = bytes(proof)
+        try:
+            proof = deserialize_proof(blob, params)
+        except ValueError:
+            return False
     n = len(statement.inputs)
-    if proof.n != n or len(proof.rounds) != security_rounds(params.q):
+    if proof.n != n or len(proof.rounds) != security_rounds(q):
         return False
     # each distinct element of the statement and of every round is tested once
     elements = {pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct)}
@@ -329,17 +332,25 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
         if not (len(pr.perm_commits) == len(pr.chain_commits) == len(pr.t_hat)
                 == len(pr.s_hat) == len(pr.s_prm) == n):
             return False
-        elements.update(pr.values()[: 3 * n + 5])   # commitments, t1..t4b, t_hat
+        values = pr.values()
+        scalars = values[3 * n + 5 :]          # s_bar .. s_prm
+        if min(scalars) < 0 or max(scalars) >= q:
+            return False
+        elements.update(values[: 3 * n + 5])   # commitments, t1..t4b, t_hat
     if not all(map(params.is_element, elements)):
         return False
+    if blob is None:
+        blob = serialize_proof(proof, params)
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
-    base, gens, gens_inverse = _generators(params.p, params.q, params.g, n)
-    g_pow, base_pow = fixed_base(params, params.g), fixed_base(params, base)
-    parts = tuple((fixed_base(params, key), [ct[k] for ct in statement.outputs + statement.inputs])
+    base, gens, gens_inverse = _generators(params.p, q, params.g, n)
+    parts = tuple((key, [ct[k] for ct in statement.outputs + statement.inputs])
                   for k, key in enumerate((params.g, pk.h)))
-    return all(_verify_round(statement, stmt_digest, rnd, pr, gens, gens_inverse, g_pow, base_pow,
-                             parts)
-               for rnd, pr in enumerate(proof.rounds))
+    equations = chain.from_iterable(
+        _round_equations(stmt_digest, rnd, pr, params, gens, gens_inverse, base, parts)
+        for rnd, pr in enumerate(proof.rounds))
+    # the weights cover the statement and every response, not only what
+    # the challenges cover
+    return products_equal(params, equations, stmt_digest + blob)
 
 
 def serialize_proof(proof: ShuffleProof, params: GroupParams) -> bytes:

@@ -8,7 +8,7 @@ import pytest
 
 from ivxvsim.adversary import ManipulationPolicy
 from ivxvsim.ceremony import ea_accept_ballot
-from ivxvsim.elgamal import Ciphertext, encrypt
+from ivxvsim.elgamal import Ciphertext, encrypt, make_keypair
 from ivxvsim.functionalities import (
     REJECTED_PLAINTEXT,
     AuditDevice,
@@ -22,8 +22,10 @@ from ivxvsim.functionalities import (
     UnknownSsid,
     VerificationToken,
     VotingDevice,
+    decrypt_all,
     last_ballots,
     latest_entry,
+    plaintexts_match,
 )
 from ivxvsim.groups import setup
 from ivxvsim.shamir import reconstruct
@@ -269,6 +271,29 @@ def test_decryption_marks_non_candidate_outputs():
     values = [e for _, e in pub if e.get("kind") == "plaintexts"][-1]["values"]
     assert values == [2, REJECTED_PLAINTEXT]
 
+
+
+@pytest.mark.parametrize("preset", ["toy", "standard"])
+def test_posted_plaintexts_are_checked_without_decrypting(preset):
+    params = setup(preset, 4)
+    p, g = params.p, params.g
+    pk, sk = make_keypair(params, 7)
+    rng = random.Random(f"plaintexts/{preset}")
+    cts = [encrypt(pk, m, rng.randrange(params.q)) for m in (0, 3, 1)]
+    r = rng.randrange(params.q)   # plaintext 4, outside the candidate range
+    cts.append(Ciphertext(pow(g, r, p), pow(g, 4, p) * pow(pk.h, r, p) % p))
+    pairs = [[c.c1, c.c2] for c in cts]
+    values = [0, 3, 1, REJECTED_PLAINTEXT]
+    assert decrypt_all(sk, pairs) == values
+    assert plaintexts_match(sk, pairs, values)
+    for changed in ([0, 2, 1, -1],     # a wrong value
+                    [-1, 3, 1, -1],    # a spurious REJECTED_PLAINTEXT
+                    [0, 3, 4, -1],     # a value at the bound
+                    [0, 3, 1, 4],      # the real plaintext, outside the range
+                    [0, 3, 1, -2],
+                    [0, 3, 1],         # a wrong length
+                    [0, 3, 1, -1, 0]):
+        assert not plaintexts_match(sk, pairs, changed), changed
 
 # ----------------------------------------------------- voting/audit devices
 

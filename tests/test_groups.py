@@ -12,6 +12,7 @@ from ivxvsim.groups import (
     fixed_base,
     hash_to_element,
     multi_exp,
+    products_equal,
     setup,
 )
 
@@ -164,3 +165,53 @@ def test_multi_exp_equals_product_of_pows(preset):
             for b, e in zip(bases, exponents):
                 expected = expected * pow(b, e, p) % p
             assert multi_exp(params, bases[:count], exponents) == expected
+
+
+# ------------------------------------------------------ batched products
+
+def _true_equations(params, rng, count):
+    """`count` true equations over a pool of six bases, so bases repeat
+    across equations.  Equation 0 has full-size exponents and the rest
+    32-bit ones, to keep the reference products cheap; equation 1
+    restates equation 0 with its bases reversed and q added to an
+    exponent, so the two share a target; equation 2 has 30 bases, more
+    than the toy group has elements, so it repeats some."""
+    q = params.q
+    pool = _random_subgroup_elements(params, rng, 6)
+    equations = []
+    for k in range(count):
+        bases = tuple(rng.choices(pool, k=30) if k == 2 else rng.sample(pool, rng.randrange(1, 4)))
+        exponents = tuple(rng.randrange(q if k == 0 else 2**32) for _ in bases)
+        equations.append((bases, exponents, multi_exp(params, bases, exponents)))
+    bases, exponents, target = equations[0]
+    equations[1] = (bases[::-1], (exponents[-1] + q, *exponents[-2::-1]), target)
+    return equations
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_products_equal_equals_checking_each_equation(preset):
+    params = setup(preset, 2)
+    rng = random.Random(f"products-equal/{preset}")
+    each = lambda eqs: all(multi_exp(params, b, e) == t for b, e, t in eqs)
+    assert products_equal(params, [], b"seed") is True
+    equations = _true_equations(params, rng, 40)
+    assert products_equal(params, equations, b"seed") == each(equations) is True
+    assert products_equal(params, iter(equations), b"other seed")   # read once, lazily
+    for wrong in (1, 2, 17):
+        bases, exponents, target = equations[wrong]
+        changed = equations[:]
+        changed[wrong] = (bases, exponents, target * params.g % params.p)
+        assert not products_equal(params, changed, b"seed"), wrong
+
+
+def test_products_equal_in_the_toy_group_rejects_every_wrong_target():
+    # q = 11: a weighted check would pass a false set one time in eleven,
+    # so the toy group checks each equation and no factor slips through
+    params = setup("toy", 2)
+    equations = _true_equations(params, random.Random("toy-factors"), 5)
+    bases, exponents, target = equations[2]
+    for k in range(1, params.q):
+        off = target * pow(params.g, k, params.p) % params.p
+        changed = equations[:2] + [(bases, exponents, off)] + equations[3:]
+        for seed in range(50):
+            assert not products_equal(params, changed, b"%d" % seed), (k, seed)

@@ -356,6 +356,57 @@ def test_standard_group_shuffle_builds_tables_only_for_fixed_bases():
         assert not verify_shuffle(stmt, with_round(proof, **{field: changed}))
 
 
+
+# --------------------------------------------- batched verification
+
+def test_standard_group_rejects_changes_that_cancel_in_an_unweighted_product(standard_proof):
+    # Each pair puts one equation off by g and another off by 1/g, so the
+    # product of all equations without weights still holds.  Changing t1,
+    # t2 or t_hat also changes gamma; shifting the responses s_bar, s_dot
+    # or s_hat leaves every challenge as it was, so only the weights
+    # reject those pairs.
+    stmt, proof = standard_proof
+    params = stmt.pk.params
+    p, q, g = params.p, params.q, params.g
+    g_inverse = pow(g, -1, p)
+    pr = proof.rounds[0]
+    assert not verify_shuffle(stmt, with_round(proof, t1=pr.t1 * g % p, t2=pr.t2 * g_inverse % p))
+    t_hat = (pr.t_hat[0] * g % p, pr.t_hat[1] * g_inverse % p, *pr.t_hat[2:])
+    assert not verify_shuffle(stmt, with_round(proof, t_hat=t_hat))
+    assert not verify_shuffle(stmt, with_round(proof, s_bar=(pr.s_bar + 1) % q,
+                                               s_dot=(pr.s_dot - 1) % q))
+    s_hat = ((pr.s_hat[0] + 1) % q, (pr.s_hat[1] - 1) % q, *pr.s_hat[2:])
+    assert not verify_shuffle(stmt, with_round(proof, s_hat=s_hat))
+
+
+def test_standard_group_verifier_is_one_weighted_product(monkeypatch):
+    # n = 3: checking each equation takes 7 full-size variable-base pows
+    # in this module and 3 multi-exponentiations; the batch takes none of
+    # the first and 2 of the second
+    params = setup("standard", 4)
+    rng = random.Random(29)
+    pk, _ = keygen(params, rng)
+    stmt, wit = make_instance(rng, pk, 3, params)
+    proof = prove_shuffle(stmt, wit, rng)
+    big_pows, products = [], []
+    original_multi_exp = groups.multi_exp
+
+    def counting_pow(*args):
+        if len(args) == 3 and args[2].bit_length() >= 2048:
+            big_pows.append(args)
+        return pow(*args)
+
+    def counting_multi_exp(*args):
+        products.append(args)
+        return original_multi_exp(*args)
+
+    monkeypatch.setattr(shuffle, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(groups, "multi_exp", counting_multi_exp)
+    monkeypatch.setattr(shuffle, "multi_exp", counting_multi_exp)
+    assert verify_shuffle(stmt, proof)
+    assert len(big_pows) == 0
+    assert len(products) <= 2
+
 # ------------------------------------------------------- proof codec (v2)
 
 def toy_blob(seed, n=3):
