@@ -1,27 +1,36 @@
 """Prime-order Schnorr subgroups of Z_p* with pinned parameter presets.
 
-Two presets are provided: "toy" (p=23, q=11) for fast deterministic tests
-and demos, and "standard", the 2048-bit safe-prime MODP group from RFC 3526
-in which g=2 generates the order-q subgroup of quadratic residues.
+Three presets are provided: "toy" (p=23, q=11) for fast deterministic
+tests and demos; "mid", the smallest safe prime above 2^255 with g=4, a
+group fast enough for soundness tests in which 128-bit challenges are
+shorter than q; and "standard", the 2048-bit safe-prime MODP group from
+RFC 3526 in which g=2 generates the order-q subgroup of quadratic
+residues.
 
 Every group is a safe-prime group, p = 2q + 1, so its order-q subgroup is
 exactly the set of quadratic residues mod p and membership is a Legendre
 symbol.  For large p the module also gives the cheaper ways to compute
 the same powers that the builtin `pow` computes: fixed-base comb tables
-(Lim and Lee, CRYPTO 1994) and Straus' simultaneous multi-exponentiation.
-Below `_FAST_MIN_BITS` the builtin `pow` is faster than any of these
-Python-level loops, so small groups (the toy preset) keep it.
+(Lim and Lee, CRYPTO 1994) and Straus' simultaneous multi-exponentiation
+with interleaved sliding windows over odd powers (Moeller, "Algorithms
+for Multi-exponentiation", SAC 2001), each window's width set by its
+exponent's length.  Below `_FAST_MIN_BITS` the builtin `pow` is faster
+than any of these Python-level loops, so small groups (the toy preset)
+keep it.
 
 `products_equal` checks equations prod base_i^e_i = target: in a large
 group all at once, by the small-exponents test of Bellare, Garay and
 Rabin ("Fast Batch Verification for Modular Exponentiation and Digital
 Signatures", EUROCRYPT 1998) with weights hashed from a seed, and in a
-small group, where weights cannot be sound, one by one.
+small group, where weights cannot be sound, one by one.  A negative
+exponent is moved to the other side of the batch check as a short
+positive power, so that products over short challenges stay short.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -40,6 +49,11 @@ _MODP_2048_P = int(
     16,
 )
 
+# The smallest safe prime above 2^255, found with sympy: q = 2^254 + 98239
+# and p = 2q + 1 are prime, and g = 4 = 2^2, a quadratic residue other
+# than 1, has order q.
+_MID_P = 2**255 + 196479
+
 MAX_CANDIDATE_BOUND = 2**16
 
 # Size of p from which the Jacobi loop, comb tables and Straus' method
@@ -48,8 +62,11 @@ _FAST_MIN_BITS = 128
 
 # Comb rows: a table of 2^8 entries, about 80 KB at 2048 bits.
 _COMB_ROWS = 8
-# Straus window: 2^5 - 1 powers of each base.
-_STRAUS_WINDOW = 5
+# Sliding-window widths for multi_exp.  A width w costs 2^(w-1) table
+# entries and about bits/(w+1) multiplications, which is least for w = 1
+# up to 6 bits, w = 2 up to 24, and so on: 384-bit exponents get w = 5 and
+# 2047-bit ones w = 7.
+_WINDOW_LIMITS = (6, 24, 80, 240, 672, 1792)
 
 # Domain tag of the SHAKE-256 stream that products_equal cuts its weights from.
 _BATCH_DOMAIN = b"ivxvsim/batch-v1"
@@ -92,6 +109,7 @@ class GroupParams:
 
 _PRESETS = {
     "toy": (23, 11, 2),
+    "mid": (_MID_P, (_MID_P - 1) // 2, 4),
     "standard": (_MODP_2048_P, (_MODP_2048_P - 1) // 2, 2),
 }
 
@@ -211,35 +229,43 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
     mod q; 1 for no bases.
 
     In a large group Straus' method shares one chain of squarings among
-    all the bases, against one chain per base for separate pows."""
+    all the bases, against one chain per base for separate pows.  Each
+    exponent is cut, from its low end, into windows that start and end
+    on a set bit, so each window is an odd digit below 2^w and only the
+    odd powers of its base are tabled; w grows with the exponent's
+    length (`_WINDOW_LIMITS`), so short exponents keep small tables."""
     p = params.p
     if not params._fast:
         acc = 1
         for b, e in zip(bases, exponents):
             acc = acc * pow(b, e, p) % p
         return acc
-    q, width = params.q, _STRAUS_WINDOW
-    mask = (1 << width) - 1
-    powers, exps = [], []      # b^0 .. b^mask for each base with a nonzero exponent
+    q = params.q
+    # slots[k]: the table entries multiplied in after the squaring for bit k
+    slots = [[] for _ in range(q.bit_length())]
     for b, e in zip(bases, exponents):
         e %= q
-        if e:
-            row = [1, b]
-            for _ in range(mask - 1):
-                row.append(row[-1] * b % p)
-            powers.append(row)
-            exps.append(e)
-    if not exps:
-        return 1
-    count = -(-max(e.bit_length() for e in exps) // width)
-    digits = [[e >> (width * k) & mask for k in reversed(range(count))] for e in exps]
+        if not e:
+            continue
+        width = bisect_left(_WINDOW_LIMITS, e.bit_length()) + 1
+        mask = (1 << width) - 1
+        square = b * b % p
+        odd = [b]                       # b, b^3, .., b^mask
+        for _ in range(mask >> 1):
+            odd.append(odd[-1] * square % p)
+        bit = 0
+        while e:
+            zeros = (e & -e).bit_length() - 1
+            e >>= zeros
+            bit += zeros
+            slots[bit].append(odd[(e & mask) >> 1])
+            e >>= width
+            bit += width
     acc = 1
-    for column in zip(*digits):
-        for _ in range(width):
-            acc = acc * acc % p
-        for row, d in zip(powers, column):
-            if d:
-                acc = acc * row[d] % p
+    for slot in reversed(slots):
+        acc = acc * acc % p
+        for x in slot:
+            acc = acc * x % p
     return acc
 
 
@@ -255,12 +281,16 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
 
     In a large group equation k gets a 128-bit weight w_k from a SHAKE-256
     stream over `seed`, and prod_k (prod_i base_i^e_i)^w_k = prod_k
-    target_k^w_k is checked as one full-exponent `multi_exp` over the
-    distinct bases, their weighted exponents summed, against one
-    short-exponent `multi_exp` over the targets.  If an equation fails, at
-    most one value of its weight makes the sum hold, so a false set passes
-    with probability at most 2^-128; the seed must cover everything the
-    equations are built from, so that none can be chosen after the weights.
+    target_k^w_k is checked as two `multi_exp` calls.  A base with
+    e_i >= 0 goes on the left as base^(w_k * e_i), to be reduced mod q,
+    and one with e_i < 0 on the right as base^(w_k * |e_i|), beside the
+    targets: a caller that passes a short exponent negated, rather than
+    reduced mod q, keeps its power short.  Each base's exponents are
+    summed on its side, and a base on both sides is folded into the
+    left.  If an equation fails, at most one value of its weight makes
+    the sums agree, so a false set passes with probability at most
+    2^-128; the seed must cover everything the equations are built from,
+    so that none can be chosen after the weights.
 
     In a small group each equation is checked in turn, up to the first
     that fails: with q = 11 a weighted check would pass a false set one
@@ -283,11 +313,15 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
         return True
     equations = list(equations)
     stream = hashlib.shake_256(_BATCH_DOMAIN + b"|" + seed).digest(16 * len(equations))
-    merged, targets = {}, {}    # base -> summed weighted exponent, target -> summed weight
+    left, right = {}, {}        # base -> summed weighted exponent on that side
     for k, (bases, exponents, target) in enumerate(equations):
         w = int.from_bytes(stream[16 * k : 16 * k + 16], "big")     # 128 bits
         for b, e in zip(bases, exponents):
-            merged[b] = merged.get(b, 0) + w * e
-        targets[target] = targets.get(target, 0) + w
-    return (multi_exp(params, merged, merged.values())
-            == multi_exp(params, targets, targets.values()))
+            if e < 0:
+                right[b] = right.get(b, 0) - w * e
+            else:
+                left[b] = left.get(b, 0) + w * e
+        right[target] = right.get(target, 0) + w
+    for b in left.keys() & right.keys():
+        left[b] -= right.pop(b)
+    return multi_exp(params, left, left.values()) == multi_exp(params, right, right.values())

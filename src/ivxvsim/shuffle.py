@@ -9,37 +9,45 @@ links the aggregated input and output ciphertexts.  All verifier
 challenges are replaced by hash-to-scalar over a canonical transcript
 serialization.
 
-Soundness of a single repetition degrades with the group order, so the
-whole argument is repeated `security_rounds(q)` times with independent
-challenges; the 2048-bit preset needs one round, the toy group twenty.
+Challenges are short, as in Terelius and Wikstroem, "Proofs of
+Restricted Shuffles" (AFRICACRYPT 2010): when q has more than 128 bits,
+each entry of u and the challenge gamma is a 128-bit integer, not
+reduced mod q; in a smaller group each is a scalar mod q.  Soundness of
+a single repetition degrades with the challenge space, so the whole
+argument is repeated `security_rounds(q)` times with independent
+challenges; the mid-size and 2048-bit presets need one round, the toy
+group twenty.
 
 Commitment generators are derived by hashing into the group, so no
-trusted setup is involved.  The prover's single powers of g, of the key
-h and of the commitment base use `groups.fixed_base`, which keeps a
-table for each of them in a large group, and each of its products over
-the generators is one `groups.multi_exp`.  Only `groups` decides which
-bases get tables.
+trusted setup is involved.  The prover knows the discrete logs of its
+chain over g and the commitment base, so every single power it takes is
+of g, of the key h or of the commitment base, through
+`groups.fixed_base`, which keeps a table for each of them in a large
+group; each of its products over the generators or the outputs is one
+`groups.multi_exp`.  Only `groups` decides which bases get tables.
 
 The verifier checks the proof's shape, that every response is in [0, q)
 and that every distinct element is in the order-q subgroup.  It then
 states each repetition's n + 5 equations (t1, t2, t3, t4a, t4b, the n
 t_hat) as products of powers equal to a target, every right-hand power
-moved left, and hands them all, lazily, to `groups.products_equal`.  In
-a large group that is one random linear combination with 128-bit
-weights seeded by the statement digest and the proof's bytes, so the
-weights cover the responses and the verifier stays a pure function of
-its input; a false proof passes with probability at most 2^-128 more
-than when each equation is checked, as the toy group does.
+moved left, and hands them all, lazily, to `groups.products_equal`.  A
+short challenge's powers go in with negative exponents (-gamma,
+-u_j * gamma), which that check keeps short.  In a large group the
+check is one random linear combination with 128-bit weights seeded by
+the statement digest and the proof's bytes, so the weights cover the
+responses and the verifier stays a pure function of its input; a false
+proof passes with probability at most 2^-128 more than when each
+equation is checked, as the toy group does.
 
 Every element and scalar is encoded big-endian at one width, the byte
 length of p, for the statement digest, both challenges and the proof.
 In each repetition the n entries of u are cut from one SHAKE-256 stream
 over `u|statement digest|round|perm_commits` (domain
-`ivxvsim/shuffle-v2`), so hashing is linear in n.  A proof (`IVXVSHF2`)
+`ivxvsim/shuffle-v3`), so hashing is linear in n.  A proof (`IVXVSHF3`)
 is the magic, n and the repetition count (4 bytes each), then each
 repetition's 5n + 9 values in `ProofRound` field order, so its header
-and the group fix its length.  Proofs and transcripts of the
-length-prefixed v1 format no longer verify.
+and the group fix its length.  Proofs of the earlier formats (v1
+length-prefixed, v2 with mod-q challenges) no longer verify.
 """
 
 from __future__ import annotations
@@ -53,35 +61,49 @@ from operator import mul
 from .elgamal import Ciphertext, PublicKey, rerandomize
 from .groups import GroupParams, fixed_base, hash_to_element, multi_exp, products_equal
 
-FS_DOMAIN = b"ivxvsim/shuffle-v2"
-PROOF_MAGIC = b"IVXVSHF2"
+FS_DOMAIN = b"ivxvsim/shuffle-v3"
+PROOF_MAGIC = b"IVXVSHF3"
 
 _HEADER_LEN = len(PROOF_MAGIC) + 8   # magic, n, repetitions
 
 # Target grinding resistance of ~2^80 across repetitions.
 _ROUND_TARGET_BITS = 80
 
+# Length of a challenge in a group whose order is longer.
+_CHALLENGE_BITS = 128
+
 
 class BadWitness(ValueError):
     """Witness does not reproduce the statement's outputs from its inputs."""
 
 
+def _short_challenges(q: int) -> bool:
+    return q.bit_length() > _CHALLENGE_BITS
+
+
 def security_rounds(q: int) -> int:
-    """Number of parallel repetitions needed for challenge space q."""
-    return max(1, -(-_ROUND_TARGET_BITS // q.bit_length()))
+    """Number of parallel repetitions needed for the challenge space of
+    order q: min(|q|, 128) bits per repetition."""
+    return max(1, -(-_ROUND_TARGET_BITS // min(q.bit_length(), _CHALLENGE_BITS)))
 
 
 def _fs_scalars(transcript: bytes, q: int, count: int, tag: bytes = FS_DOMAIN) -> list[int]:
-    need = (q.bit_length() + 128 + 7) // 8
+    short = _short_challenges(q)
+    need = _CHALLENGE_BITS // 8 if short else (q.bit_length() + 128 + 7) // 8
     stream = hashlib.shake_256(tag + b"|" + transcript).digest(count * need)
-    return [int.from_bytes(stream[i : i + need], "big") % q for i in range(0, count * need, need)]
+    cuts = range(0, count * need, need)
+    if short:
+        return [int.from_bytes(stream[i : i + need], "big") for i in cuts]
+    return [int.from_bytes(stream[i : i + need], "big") % q for i in cuts]
 
 
 def fs_challenge(transcript: bytes, q: int, tag: bytes = FS_DOMAIN) -> int:
-    """Deterministic, domain-separated hash of a transcript to a scalar mod q.
+    """Deterministic, domain-separated hash of a transcript to a challenge.
 
-    The SHAKE-256 output is read to 128 bits beyond the order, keeping
-    the reduction bias negligible.
+    When q has more than 128 bits the challenge is the first 128 bits of
+    a SHAKE-256 stream, an integer below 2^128 and so below q.  Otherwise
+    it is a scalar mod q, the stream read to 128 bits beyond the order
+    to keep the reduction bias negligible.
     """
     return _fs_scalars(transcript, q, 1, tag)[0]
 
@@ -190,9 +212,30 @@ def _round_gamma(stmt_digest: bytes, rnd: int, perm_bytes: bytes, rest, width: i
                         + _encode(rest, width), q)
 
 
+def _chain_and_t_hat(params: GroupParams, base: int, u_tld, rho_hat, w_hat, w_prm):
+    """The chain chain_i = g^rho_hat_i * prev_i^u~_i, the commitments
+    t_hat_i = g^w_hat_i * prev_i^w'_i, where prev_i is the commitment base
+    for i = 0 and chain_(i-1) after, and rho_dot, the log of the chain's
+    last element over g.
+
+    The prover knows prev_i = g^a * base^b, starting from a = 0, b = 1:
+    then chain_i = g^(rho_hat_i + u~_i a) * base^(u~_i b) and t_hat_i =
+    g^(w_hat_i + w'_i a) * base^(w'_i b), so only g and the commitment
+    base are raised to a power, each through its fixed-base table."""
+    p, q = params.p, params.q
+    g_pow, base_pow = fixed_base(params, params.g), fixed_base(params, base)
+    chain, t_hat = [], []
+    a, b = 0, 1
+    for u_i, r_i, w_i, w_prm_i in zip(u_tld, rho_hat, w_hat, w_prm):
+        t_hat.append(g_pow((w_i + w_prm_i * a) % q) * base_pow(w_prm_i * b % q) % p)
+        a, b = (r_i + u_i * a) % q, u_i * b % q
+        chain.append(g_pow(a) * base_pow(b) % p)
+    return chain, t_hat, a
+
+
 def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> ShuffleProof:
-    """Produce a proof accepted by verify_shuffle; O(n) exponentiations
-    per repetition."""
+    """Produce a proof accepted by verify_shuffle; O(n) fixed-base
+    exponentiations and three multi-exponentiations per repetition."""
     pk = statement.pk
     params = pk.params
     p, q = params.p, params.q
@@ -205,7 +248,6 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
             raise BadWitness(f"output {i} is not a re-randomization of input {perm[i]}")
 
     base, gens, _ = _generators(p, q, params.g, n)
-    base_pow = fixed_base(params, base)
     g_pow, y_pow = fixed_base(params, params.g), fixed_base(params, pk.h)
     out_a = [ct.c1 for ct in statement.outputs]
     out_b = [ct.c2 for ct in statement.outputs]
@@ -222,15 +264,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         u_tld = [u[perm[i]] for i in range(n)]
 
         rho_hat = [rng.randrange(q) for _ in range(n)]
-        chain = []
-        for i in range(n):
-            prev_pow = base_pow(u_tld[0]) if i == 0 else pow(chain[-1], u_tld[i], p)
-            chain.append(g_pow(rho_hat[i]) * prev_pow % p)
-
         rho_bar = sum(rho) % q
-        rho_dot = 0
-        for i in range(n):
-            rho_dot = (rho_hat[i] + u_tld[i] * rho_dot) % q
         rho_tld = sum(map(mul, rho, u)) % q
         r_tld = sum(map(mul, rands, u_tld)) % q
 
@@ -238,15 +272,12 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         w_hat = [rng.randrange(q) for _ in range(n)]
         w_prm = [rng.randrange(q) for _ in range(n)]
 
+        chain, t_hat, rho_dot = _chain_and_t_hat(params, base, u_tld, rho_hat, w_hat, w_prm)
         t1 = g_pow(w_bar)
         t2 = g_pow(w_dot)
         t3 = multi_exp(params, (params.g, *gens), (w_tld, *w_prm))
         t4a = g_pow(-w_r % q) * multi_exp(params, out_a, w_prm) % p
         t4b = y_pow(-w_r % q) * multi_exp(params, out_b, w_prm) % p
-        t_hat = []
-        for i in range(n):
-            prev_pow = base_pow(w_prm[0]) if i == 0 else pow(chain[i - 1], w_prm[i], p)
-            t_hat.append(g_pow(w_hat[i]) * prev_pow % p)
 
         gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
                              (*chain, t1, t2, t3, t4a, t4b, *t_hat), width, q)
@@ -282,7 +313,12 @@ def _round_equations(stmt_digest: bytes, rnd: int, pr: ProofRound, params: Group
     gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
                          (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat),
                          width, q)
-    neg_gamma = -gamma % q
+    # a short challenge's powers stay short as negative exponents, which
+    # products_equal moves to its short side; mod-q challenges are reduced,
+    # as the builtin pow of a small group wants them
+    short = _short_challenges(q)
+    neg_gamma = -gamma if short else -gamma % q
+    neg_u_gamma = [u_j * neg_gamma for u_j in u] if short else [u_j * neg_gamma % q for u_j in u]
 
     prod_u = 1
     for u_j in u:
@@ -297,7 +333,7 @@ def _round_equations(stmt_digest: bytes, rnd: int, pr: ProofRound, params: Group
 
     # t3 and t4 equations as lhs * (prod x_j^u_j)^-gamma == t, which for
     # elements of order q is one product with exponents -u_j * gamma
-    exps = (*pr.s_prm, *[-u_j * gamma % q for u_j in u])
+    exps = (*pr.s_prm, *neg_u_gamma)
     yield (g, *gens, *pr.perm_commits), (pr.s_tld, *exps), pr.t3
     neg_s_r = -pr.s_r % q
     for t4, (key, outs_ins) in zip((pr.t4a, pr.t4b), parts):

@@ -246,6 +246,24 @@ def test_tamper_modes_flip_the_verdict(mode):
         assert result.verdict == AuditVerdict(False, TAMPER_REASONS[mode]), seed
 
 
+@pytest.mark.parametrize("mode", TAMPER_MODES)
+def test_tamper_modes_flip_the_verdict_in_the_mid_group(mode):
+    # a 256-bit group, where the shuffle's challenges are 128-bit integers
+    for seed in range(5):
+        result = run_election(tamper_config(mode, seed=seed, group_preset="mid"))
+        assert result.verdict == AuditVerdict(False, TAMPER_REASONS[mode]), seed
+        stored = ElectionTranscript.from_jsonl(result.transcript.to_jsonl())
+        assert audit_transcript(stored)[0] == result.verdict
+
+
+def test_mid_group_election():
+    result = run_election(honest_config(group_preset="mid", seed=4))
+    assert result.verdict.valid
+    assert result.tally == dict(Counter(result.transcript.manifest["intents"]))
+    stored = ElectionTranscript.from_jsonl(result.transcript.to_jsonl())
+    assert audit_transcript(stored)[0] == result.verdict
+
+
 def test_mix_non_last_needs_a_revoter():
     with pytest.raises(CeremonyError):
         run_election(tamper_config("mix-non-last", scripts={i: "V" for i in range(1, 7)}))

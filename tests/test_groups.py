@@ -5,6 +5,7 @@ import random
 import pytest
 import sympy
 
+from ivxvsim import groups
 from ivxvsim.groups import (
     MAX_CANDIDATE_BOUND,
     GroupParams,
@@ -215,3 +216,83 @@ def test_products_equal_in_the_toy_group_rejects_every_wrong_target():
         changed = equations[:2] + [(bases, exponents, off)] + equations[3:]
         for seed in range(50):
             assert not products_equal(params, changed, b"%d" % seed), (k, seed)
+
+
+# ------------------------------------------- mid-size preset, sliding windows
+
+EVERY_PRESET = ["toy", "mid", "standard"]
+
+
+def test_mid_preset_is_a_safe_prime_group_with_g_of_order_q():
+    params = setup("mid", 10)
+    p, q, g = params.p, params.q, params.g
+    assert sympy.isprime(p) and sympy.isprime(q)
+    assert p == 2 * q + 1 and p.bit_length() == 256 and p > 2**255
+    assert g == 4
+    # q is prime, so g != 1 with g^q = 1 has order exactly q
+    assert g != 1 and pow(g, q, p) == 1
+    assert q.bit_length() > 128   # 128-bit challenges are shorter than q
+
+
+def _window_boundary_exponents(q):
+    """0, 1, q - 1, q, q + 1, negative values, and for each width limit L
+    the exponents with L - 1, L and L + 1 bits around the switch."""
+    exponents = [0, 1, q - 1, q, q + 1, -1, -q, -(q + 1), -(2**128 - 1), 2 * q + 3]
+    for limit in groups._WINDOW_LIMITS:
+        exponents += [2 ** (limit - 1), 2**limit - 1, 2**limit, 2**limit + 1]
+    return exponents
+
+
+@pytest.mark.parametrize("preset", EVERY_PRESET)
+def test_multi_exp_equals_pow_at_every_window_boundary(preset):
+    params = setup(preset, 2)
+    p, q = params.p, params.q
+    rng = random.Random(f"sliding-window/{preset}")
+    assert multi_exp(params, [], []) == 1
+    exponents = _window_boundary_exponents(q)
+    bases = _random_subgroup_elements(params, rng, 30)
+    for e in exponents:                           # one base
+        assert multi_exp(params, bases[:1], [e]) == pow(bases[0], e, p), e
+    # 30 bases of mixed lengths: 20 of the exponents above, 10 full-size ones
+    mixed = rng.sample(exponents, 20) + [rng.randrange(q) for _ in range(10)]
+    rng.shuffle(mixed)
+    expected = 1
+    for b, e in zip(bases, mixed):
+        expected = expected * pow(b, e, p) % p
+    assert multi_exp(params, bases, mixed) == expected
+
+
+def _signed_equations(params, rng):
+    """True equations with short negative exponents, and bases that land
+    on both sides of a batch: y positive in one equation and negative in
+    another, x both in one equation, and t both a base and a target."""
+    q = params.q
+    x, y, z, t = _random_subgroup_elements(params, rng, 4)
+    specs = [
+        ((x, y), (rng.randrange(q), -rng.getrandbits(256))),
+        ((y, z), (rng.randrange(q), -rng.getrandbits(128))),
+        ((x, z, x), (rng.randrange(q), -1, -rng.getrandbits(384))),
+        ((t, y), (-rng.getrandbits(128), rng.randrange(q))),
+    ]
+    equations = [(b, e, multi_exp(params, b, e)) for b, e in specs]
+    return equations + [((y, t), (q, 1), t)]
+
+
+@pytest.mark.parametrize("preset", EVERY_PRESET)
+def test_products_equal_with_negative_exponents_equals_checking_each(preset):
+    params = setup(preset, 2)
+    equations = _signed_equations(params, random.Random(f"signed/{preset}"))
+    each = lambda eqs: all(multi_exp(params, b, e) == t for b, e, t in eqs)
+    assert each(equations)
+    assert products_equal(params, equations, b"seed")
+    # a changed short-side exponent is rejected, as is a changed target
+    for k, (bases, exponents, target) in enumerate(equations):
+        for i, e in enumerate(exponents):
+            if e < 0:
+                changed = equations[:]
+                changed[k] = (bases, (*exponents[:i], e - 1, *exponents[i + 1 :]), target)
+                assert not each(changed)
+                assert not products_equal(params, changed, b"seed"), (k, i)
+        changed = equations[:]
+        changed[k] = (bases, exponents, target * params.g % params.p)
+        assert not products_equal(params, changed, b"seed"), k

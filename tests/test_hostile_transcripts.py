@@ -110,3 +110,23 @@ def test_registry_message_outside_ascii_is_a_replay_error(transcript_lines):
             lines[index] = json.dumps(event)
     with pytest.raises(ReplayError, match="rows"):
         audit_transcript(ElectionTranscript.from_jsonl("\n".join(lines) + "\n"))
+
+
+def test_single_field_mutations_of_a_mid_group_transcript():
+    # the 256-bit group, whose shuffle proof carries 128-bit challenges
+    config = ElectionConfig(n_voters=4, n_trustees=3, threshold=2, candidate_bound=3, seed=12,
+                            group_preset="mid", scripts={1: "VVC", 2: "VC"})
+    lines = run_election(config).transcript.to_jsonl().splitlines()
+    rng = random.Random("hostile-mid-transcripts")
+    outcomes = {"verdict": 0, "ReplayError": 0}
+    for _ in range(200):
+        index = rng.randrange(len(lines))
+        doc = json.loads(lines[index])
+        path = rng.choice(list(paths(doc)))
+        value = doc
+        for key in path:
+            value = value[key]
+        edited = list(lines)
+        edited[index] = mutate(lines[index], path, rng.choice(replacements(value)))
+        outcomes[replay_outcome("\n".join(edited) + "\n")] += 1
+    assert outcomes["verdict"] > 0 and outcomes["ReplayError"] > 0

@@ -17,11 +17,11 @@ PINNED = {
     # toy group, 8 voters, re-votes and checks
     "toy": (dict(n_voters=8, n_trustees=3, threshold=2, candidate_bound=3, seed=11,
                  scripts={1: "VVC", 2: "VC", 3: "VV", 4: "VCV"}),
-            "631785ec471dc5d7b571fe5a4987df8b3db0bf2ebc59d30134729987519b1005"),
+            "781afd3591f0dea5a6b277a76a973708e8f23de5f3786cd7f227988dfa001b39"),
     # 2048-bit group, 2 voters, one of whom re-votes
     "standard": (dict(n_voters=2, n_trustees=3, threshold=2, candidate_bound=3, seed=7,
                       group_preset="standard", scripts={1: "VVC", 2: "VC"}),
-                 "843de8bc2db49c2972bebcea8e13ff8c33773cb7f39d5a2e086f59770ab8d021"),
+                 "67718d31bb3c3c86b7bea5050e96734a02198a1b674ff52009f47844f1b562d9"),
 }
 
 

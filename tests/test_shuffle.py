@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -436,7 +437,7 @@ def widened(blob):
 
 def test_proof_length_is_fixed_by_header_and_group():
     stmt, blob = toy_blob(20, n=3)
-    assert blob[: len(PROOF_MAGIC)] == b"IVXVSHF2"
+    assert blob[: len(PROOF_MAGIC)] == b"IVXVSHF3"
     assert len(blob) == HEADER_LEN + 20 * (5 * 3 + 9) * 1
     assert len(serialize_proof(deserialize_proof(blob, TOY), setup("standard", 8))) \
         == HEADER_LEN + 20 * (5 * 3 + 9) * 256
@@ -539,3 +540,210 @@ def test_hashing_is_linear_in_n(monkeypatch):
         counted[n] = counter.bytes
     assert counted[200] > 0
     assert counted[400] <= 2.2 * counted[200], counted
+
+
+# ------------------------------------------------ short challenges (v3)
+
+MID = setup("mid", 4)
+
+
+@pytest.mark.parametrize("preset", ["mid", "standard"])
+def test_challenges_are_128_bit_integers_when_q_is_longer(preset):
+    q = setup(preset, 2).q
+    assert q.bit_length() > 128 and security_rounds(q) == 1
+    rng = random.Random(f"short/{preset}")
+    challenges = [fs_challenge(rng.randbytes(16), q) for _ in range(200)]
+    challenges += _challenge_vector(b"digest", 0, b"commits", 200, q)
+    assert all(0 <= c < 2**128 for c in challenges)
+    assert max(challenges).bit_length() == 128   # the whole 16 bytes, not reduced
+
+
+def test_challenges_are_scalars_mod_q_in_the_toy_group():
+    challenges = _challenge_vector(b"digest", 0, b"commits", 500, TOY.q)
+    challenges += [fs_challenge(b"%d" % i, TOY.q) for i in range(200)]
+    assert set(challenges) == set(range(TOY.q))
+    # min(|q|, 128) bits per repetition: a 128-bit q needs one, a 64-bit q two
+    assert security_rounds((1 << 127) + 1) == 1 and security_rounds((1 << 63) + 1) == 2
+
+
+def test_v2_magic_proof_is_rejected_without_exception():
+    stmt, blob = toy_blob(24)
+    assert PROOF_MAGIC == b"IVXVSHF3"
+    v2 = b"IVXVSHF2" + blob[len(PROOF_MAGIC) :]
+    assert not verify_shuffle(stmt, v2)
+    with pytest.raises(ValueError):
+        deserialize_proof(v2, TOY)
+
+
+def test_replay_of_a_v2_magic_proof_is_a_shuffle_proof_verdict():
+    from ivxvsim.ceremony import ElectionConfig, ElectionTranscript, audit_transcript, run_election
+
+    config = ElectionConfig(n_voters=4, n_trustees=3, threshold=2, candidate_bound=3, seed=3)
+    lines = run_election(config).transcript.to_jsonl().splitlines()
+    edited = 0
+    for index, line in enumerate(lines):
+        event = json.loads(line)
+        entry = event.get("payload", {}).get("entry", {})
+        if isinstance(entry, dict) and entry.get("kind") == "shuffle":
+            assert bytes.fromhex(entry["proof"]).startswith(PROOF_MAGIC)
+            entry["proof"] = b"IVXVSHF2".hex() + entry["proof"][2 * len(PROOF_MAGIC) :]
+            lines[index] = json.dumps(event)
+            edited += 1
+    assert edited == 1
+    recomputed, recorded = audit_transcript(ElectionTranscript.from_jsonl("\n".join(lines) + "\n"))
+    assert recorded.valid
+    assert (recomputed.valid, recomputed.reason) == (False, "shuffle-proof")
+
+
+# ------------------------------------- a prover that knows its logs
+
+def old_chain_and_t_hat(params, base, u_tld, rho_hat, w_hat, w_prm):
+    """The recurrence the prover used to compute with a variable-base pow
+    of each chain element."""
+    p, g = params.p, params.g
+    chain, t_hat, prev = [], [], base
+    for u_i, r_i, w_i, w_prm_i in zip(u_tld, rho_hat, w_hat, w_prm):
+        t_hat.append(pow(g, w_i, p) * pow(prev, w_prm_i, p) % p)
+        prev = pow(g, r_i, p) * pow(prev, u_i, p) % p
+        chain.append(prev)
+    return chain, t_hat
+
+
+@pytest.mark.parametrize("params", [TOY, MID], ids=["toy", "mid"])
+def test_chain_and_t_hat_from_known_logs_equal_the_pow_recurrence(params):
+    rng = random.Random(f"known-logs/{params.p}")
+    base = shuffle._generators(params.p, params.q, params.g, 1)[0]
+    challenge = 2**128 if params is MID else params.q
+    for n in range(1, 6):
+        u_tld = [rng.randrange(challenge) for _ in range(n)]
+        rho_hat, w_hat, w_prm = ([rng.randrange(params.q) for _ in range(n)] for _ in range(3))
+        chain, t_hat, rho_dot = shuffle._chain_and_t_hat(params, base, u_tld, rho_hat, w_hat, w_prm)
+        assert (chain, t_hat) == old_chain_and_t_hat(params, base, u_tld, rho_hat, w_hat, w_prm)
+        # rho_dot is the log over g of the chain's last element divided by
+        # base^prod(u~), which is what the t2 equation checks
+        prod_u = 1
+        for u_i in u_tld:
+            prod_u = prod_u * u_i % params.q
+        assert chain[-1] == pow(params.g, rho_dot, params.p) * pow(base, prod_u, params.p) % params.p
+
+
+def test_standard_group_prover_makes_no_variable_base_pow(monkeypatch):
+    # n = 3: the chain and t_hat took 4 full-size pows of chain elements;
+    # from their known logs they take only fixed-base powers
+    params = setup("standard", 4)
+    rng = random.Random(30)
+    pk, _ = keygen(params, rng)
+    stmt, wit = make_instance(rng, pk, 3, params)
+    shuffle._generators(params.p, params.q, params.g, 3)   # the cached inverse is not a power
+    pows = []
+
+    def counting_pow(*args):
+        if len(args) == 3:
+            pows.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(shuffle, "pow", counting_pow, raising=False)
+    proof = prove_shuffle(stmt, wit, rng)
+    assert pows == []
+    monkeypatch.undo()
+    assert verify_shuffle(stmt, proof)
+
+
+# ------------------------------------------------- the mid-size group
+# 256 bits: as fast as the toy group, but the equations, not the size of
+# the group, are what stands between a changed proof and acceptance.
+
+@pytest.fixture(scope="module")
+def mid_proof():
+    rng = random.Random(31)
+    pk, _ = keygen(MID, rng)
+    stmt, wit = make_instance(rng, pk, 3, MID)
+    proof = prove_shuffle(stmt, wit, rng)
+    assert len(proof.rounds) == 1
+    assert verify_shuffle(stmt, proof)
+    assert verify_shuffle(stmt, serialize_proof(proof, MID))
+    return stmt, proof
+
+
+def changed_at(value, index, bump):
+    if isinstance(value, tuple):
+        return (*value[:index], bump(value[index]), *value[index + 1 :])
+    return bump(value)
+
+
+@pytest.mark.parametrize("field", ELEMENT_FIELDS + SCALAR_FIELDS)
+def test_mid_group_rejects_each_changed_field(mid_proof, field):
+    # every entry of a tuple field, +1 (mod p or mod q), and elements also
+    # times g, which keeps them in the group
+    stmt, proof = mid_proof
+    p, q, g = MID.p, MID.q, MID.g
+    value = getattr(proof.rounds[0], field)
+    bumps = [lambda x: (x + 1) % q] if field in SCALAR_FIELDS \
+        else [lambda x: (x + 1) % p, lambda x: x * g % p]
+    for index in range(len(value) if isinstance(value, tuple) else 1):
+        for bump in bumps:
+            changed = with_round(proof, **{field: changed_at(value, index, bump)})
+            assert not verify_shuffle(stmt, changed), (field, index)
+
+
+def test_mid_group_rejects_non_residues(mid_proof):
+    stmt, proof = mid_proof
+    p = MID.p
+    assert p % 4 == 3   # -1 is a non-residue, so p - x is one for every residue x
+    pr = proof.rounds[0]
+    for field in ELEMENT_FIELDS:
+        value = getattr(pr, field)
+        changed = changed_at(value, 0, lambda x: p - x)
+        assert not verify_shuffle(stmt, with_round(proof, **{field: changed})), field
+    first = stmt.inputs[0]
+    bad = ShuffleStatement(pk=stmt.pk, inputs=(Ciphertext(p - first.c1, first.c2), *stmt.inputs[1:]),
+                           outputs=stmt.outputs)
+    assert not verify_shuffle(bad, proof)
+
+
+def test_mid_group_rejects_changes_that_cancel_in_an_unweighted_product(mid_proof):
+    stmt, proof = mid_proof
+    q = MID.q
+    pr = proof.rounds[0]
+    assert not verify_shuffle(stmt, with_round(proof, s_bar=(pr.s_bar + 1) % q,
+                                               s_dot=(pr.s_dot - 1) % q))
+    s_hat = ((pr.s_hat[0] + 1) % q, (pr.s_hat[1] - 1) % q, *pr.s_hat[2:])
+    assert not verify_shuffle(stmt, with_round(proof, s_hat=s_hat))
+
+
+def test_mid_group_soundness_against_tampered_statements():
+    rng = random.Random(32)
+    for n in (1, 2, 5):
+        pk, sk = keygen(MID, rng)
+        stmt, wit = make_instance(rng, pk, n, MID)
+        proof = prove_shuffle(stmt, wit, rng)
+        assert verify_shuffle(stmt, proof)
+        i = rng.randrange(n)
+        fresh = encrypt(pk, (decrypt(sk, stmt.outputs[i]) + 1) % MID.candidate_bound, 7)
+        outs = stmt.outputs[:i] + (fresh,) + stmt.outputs[i + 1 :]
+        assert not verify_shuffle(ShuffleStatement(pk, stmt.inputs, outs), proof)
+        ins = stmt.inputs[:i] + (fresh,) + stmt.inputs[i + 1 :]
+        assert not verify_shuffle(ShuffleStatement(pk, ins, stmt.outputs), proof)
+        pk2, _ = keygen(MID, rng)
+        assert not verify_shuffle(ShuffleStatement(pk2, stmt.inputs, stmt.outputs), proof)
+
+
+@pytest.mark.parametrize("component", [0, 1], ids=["c1", "c2"])
+def test_mid_group_rejects_a_shuffle_with_one_component_off(monkeypatch, component):
+    # A prover without the witness re-check proves a shuffle in which one
+    # output has c1 (or c2) times g.  The challenges are those of the
+    # changed statement, so t1, t2, t3, the t_hat and the other
+    # component's t4 equation hold: only t4a (or t4b) rejects it.
+    rng = random.Random(33)
+    pk, _ = keygen(MID, rng)
+    stmt, wit = make_instance(rng, pk, 3, MID)
+    outs = list(stmt.outputs)
+    ct = list(outs[1])
+    ct[component] = ct[component] * MID.g % MID.p
+    outs[1] = Ciphertext(*ct)
+    claimed = {(stmt.inputs[j], r): out for j, r, out in zip(wit.perm, wit.rands, outs)}
+    monkeypatch.setattr(shuffle, "rerandomize", lambda pk, ct, r: claimed[ct, r])
+    bad = ShuffleStatement(pk, stmt.inputs, tuple(outs))
+    proof = prove_shuffle(bad, wit, rng)
+    monkeypatch.undo()
+    assert not verify_shuffle(bad, proof)
