@@ -11,12 +11,14 @@ Every group is a safe-prime group, p = 2q + 1, so its order-q subgroup is
 exactly the set of quadratic residues mod p and membership is a Legendre
 symbol.  For large p the module also gives the cheaper ways to compute
 the same powers that the builtin `pow` computes: fixed-base comb tables
-(Lim and Lee, CRYPTO 1994) and Straus' simultaneous multi-exponentiation
-with interleaved sliding windows over odd powers (Moeller, "Algorithms
-for Multi-exponentiation", SAC 2001), each window's width set by its
-exponent's length.  Below `_FAST_MIN_BITS` the builtin `pow` is faster
-than any of these Python-level loops, so small groups (the toy preset)
-keep it.
+of two blocks (Lim and Lee, "More Flexible Exponentiation with
+Precomputation", CRYPTO 1994), with which a 2048-bit power takes 128
+squarings and at most 256 multiplications, and Straus' simultaneous
+multi-exponentiation with interleaved sliding windows over odd powers
+(Moeller, "Algorithms for Multi-exponentiation", SAC 2001), each
+window's width set by its exponent's length.  Below `_FAST_MIN_BITS`
+the builtin `pow` is faster than any of these Python-level loops, so
+small groups (the toy preset) keep it.
 
 `products_equal` checks equations prod base_i^e_i = target: in a large
 group all at once, by the small-exponents test of Bellare, Garay and
@@ -60,7 +62,7 @@ MAX_CANDIDATE_BOUND = 2**16
 # beat the builtin pow; measured crossover about 128 bits for all three.
 _FAST_MIN_BITS = 128
 
-# Comb rows: a table of 2^8 entries, about 80 KB at 2048 bits.
+# Comb rows: two blocks of 2^8 entries, about 160 KB at 2048 bits.
 _COMB_ROWS = 8
 # Sliding-window widths for multi_exp.  A width w costs 2^(w-1) table
 # entries and about bits/(w+1) multiplications, which is least for w = 1
@@ -168,41 +170,58 @@ def _jacobi(a: int, n: int) -> int:
 
 
 class _Comb:
-    """Lim-Lee fixed-base comb for one base of order q.
+    """Lim-Lee fixed-base comb with two blocks, for one base of order q.
 
-    An exponent's bits are laid out in `_COMB_ROWS` rows of `cols` bits;
-    the table holds, for each column pattern d, the product of the
-    base^(2^(i * cols)) over the rows i set in d.  One exponentiation is
-    then `cols` squarings and at most `cols` multiplications, against
-    about 1.2 * 2048 multiplications for the builtin pow at 2048 bits.
-    Building the table costs about one exponentiation.
+    An exponent's bits are laid out in `_COMB_ROWS` rows of `cols` bits,
+    and each row is cut into a low block of `half` = ceil(cols / 2) bits
+    and a high block of the rest.  `tables[0]` holds, for each pattern d
+    of 8 bits, the product of base^(2^(i * cols)) over the rows i set in
+    d; `tables[1]` the same with base^(2^(i * cols + half)), that is
+    `tables[0]` raised to 2^half.  One exponentiation reads a column of
+    each block per step: `half` squarings and at most `cols`
+    multiplications, against `cols` squarings with one block and about
+    1.2 * 2048 multiplications for the builtin pow at 2048 bits.
+    Building both tables costs about one exponentiation, whose chain of
+    squarings passes every row head of both blocks, and 2 * 255
+    multiplications.
     """
 
     def __init__(self, p: int, q: int, base: int):
         self.p, self.q = p, q
-        self.cols = -(-q.bit_length() // _COMB_ROWS)
-        table = [1]
-        head = base                   # base^(2^(row * cols))
+        cols = self.cols = -(-q.bit_length() // _COMB_ROWS)
+        half = self.half = -(-cols // 2)
+        low, high = [1], [1]
+        head = base       # base^(2^(row * cols)), then base^(2^(row * cols + half))
         for row in range(_COMB_ROWS):
             if row:
-                for _ in range(self.cols):
+                for _ in range(cols - half):
                     head = head * head % p
-            table += [x * head % p for x in table]
-        self.table = table
+            low += [x * head % p for x in low]
+            for _ in range(half):
+                head = head * head % p
+            high += [x * head % p for x in high]
+        self.tables = low, high
 
     def pow(self, e: int) -> int:
         e %= self.q
-        p, cols, table = self.p, self.cols, self.table
-        # one bit string per row, the top row first, so that each column
-        # read top to bottom is the binary index of its table entry
-        rows = [format(e >> (i * cols) & ((1 << cols) - 1), f"0{cols}b")
+        p, cols, half = self.p, self.cols, self.half
+        low, high = self.tables
+        low_mask, high_mask = (1 << half) - 1, (1 << cols - half) - 1
+        # one bit string per row and block, the high block's top row
+        # first, so that each column read top to bottom is the binary
+        # index of its high entry followed by that of its low entry
+        rows = [format(e >> (i * cols + half) & high_mask, f"0{half}b")
                 for i in reversed(range(_COMB_ROWS))]
+        rows += [format(e >> (i * cols) & low_mask, f"0{half}b")
+                 for i in reversed(range(_COMB_ROWS))]
         acc = 1
         for column in zip(*rows):
             acc = acc * acc % p
-            d = int("".join(column), 2)
-            if d:
-                acc = acc * table[d] % p
+            d_high, d_low = divmod(int("".join(column), 2), 1 << _COMB_ROWS)
+            if d_high:
+                acc = acc * high[d_high] % p
+            if d_low:
+                acc = acc * low[d_low] % p
         return acc
 
 

@@ -18,6 +18,16 @@ argument is repeated `security_rounds(q)` times with independent
 challenges; the mid-size and 2048-bit presets need one round, the toy
 group twenty.
 
+Responses s'_i are integers, as in Verificatum, when q has more than
+385 bits (the 2048-bit preset): each randomizer w'_i is a 384-bit
+integer and s'_i = w'_i + gamma * u~_i is posted unreduced, below 2^385.
+Since gamma * u~_i < 2^256, each s'_i is within statistical distance
+2^-128 of uniform on its range whatever u~_i is, so it hides the
+permutation; the prover's products over the generators and the outputs
+and the verifier's weighted powers of them then take exponents of at
+most 384 and about 512 bits instead of |q|.  In a smaller group (the toy
+and mid presets) w'_i is uniform mod q and s'_i is reduced mod q.
+
 Commitment generators are derived by hashing into the group, so no
 trusted setup is involved.  The prover knows the discrete logs of its
 chain over g and the commitment base, so every single power it takes is
@@ -27,27 +37,28 @@ group; each of its products over the generators or the outputs is one
 `groups.multi_exp`.  Only `groups` decides which bases get tables.
 
 The verifier checks the proof's shape, that every response is in [0, q)
-and that every distinct element is in the order-q subgroup.  It then
-states each repetition's n + 5 equations (t1, t2, t3, t4a, t4b, the n
-t_hat) as products of powers equal to a target, every right-hand power
-moved left, and hands them all, lazily, to `groups.products_equal`.  A
-short challenge's powers go in with negative exponents (-gamma,
--u_j * gamma), which that check keeps short.  In a large group the
-check is one random linear combination with 128-bit weights seeded by
-the statement digest and the proof's bytes, so the weights cover the
-responses and the verifier stays a pure function of its input; a false
-proof passes with probability at most 2^-128 more than when each
-equation is checked, as the toy group does.
+(an integer s'_i in [0, 2^385)) and that every distinct element is in
+the order-q subgroup.  It then states each repetition's n + 5 equations
+(t1, t2, t3, t4a, t4b, the n t_hat) as products of powers equal to a
+target, every right-hand power moved left, and hands them all, lazily,
+to `groups.products_equal`.  A short challenge's powers go in with
+negative exponents (-gamma, -u_j * gamma), which that check keeps
+short.  In a large group the check is one random linear combination
+with 128-bit weights seeded by the statement digest and the proof's
+bytes, so the weights cover the responses and the verifier stays a pure
+function of its input; a false proof passes with probability at most
+2^-128 more than when each equation is checked, as the toy group does.
 
 Every element and scalar is encoded big-endian at one width, the byte
 length of p, for the statement digest, both challenges and the proof.
 In each repetition the n entries of u are cut from one SHAKE-256 stream
 over `u|statement digest|round|perm_commits` (domain
-`ivxvsim/shuffle-v3`), so hashing is linear in n.  A proof (`IVXVSHF3`)
+`ivxvsim/shuffle-v4`), so hashing is linear in n.  A proof (`IVXVSHF4`)
 is the magic, n and the repetition count (4 bytes each), then each
 repetition's 5n + 9 values in `ProofRound` field order, so its header
-and the group fix its length.  Proofs of the earlier formats (v1
-length-prefixed, v2 with mod-q challenges) no longer verify.
+and the group fix its length; an integer s'_i fits that width.  Proofs
+of the earlier formats (v1 length-prefixed, v2 with mod-q challenges,
+v3 with mod-q responses) no longer verify.
 """
 
 from __future__ import annotations
@@ -61,8 +72,8 @@ from operator import mul
 from .elgamal import Ciphertext, PublicKey, rerandomize
 from .groups import GroupParams, fixed_base, hash_to_element, multi_exp, products_equal
 
-FS_DOMAIN = b"ivxvsim/shuffle-v3"
-PROOF_MAGIC = b"IVXVSHF3"
+FS_DOMAIN = b"ivxvsim/shuffle-v4"
+PROOF_MAGIC = b"IVXVSHF4"
 
 _HEADER_LEN = len(PROOF_MAGIC) + 8   # magic, n, repetitions
 
@@ -72,6 +83,12 @@ _ROUND_TARGET_BITS = 80
 # Length of a challenge in a group whose order is longer.
 _CHALLENGE_BITS = 128
 
+# In a group whose order is longer than a response, each randomizer w'_i
+# has 384 bits, so that s'_i = w'_i + gamma * u~_i < 2^384 + 2^256 is
+# posted as an integer below 2^385.
+_RANDOMIZER_BITS = 3 * _CHALLENGE_BITS
+_RESPONSE_BITS = _RANDOMIZER_BITS + 1
+
 
 class BadWitness(ValueError):
     """Witness does not reproduce the statement's outputs from its inputs."""
@@ -79,6 +96,10 @@ class BadWitness(ValueError):
 
 def _short_challenges(q: int) -> bool:
     return q.bit_length() > _CHALLENGE_BITS
+
+
+def _integer_responses(q: int) -> bool:
+    return q.bit_length() > _RESPONSE_BITS
 
 
 def security_rounds(q: int) -> int:
@@ -270,12 +291,15 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
 
         w_bar, w_dot, w_tld, w_r = [rng.randrange(q) for _ in range(4)]
         w_hat = [rng.randrange(q) for _ in range(n)]
-        w_prm = [rng.randrange(q) for _ in range(n)]
+        if _integer_responses(q):
+            w_prm = [rng.getrandbits(_RANDOMIZER_BITS) for _ in range(n)]
+        else:
+            w_prm = [rng.randrange(q) for _ in range(n)]
 
         chain, t_hat, rho_dot = _chain_and_t_hat(params, base, u_tld, rho_hat, w_hat, w_prm)
         t1 = g_pow(w_bar)
         t2 = g_pow(w_dot)
-        t3 = multi_exp(params, (params.g, *gens), (w_tld, *w_prm))
+        t3 = g_pow(w_tld) * multi_exp(params, gens, w_prm) % p
         t4a = g_pow(-w_r % q) * multi_exp(params, out_a, w_prm) % p
         t4b = y_pow(-w_r % q) * multi_exp(params, out_b, w_prm) % p
 
@@ -291,6 +315,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
             s_tld=(w_tld + gamma * rho_tld) % q,
             s_r=(w_r + gamma * r_tld) % q,
             s_hat=tuple([(w + gamma * r) % q for w, r in zip(w_hat, rho_hat)]),
+            # an integer s'_i is below 2^385 < q, so this leaves it unreduced
             s_prm=tuple([(w + gamma * u_i) % q for w, u_i in zip(w_prm, u_tld)]),
         ))
     return ShuffleProof(n=n, rounds=tuple(rounds))
@@ -364,13 +389,14 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
         return False
     # each distinct element of the statement and of every round is tested once
     elements = {pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct)}
+    s_prm_bound = 1 << _RESPONSE_BITS if _integer_responses(q) else q
     for pr in proof.rounds:
         if not (len(pr.perm_commits) == len(pr.chain_commits) == len(pr.t_hat)
                 == len(pr.s_hat) == len(pr.s_prm) == n):
             return False
         values = pr.values()
-        scalars = values[3 * n + 5 :]          # s_bar .. s_prm
-        if min(scalars) < 0 or max(scalars) >= q:
+        scalars = values[3 * n + 5 :]          # s_bar .. s_hat, then s_prm
+        if min(scalars) < 0 or max(scalars[: n + 4]) >= q or max(pr.s_prm) >= s_prm_bound:
             return False
         elements.update(values[: 3 * n + 5])   # commitments, t1..t4b, t_hat
     if not all(map(params.is_element, elements)):

@@ -296,3 +296,56 @@ def test_products_equal_with_negative_exponents_equals_checking_each(preset):
         changed = equations[:]
         changed[k] = (bases, exponents, target * params.g % params.p)
         assert not products_equal(params, changed, b"seed"), k
+
+
+# ------------------------------------------------- the two-block comb
+
+def _comb_boundary_exponents(q, cols, half):
+    """0, q - 1, q, negative values, and 2^k - 1, 2^k, 2^k + 1 at every
+    half-column and row boundary k of the comb, up to past q's length."""
+    exponents = [0, q - 1, q, q + 1, -1, -q, -(2**half), -(2 ** (3 * cols) + 1)]
+    top = groups._COMB_ROWS * cols + half + 1
+    for k in sorted({*range(0, top, half), *range(0, top, cols)}):
+        exponents += [2**k - 1, 2**k, 2**k + 1]
+    return exponents
+
+
+@pytest.mark.parametrize("preset", ["mid", "standard"])
+def test_fixed_base_equals_pow_at_every_comb_boundary(preset):
+    params = setup(preset, 2)
+    p, q = params.p, params.q
+    rng = random.Random(f"comb/{preset}")
+    for base in [params.g, *_random_subgroup_elements(params, rng, 1)]:
+        power = fixed_base(params, base)
+        comb = power.__self__
+        for e in _comb_boundary_exponents(q, comb.cols, comb.half):
+            assert power(e) == pow(base, e, p), (base, e)
+
+
+def test_comb_with_an_odd_column_count_equals_pow():
+    # Neither preset has an odd number of columns, where the high block is
+    # one bit shorter than the low one.  A comb needs only that the base's
+    # order divide q, so a prime P, q = P - 1 and any base reach that case.
+    prime = sympy.nextprime(2**135)
+    comb = groups._Comb(prime, prime - 1, 3)
+    assert comb.cols == 17 and comb.half == 9
+    rng = random.Random("comb/odd")
+    exponents = _comb_boundary_exponents(prime - 1, comb.cols, comb.half)
+    exponents += [rng.getrandbits(136) for _ in range(50)]
+    for e in exponents:
+        assert comb.pow(e) == pow(3, e, prime), e
+
+
+@pytest.mark.parametrize("preset", ["mid", "standard"])
+def test_comb_table_holds_two_blocks_of_256_entries(preset):
+    params = setup(preset, 2)
+    p, g = params.p, params.g
+    comb = fixed_base(params, g).__self__
+    low, high = comb.tables
+    assert len(low) == len(high) == 2**8
+    # low[d] is the product of g^(2^(i * cols)) over the rows i set in d,
+    # and high[d] = low[d]^(2^half)
+    for d in (1, 2, 3, 128, 255):
+        exponent = sum(1 << i * comb.cols for i in range(8) if d >> i & 1)
+        assert low[d] == pow(g, exponent, p)
+        assert high[d] == pow(low[d], 1 << comb.half, p)

@@ -17,11 +17,11 @@ PINNED = {
     # toy group, 8 voters, re-votes and checks
     "toy": (dict(n_voters=8, n_trustees=3, threshold=2, candidate_bound=3, seed=11,
                  scripts={1: "VVC", 2: "VC", 3: "VV", 4: "VCV"}),
-            "781afd3591f0dea5a6b277a76a973708e8f23de5f3786cd7f227988dfa001b39"),
+            "af87d1bab5df88f385805b8a166dce590acb94f36045ddb7ba58976cbbca0a17"),
     # 2048-bit group, 2 voters, one of whom re-votes
     "standard": (dict(n_voters=2, n_trustees=3, threshold=2, candidate_bound=3, seed=7,
                       group_preset="standard", scripts={1: "VVC", 2: "VC"}),
-                 "67718d31bb3c3c86b7bea5050e96734a02198a1b674ff52009f47844f1b562d9"),
+                 "2df7e6f7571faa02ddbf5b3cfc6fc16e802c1d27d66b6544c7960c207f99ea36"),
 }
 
 

@@ -437,7 +437,7 @@ def widened(blob):
 
 def test_proof_length_is_fixed_by_header_and_group():
     stmt, blob = toy_blob(20, n=3)
-    assert blob[: len(PROOF_MAGIC)] == b"IVXVSHF3"
+    assert blob[: len(PROOF_MAGIC)] == b"IVXVSHF4"
     assert len(blob) == HEADER_LEN + 20 * (5 * 3 + 9) * 1
     assert len(serialize_proof(deserialize_proof(blob, TOY), setup("standard", 8))) \
         == HEADER_LEN + 20 * (5 * 3 + 9) * 256
@@ -566,33 +566,40 @@ def test_challenges_are_scalars_mod_q_in_the_toy_group():
     assert security_rounds((1 << 127) + 1) == 1 and security_rounds((1 << 63) + 1) == 2
 
 
+OLD_MAGICS = (b"IVXVSHF2", b"IVXVSHF3")
+
+
 def test_v2_magic_proof_is_rejected_without_exception():
+    # and a v3 one: the layout is the same, only the magic tells them apart
     stmt, blob = toy_blob(24)
-    assert PROOF_MAGIC == b"IVXVSHF3"
-    v2 = b"IVXVSHF2" + blob[len(PROOF_MAGIC) :]
-    assert not verify_shuffle(stmt, v2)
-    with pytest.raises(ValueError):
-        deserialize_proof(v2, TOY)
+    assert PROOF_MAGIC == b"IVXVSHF4"
+    for magic in OLD_MAGICS:
+        old = magic + blob[len(PROOF_MAGIC) :]
+        assert not verify_shuffle(stmt, old)
+        with pytest.raises(ValueError):
+            deserialize_proof(old, TOY)
 
 
 def test_replay_of_a_v2_magic_proof_is_a_shuffle_proof_verdict():
     from ivxvsim.ceremony import ElectionConfig, ElectionTranscript, audit_transcript, run_election
 
     config = ElectionConfig(n_voters=4, n_trustees=3, threshold=2, candidate_bound=3, seed=3)
-    lines = run_election(config).transcript.to_jsonl().splitlines()
-    edited = 0
-    for index, line in enumerate(lines):
-        event = json.loads(line)
-        entry = event.get("payload", {}).get("entry", {})
-        if isinstance(entry, dict) and entry.get("kind") == "shuffle":
-            assert bytes.fromhex(entry["proof"]).startswith(PROOF_MAGIC)
-            entry["proof"] = b"IVXVSHF2".hex() + entry["proof"][2 * len(PROOF_MAGIC) :]
-            lines[index] = json.dumps(event)
-            edited += 1
-    assert edited == 1
-    recomputed, recorded = audit_transcript(ElectionTranscript.from_jsonl("\n".join(lines) + "\n"))
-    assert recorded.valid
-    assert (recomputed.valid, recomputed.reason) == (False, "shuffle-proof")
+    jsonl = run_election(config).transcript.to_jsonl()
+    for magic in OLD_MAGICS:
+        lines = jsonl.splitlines()
+        edited = 0
+        for index, line in enumerate(lines):
+            event = json.loads(line)
+            entry = event.get("payload", {}).get("entry", {})
+            if isinstance(entry, dict) and entry.get("kind") == "shuffle":
+                assert bytes.fromhex(entry["proof"]).startswith(PROOF_MAGIC)
+                entry["proof"] = magic.hex() + entry["proof"][2 * len(PROOF_MAGIC) :]
+                lines[index] = json.dumps(event)
+                edited += 1
+        assert edited == 1
+        recomputed, recorded = audit_transcript(ElectionTranscript.from_jsonl("\n".join(lines) + "\n"))
+        assert recorded.valid
+        assert (recomputed.valid, recomputed.reason) == (False, "shuffle-proof"), magic
 
 
 # ------------------------------------- a prover that knows its logs
@@ -747,3 +754,85 @@ def test_mid_group_rejects_a_shuffle_with_one_component_off(monkeypatch, compone
     proof = prove_shuffle(bad, wit, rng)
     monkeypatch.undo()
     assert not verify_shuffle(bad, proof)
+
+
+# --------------------------------- integer responses over short randomizers
+# When q has more than 385 bits, each w'_i is a 384-bit integer and each
+# s'_i = w'_i + gamma * u~_i is posted unreduced, below 2^385.
+
+def test_standard_group_s_prm_are_integers_below_2_385(standard_proof):
+    _, proof = standard_proof
+    for s in proof.rounds[0].s_prm:
+        assert 2**256 < s < 2**385
+
+
+def test_s_prm_are_scalars_mod_q_in_the_toy_and_mid_groups(mid_proof):
+    assert not shuffle._integer_responses(MID.q) and not shuffle._integer_responses(TOY.q)
+    _, mid = mid_proof
+    rng = random.Random(34)
+    pk, _ = keygen(TOY, rng)
+    stmt, wit = make_instance(rng, pk, 3)
+    toy = prove_shuffle(stmt, wit, rng)
+    for proof, params in ((mid, MID), (toy, TOY)):
+        assert all(0 <= s < params.q for pr in proof.rounds for s in pr.s_prm)
+
+
+@pytest.mark.parametrize("change", ["2^385", "q-1", "plus-q"])
+def test_standard_group_rejects_s_prm_out_of_range(standard_proof, change):
+    stmt, proof = standard_proof
+    q = stmt.pk.params.q
+    s_prm = proof.rounds[0].s_prm
+    bad = {"2^385": 2**385, "q-1": q - 1, "plus-q": s_prm[0] + q}[change]
+    changed = with_round(proof, s_prm=(bad, *s_prm[1:]))
+    assert not verify_shuffle(stmt, changed)
+    assert not verify_shuffle(stmt, serialize_proof(changed, stmt.pk.params))
+
+
+def _standard_instance(seed, n=3):
+    params = setup("standard", 4)
+    rng = random.Random(seed)
+    pk, _ = keygen(params, rng)
+    stmt, wit = make_instance(rng, pk, n, params)
+    return stmt, wit, rng
+
+
+def _recording_multi_exp(monkeypatch):
+    """Every (bases, exponents) that groups.multi_exp is called with, in order."""
+    calls = []
+    original_multi_exp = groups.multi_exp
+
+    def recording(params, bases, exponents):
+        bases, exponents = list(bases), list(exponents)
+        calls.append((bases, exponents))
+        return original_multi_exp(params, bases, exponents)
+
+    monkeypatch.setattr(groups, "multi_exp", recording)
+    monkeypatch.setattr(shuffle, "multi_exp", recording)
+    return calls
+
+
+def test_standard_group_prover_multi_exponents_are_below_2_384(monkeypatch):
+    # n = 3: t3, t4a and t4b each raise n bases to the w'_i (the parent
+    # raised them to 2044-2047-bit exponents)
+    stmt, wit, rng = _standard_instance(35)
+    calls = _recording_multi_exp(monkeypatch)
+    proof = prove_shuffle(stmt, wit, rng)
+    assert len(calls) == 3
+    assert all(0 <= e < 2**384 for _, exponents in calls for e in exponents)
+    monkeypatch.undo()
+    assert verify_shuffle(stmt, proof)
+
+
+def test_standard_group_batch_has_at_most_three_long_exponents(monkeypatch):
+    # n = 3: of the batch's left side, only g, h and at most the
+    # commitment base carry exponents over 700 bits (the parent had 14)
+    stmt, wit, rng = _standard_instance(36)
+    proof = prove_shuffle(stmt, wit, rng)
+    q = stmt.pk.params.q
+    calls = _recording_multi_exp(monkeypatch)
+    assert verify_shuffle(stmt, proof)
+    assert len(calls) == 2
+    left_bases, left_exponents = calls[0]
+    long = [b for b, e in zip(left_bases, left_exponents) if (e % q).bit_length() > 700]
+    assert stmt.pk.params.g in long and stmt.pk.h in long
+    assert len(long) <= 3
