@@ -5,14 +5,14 @@ Messages are candidate indices m < candidate_bound, encoded as g^m and
 recovered by a small linear scan of the exponent range.  Powers of g and
 of the public key h go through the group's fixed-base exponentiation
 (`groups.fixed_base`), which caches one comb table per base in large
-groups.
+groups; decryption's one power of c1 goes through `groups.power`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groups import GroupParams, fixed_base
+from .groups import GroupParams, fixed_base, power
 
 
 class NotACandidate(ValueError):
@@ -74,7 +74,7 @@ def _scan_dlog(params: GroupParams, target: int) -> int:
 def decrypt(sk: SecretKey, ct: Ciphertext) -> int:
     """Recover m from c2 / c1^sk = g^m."""
     params = sk.params
-    lifted = ct.c2 * pow(ct.c1, params.q - sk.sk % params.q, params.p) % params.p
+    lifted = ct.c2 * power(params, ct.c1, -sk.sk) % params.p
     return _scan_dlog(params, lifted)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .elgamal import (Ciphertext, NotACandidate, PublicKey, RandomnessMismatch,
                       SecretKey, decrypt, encrypt, keygen, trapdoor_decrypt)
-from .groups import products_equal
+from .groups import batch_weights, batched, multi_exp, power, products_equal
 from .shamir import SecretShare, deal, reconstruct
 
 # Tally marker for a shuffled ciphertext that decrypts outside the
@@ -90,27 +90,40 @@ def decrypt_all(sk: SecretKey, pairs) -> list[int]:
 
 
 def plaintexts_match(sk: SecretKey, pairs, values) -> bool:
-    """Whether `values` is what decrypt_all(sk, pairs) returns, checked
-    as one equation c1^sk * g^m = c2 for each value m in the candidate
-    range, all through `groups.products_equal`; a REJECTED_PLAINTEXT is
-    confirmed by decrypting its ciphertext.  Every c1 and c2 must be in
-    the order-q subgroup, as an accepted shuffle proof establishes for
-    its outputs."""
+    """Whether `values` is what decrypt_all(sk, pairs) returns.  Each value
+    m in the candidate range states c1^sk * g^m = c2 for its ciphertext;
+    a REJECTED_PLAINTEXT is confirmed by decrypting its ciphertext.  Every
+    c1 and c2 must be in the order-q subgroup, as an accepted shuffle
+    proof establishes for its outputs.
+
+    In a large group the equations are checked as one, with the weights
+    w_i that `groups.products_equal` would give them:
+    (prod c1_i^w_i)^sk * g^(sum w_i m_i) = prod c2_i^w_i, two products
+    over 128-bit weights and one full-size power, where a batch of the
+    equations as stated would raise every c1 to a full-size w_i * sk.
+    A false list passes with probability at most 2^-128, as there.  In a
+    small group `products_equal` checks each equation on its own."""
     params = sk.params
     if len(values) != len(pairs):
         return False
-    key = sk.sk % params.q
-    equations = []
+    p, g, key = params.p, params.g, sk.sk % params.q
+    stated = []             # (c1, c2, m) for each value in the candidate range
     for (c1, c2), m in zip(pairs, values):
         if m == REJECTED_PLAINTEXT:
             if decrypt_all(sk, [(c1, c2)]) != [REJECTED_PLAINTEXT]:
                 return False
         elif 0 <= m < params.candidate_bound:
-            equations.append(((c1, params.g), (key, m), c2))
+            stated.append((c1, c2, m))
         else:
             return False
-    seed = b"|".join(b"%d" % x for x in (key, *chain.from_iterable(pairs), *values))
-    return products_equal(params, equations, b"plaintexts|" + seed)
+    seed = b"plaintexts|" + b"|".join(
+        b"%d" % x for x in (key, *chain.from_iterable(pairs), *values))
+    if not batched(params):
+        return products_equal(params, [((c1, g), (key, m), c2) for c1, c2, m in stated], seed)
+    weights = batch_weights(seed, len(stated))
+    left = power(params, multi_exp(params, [c1 for c1, _, _ in stated], weights), key)
+    left = left * power(params, g, sum(w * m for w, (_, _, m) in zip(weights, stated))) % p
+    return left == multi_exp(params, [c2 for _, c2, _ in stated], weights)
 
 
 class BulletinBoard:

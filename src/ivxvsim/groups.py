@@ -16,9 +16,15 @@ Precomputation", CRYPTO 1994), with which a 2048-bit power takes 128
 squarings and at most 256 multiplications, and Straus' simultaneous
 multi-exponentiation with interleaved sliding windows over odd powers
 (Moeller, "Algorithms for Multi-exponentiation", SAC 2001), each
-window's width set by its exponent's length.  Below `_FAST_MIN_BITS`
-the builtin `pow` is faster than any of these Python-level loops, so
-small groups (the toy preset) keep it.
+window's width set by its exponent's length.  The two share one chain
+of squarings: `fixed_base` builds a base's table into one bounded cache,
+and `multi_exp` reads every table already there, column by column, for
+a long exponent of its base, so a product's chain is as long as its
+longest exponent on a base without a table (128 squarings if all are
+tabled, at 2048 bits); `multi_exp` never builds a table.  `power` is
+the builtin pow, for a base raised to a power once.  Below
+`_FAST_MIN_BITS` the builtin `pow` is faster than any of these
+Python-level loops, so small groups (the toy preset) keep it.
 
 `products_equal` checks equations prod base_i^e_i = target: in a large
 group all at once, by the small-exponents test of Bellare, Garay and
@@ -33,8 +39,8 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 
 # RFC 3526, 2048-bit MODP group. p is a safe prime, q = (p-1)/2 is prime,
@@ -177,13 +183,15 @@ class _Comb:
     and a high block of the rest.  `tables[0]` holds, for each pattern d
     of 8 bits, the product of base^(2^(i * cols)) over the rows i set in
     d; `tables[1]` the same with base^(2^(i * cols + half)), that is
-    `tables[0]` raised to 2^half.  One exponentiation reads a column of
-    each block per step: `half` squarings and at most `cols`
-    multiplications, against `cols` squarings with one block and about
-    1.2 * 2048 multiplications for the builtin pow at 2048 bits.
-    Building both tables costs about one exponentiation, whose chain of
-    squarings passes every row head of both blocks, and 2 * 255
-    multiplications.
+    `tables[0]` raised to 2^half.  Column j of an exponent, the bits
+    i * cols + j of the low block and i * cols + half + j of the high
+    one, picks one entry of each table, which is then raised to 2^j:
+    `spread` hands those entries to a chain of `half` squarings, which
+    multiplies them in, at most `cols` multiplications, against `cols`
+    squarings with one block and about 1.2 * 2048 multiplications for the
+    builtin pow at 2048 bits.  Building both tables costs about one
+    exponentiation, whose chain of squarings passes every row head of
+    both blocks, and 2 * 255 multiplications.
     """
 
     def __init__(self, p: int, q: int, base: int):
@@ -202,9 +210,11 @@ class _Comb:
             high += [x * head % p for x in high]
         self.tables = low, high
 
-    def pow(self, e: int) -> int:
-        e %= self.q
-        p, cols, half = self.p, self.cols, self.half
+    def spread(self, e: int, slots) -> None:
+        """Append to slots[j], for each column j of 0 <= e < q, the entries
+        of both tables that column picks, so that `_square_and_multiply`
+        over slots of at least `half` lists yields base^e times the rest."""
+        cols, half = self.cols, self.half
         low, high = self.tables
         low_mask, high_mask = (1 << half) - 1, (1 << cols - half) - 1
         # one bit string per row and block, the high block's top row
@@ -214,33 +224,69 @@ class _Comb:
                 for i in reversed(range(_COMB_ROWS))]
         rows += [format(e >> (i * cols) & low_mask, f"0{half}b")
                  for i in reversed(range(_COMB_ROWS))]
-        acc = 1
-        for column in zip(*rows):
-            acc = acc * acc % p
+        for slot, column in zip(slots[half - 1 :: -1], zip(*rows)):
             d_high, d_low = divmod(int("".join(column), 2), 1 << _COMB_ROWS)
             if d_high:
-                acc = acc * high[d_high] % p
+                slot.append(high[d_high])
             if d_low:
-                acc = acc * low[d_low] % p
-        return acc
+                slot.append(low[d_low])
+
+    def pow(self, e: int) -> int:
+        slots = [[] for _ in range(self.half)]
+        self.spread(e % self.q, slots)
+        return _square_and_multiply(self.p, slots)
 
 
-@lru_cache(maxsize=32)
-def _comb(p: int, q: int, base: int):
-    return _Comb(p, q, base).pow
+# The comb tables of a process, least recently used first.  `fixed_base`
+# builds a missing table; `multi_exp` only uses the tables already here,
+# so a base gets a table only when some caller asks for its fixed powers.
+_COMBS = OrderedDict()          # (p, q, base) -> _Comb
+_COMB_CACHE_SIZE = 32
+
+
+def _comb(p: int, q: int, base: int, build: bool = False):
+    """The table of `base`, built if missing and `build` is set; else None."""
+    key = (p, q, base)
+    comb = _COMBS.get(key)
+    if comb is not None:
+        _COMBS.move_to_end(key)
+    elif build:
+        comb = _COMBS[key] = _Comb(p, q, base)
+        if len(_COMBS) > _COMB_CACHE_SIZE:
+            _COMBS.popitem(last=False)
+    return comb
 
 
 def fixed_base(params: GroupParams, base: int):
     """The function e -> base^e mod p for a base of order q (g, a public
     key, the shuffle's commitment base), e taken mod q.
 
-    In a large group it is a comb table, kept in a bounded cache, so that
-    every call for the same base shares one table; in a small group it
-    is the builtin pow.  Look it up once per batch of exponentiations."""
+    In a large group it is the base's comb table, built on first use and
+    kept in a bounded cache, where `multi_exp` finds it too; in a small
+    group it is the builtin pow.  Look it up once per batch of
+    exponentiations."""
     if params._fast:
-        return _comb(params.p, params.q, base)
+        return _comb(params.p, params.q, base, build=True).pow
     p = params.p
     return lambda e: pow(base, e, p)   # half the call cost of a keyword partial
+
+
+def power(params: GroupParams, base: int, e: int) -> int:
+    """base^e mod p for one base of order q, e taken mod q, by the builtin
+    pow: for a base raised to a power once, which neither a table nor a
+    shared chain of squarings pays for."""
+    return pow(base, e % params.q, params.p)
+
+
+def _square_and_multiply(p: int, slots) -> int:
+    """The product over k of (prod slots[k])^(2^k) mod p, with one chain
+    of len(slots) squarings."""
+    acc = 1
+    for slot in reversed(slots):
+        acc = acc * acc % p
+        for x in slot:
+            acc = acc * x % p
+    return acc
 
 
 def multi_exp(params: GroupParams, bases, exponents) -> int:
@@ -252,7 +298,12 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
     exponent is cut, from its low end, into windows that start and end
     on a set bit, so each window is an odd digit below 2^w and only the
     odd powers of its base are tabled; w grows with the exponent's
-    length (`_WINDOW_LIMITS`), so short exponents keep small tables."""
+    length (`_WINDOW_LIMITS`), so short exponents keep small tables.  A
+    base that already has a comb table (see `fixed_base`) and an exponent
+    longer than one row of it is instead read from that table, column by
+    column, in the low `half` steps of the same chain: at most `cols`
+    multiplications and no squarings of its own.  The chain is then as
+    long as the longest exponent of a base without a table, or `half`."""
     p = params.p
     if not params._fast:
         acc = 1
@@ -260,11 +311,23 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
             acc = acc * pow(b, e, p) % p
         return acc
     q = params.q
-    # slots[k]: the table entries multiplied in after the squaring for bit k
-    slots = [[] for _ in range(q.bit_length())]
+    terms, length = [], 0       # terms: (comb or None, base, e)
     for b, e in zip(bases, exponents):
         e %= q
         if not e:
+            continue
+        comb = _comb(p, q, b)
+        if comb is not None and e.bit_length() > comb.cols:
+            length = max(length, comb.half)
+        else:
+            comb = None
+            length = max(length, e.bit_length())
+        terms.append((comb, b, e))
+    # slots[k]: the table entries multiplied in after the squaring for bit k
+    slots = [[] for _ in range(length)]
+    for comb, b, e in terms:
+        if comb is not None:
+            comb.spread(e, slots)
             continue
         width = bisect_left(_WINDOW_LIMITS, e.bit_length()) + 1
         mask = (1 << width) - 1
@@ -280,12 +343,20 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
             slots[bit].append(odd[(e & mask) >> 1])
             e >>= width
             bit += width
-    acc = 1
-    for slot in reversed(slots):
-        acc = acc * acc % p
-        for x in slot:
-            acc = acc * x % p
-    return acc
+    return _square_and_multiply(p, slots)
+
+
+def batched(params: GroupParams) -> bool:
+    """Whether `products_equal` checks its equations as one weighted batch
+    (a large group) rather than one at a time (a small group)."""
+    return params._fast
+
+
+def batch_weights(seed: bytes, count: int) -> list[int]:
+    """The 128-bit weights `products_equal` gives `count` equations in a
+    large group, cut from a SHAKE-256 stream over `seed`."""
+    stream = hashlib.shake_256(_BATCH_DOMAIN + b"|" + seed).digest(16 * count)
+    return [int.from_bytes(stream[i : i + 16], "big") for i in range(0, 16 * count, 16)]
 
 
 def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
@@ -298,25 +369,26 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
     factor of order 2 would pass the large-group check for about half of
     all weights.
 
-    In a large group equation k gets a 128-bit weight w_k from a SHAKE-256
-    stream over `seed`, and prod_k (prod_i base_i^e_i)^w_k = prod_k
-    target_k^w_k is checked as two `multi_exp` calls.  A base with
-    e_i >= 0 goes on the left as base^(w_k * e_i), to be reduced mod q,
-    and one with e_i < 0 on the right as base^(w_k * |e_i|), beside the
-    targets: a caller that passes a short exponent negated, rather than
-    reduced mod q, keeps its power short.  Each base's exponents are
-    summed on its side, and a base on both sides is folded into the
-    left.  If an equation fails, at most one value of its weight makes
-    the sums agree, so a false set passes with probability at most
-    2^-128; the seed must cover everything the equations are built from,
-    so that none can be chosen after the weights.
+    In a large group (`batched`) equation k gets a 128-bit weight w_k from
+    a SHAKE-256 stream over `seed` (`batch_weights`), and
+    prod_k (prod_i base_i^e_i)^w_k = prod_k target_k^w_k is checked as two
+    `multi_exp` calls.  A base with e_i >= 0 goes on the left as
+    base^(w_k * e_i), to be reduced mod q, and one with e_i < 0 on the
+    right as base^(w_k * |e_i|), beside the targets: a caller that passes
+    a short exponent negated, rather than reduced mod q, keeps its power
+    short.  Each base's exponents are summed on its side, and a base on
+    both sides is folded into the left.  If an equation fails, at most
+    one value of its weight makes the sums agree, so a false set passes
+    with probability at most 2^-128; the seed must cover everything the
+    equations are built from, so that none can be chosen after the
+    weights.
 
     In a small group each equation is checked in turn, up to the first
     that fails: with q = 11 a weighted check would pass a false set one
     time in eleven.  An equation over more than q bases repeats some, so
     their exponents are summed first."""
     p = params.p
-    if not params._fast:
+    if not batched(params):
         q, rp = params.q, repeat(p)
         for bases, exponents, target in equations:
             if len(bases) > q:
@@ -331,10 +403,8 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
                 return False
         return True
     equations = list(equations)
-    stream = hashlib.shake_256(_BATCH_DOMAIN + b"|" + seed).digest(16 * len(equations))
     left, right = {}, {}        # base -> summed weighted exponent on that side
-    for k, (bases, exponents, target) in enumerate(equations):
-        w = int.from_bytes(stream[16 * k : 16 * k + 16], "big")     # 128 bits
+    for w, (bases, exponents, target) in zip(batch_weights(seed, len(equations)), equations):
         for b, e in zip(bases, exponents):
             if e < 0:
                 right[b] = right.get(b, 0) - w * e

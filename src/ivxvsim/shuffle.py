@@ -29,12 +29,22 @@ most 384 and about 512 bits instead of |q|.  In a smaller group (the toy
 and mid presets) w'_i is uniform mod q and s'_i is reduced mod q.
 
 Commitment generators are derived by hashing into the group, so no
-trusted setup is involved.  The prover knows the discrete logs of its
-chain over g and the commitment base, so every single power it takes is
-of g, of the key h or of the commitment base, through
-`groups.fixed_base`, which keeps a table for each of them in a large
-group; each of its products over the generators or the outputs is one
-`groups.multi_exp`.  Only `groups` decides which bases get tables.
+trusted setup is involved.  The prover builds, through
+`groups.fixed_base`, the tables of g, of the key h and of the commitment
+base, the only bases it raises to full-size exponents.  In a large group
+each of t3, t4a, t4b and every t_hat is one `groups.multi_exp`, whose
+chain of squarings reads those tables and runs only as long as its
+other exponents: 384 bits for the w'_i in t3 and t4, and none in t_hat,
+which the prover states over g and the commitment base from its known
+logs (128 squarings at 2048 bits).  Each chain element is g^rho_hat_i
+times a 128-bit power of the one before it, one product too.  Below
+`_PRODUCT_CHAIN_MIN_BITS` (the toy and mid presets), where two
+fixed-base powers measure faster, each chain element and t_hat is two
+of them.  The witness re-check is one weighted `groups.products_equal`
+over the 2n re-randomization equations, after a membership test of
+every input and output, and only if either fails are the outputs
+checked one by one to name the first that does not match.  Only
+`groups` decides which bases get tables.
 
 The verifier checks the proof's shape, that every response is in [0, q)
 (an integer s'_i in [0, 2^385)) and that every distinct element is in
@@ -43,11 +53,15 @@ the order-q subgroup.  It then states each repetition's n + 5 equations
 target, every right-hand power moved left, and hands them all, lazily,
 to `groups.products_equal`.  A short challenge's powers go in with
 negative exponents (-gamma, -u_j * gamma), which that check keeps
-short.  In a large group the check is one random linear combination
-with 128-bit weights seeded by the statement digest and the proof's
-bytes, so the weights cover the responses and the verifier stays a pure
-function of its input; a false proof passes with probability at most
-2^-128 more than when each equation is checked, as the toy group does.
+short; g, h and the commitment base, which carry the long exponents,
+are read from their tables where those already exist (in the process
+that proved the shuffle, not in a fresh one), so at 2048 bits the left
+side's chain is then about 513 squarings instead of 2047.  In a large
+group the check is one random linear combination with 128-bit weights
+seeded by the statement digest and the proof's bytes, so the weights
+cover the responses and the verifier stays a pure function of its
+input; a false proof passes with probability at most 2^-128 more than
+when each equation is checked, as the toy group does.
 
 Every element and scalar is encoded big-endian at one width, the byte
 length of p, for the statement digest, both challenges and the proof.
@@ -92,6 +106,18 @@ _RESPONSE_BITS = _RANDOMIZER_BITS + 1
 
 class BadWitness(ValueError):
     """Witness does not reproduce the statement's outputs from its inputs."""
+
+
+# Size of p from which the prover states each chain element and t_hat as
+# one `multi_exp` (the recurrence g^rho_hat_i * prev^u~_i, and t_hat over g
+# and the commitment base in one chain of squarings) rather than as two
+# fixed-base powers.  Measured crossover, one round's chain and t_hat at
+# n = 20 on an Intel Xeon, Python 3.11: the two paths tie at 384 and 512
+# bits, and the products take 0.6-0.85 of the time at 768, 0.82 at 1024,
+# 0.71 at 1536 and 0.68-0.73 at 2048, but 1.15 at 256 (the mid preset)
+# and 2.3 at n = 2000 in the toy group, where the builtin pow does the
+# work and a multi_exp call only adds Python overhead.
+_PRODUCT_CHAIN_MIN_BITS = 768
 
 
 def _short_challenges(q: int) -> bool:
@@ -240,23 +266,55 @@ def _chain_and_t_hat(params: GroupParams, base: int, u_tld, rho_hat, w_hat, w_pr
     last element over g.
 
     The prover knows prev_i = g^a * base^b, starting from a = 0, b = 1:
-    then chain_i = g^(rho_hat_i + u~_i a) * base^(u~_i b) and t_hat_i =
-    g^(w_hat_i + w'_i a) * base^(w'_i b), so only g and the commitment
-    base are raised to a power, each through its fixed-base table."""
-    p, q = params.p, params.q
-    g_pow, base_pow = fixed_base(params, params.g), fixed_base(params, base)
+    then t_hat_i = g^(w_hat_i + w'_i a) * base^(w'_i b) and chain_i =
+    g^(rho_hat_i + u~_i a) * base^(u~_i b).  From `_PRODUCT_CHAIN_MIN_BITS`
+    up, each t_hat_i is one product over the two tabled bases, and each
+    chain element the recurrence itself, a full power of g read from its
+    table times a u~_i-th power of prev_i, one product too; in smaller
+    groups each is two fixed-base powers."""
+    p, q, g = params.p, params.q, params.g
+    g_pow, base_pow = fixed_base(params, g), fixed_base(params, base)   # builds both tables
+    products = p.bit_length() >= _PRODUCT_CHAIN_MIN_BITS
     chain, t_hat = [], []
-    a, b = 0, 1
+    a, b, prev = 0, 1, base
     for u_i, r_i, w_i, w_prm_i in zip(u_tld, rho_hat, w_hat, w_prm):
-        t_hat.append(g_pow((w_i + w_prm_i * a) % q) * base_pow(w_prm_i * b % q) % p)
+        x, y = (w_i + w_prm_i * a) % q, w_prm_i * b % q
+        t_hat.append(multi_exp(params, (g, base), (x, y)) if products
+                     else g_pow(x) * base_pow(y) % p)
         a, b = (r_i + u_i * a) % q, u_i * b % q
-        chain.append(g_pow(a) * base_pow(b) % p)
+        prev = multi_exp(params, (g, prev), (r_i, u_i)) if products else g_pow(a) * base_pow(b) % p
+        chain.append(prev)
     return chain, t_hat, a
 
 
+def _check_witness(statement: ShuffleStatement, witness: ShuffleWitness, seed: bytes) -> None:
+    """Raise BadWitness, naming the first output that is not a
+    re-randomization of its input, unless g^r_i * c1 = c1' and
+    h^r_i * c2 = c2' for every output (c1', c2') and its input (c1, c2).
+    The 2n equations are checked as one by `groups.products_equal`,
+    whose weights `seed` must cover, once every input and output is found
+    in the order-q subgroup, as that check requires; if one is not, or
+    the check fails, one output at a time."""
+    pk = statement.pk
+    params = pk.params
+    q, g = params.q, params.g
+    rands = [r % q for r in witness.rands]
+    ins = [statement.inputs[j] for j in witness.perm]
+    equations = chain.from_iterable(
+        (((g, x.c1), (r, 1), y.c1), ((pk.h, x.c2), (r, 1), y.c2))
+        for x, y, r in zip(ins, statement.outputs, rands))
+    seed += _encode(rands, _width(params.p)) + _encode(witness.perm, 4)
+    elements = (v for x, y in zip(ins, statement.outputs) for v in (*x, *y))
+    if all(map(params.is_element, elements)) and products_equal(params, equations, seed):
+        return
+    for i, (x, y, r) in enumerate(zip(ins, statement.outputs, rands)):
+        if rerandomize(pk, x, r) != y:
+            raise BadWitness(f"output {i} is not a re-randomization of input {witness.perm[i]}")
+
+
 def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> ShuffleProof:
-    """Produce a proof accepted by verify_shuffle; O(n) fixed-base
-    exponentiations and three multi-exponentiations per repetition."""
+    """Produce a proof accepted by verify_shuffle; O(n) exponentiations
+    per repetition, each a fixed-base power or a multi-exponentiation."""
     pk = statement.pk
     params = pk.params
     p, q = params.p, params.q
@@ -264,16 +322,17 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     perm, rands = witness.perm, witness.rands
     if len(perm) != n:
         raise ValueError("witness length does not match statement")
-    for i in range(n):
-        if rerandomize(pk, statement.inputs[perm[i]], rands[i]) != statement.outputs[i]:
-            raise BadWitness(f"output {i} is not a re-randomization of input {perm[i]}")
+    g_pow = fixed_base(params, params.g)
+    # h carries full-size exponents in t4b and the witness check: with its
+    # table built here, as g's, multi_exp reads it inside a short chain
+    fixed_base(params, pk.h)
+    stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
+    _check_witness(statement, witness, b"witness|" + stmt_digest)
 
     base, gens, _ = _generators(p, q, params.g, n)
-    g_pow, y_pow = fixed_base(params, params.g), fixed_base(params, pk.h)
     out_a = [ct.c1 for ct in statement.outputs]
     out_b = [ct.c2 for ct in statement.outputs]
     width = _width(p)
-    stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
     rounds = []
     for rnd in range(security_rounds(q)):
         rho = [rng.randrange(q) for _ in range(n)]
@@ -299,9 +358,9 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         chain, t_hat, rho_dot = _chain_and_t_hat(params, base, u_tld, rho_hat, w_hat, w_prm)
         t1 = g_pow(w_bar)
         t2 = g_pow(w_dot)
-        t3 = g_pow(w_tld) * multi_exp(params, gens, w_prm) % p
-        t4a = g_pow(-w_r % q) * multi_exp(params, out_a, w_prm) % p
-        t4b = y_pow(-w_r % q) * multi_exp(params, out_b, w_prm) % p
+        t3 = multi_exp(params, (params.g, *gens), (w_tld, *w_prm))
+        t4a = multi_exp(params, (params.g, *out_a), (-w_r % q, *w_prm))
+        t4b = multi_exp(params, (pk.h, *out_b), (-w_r % q, *w_prm))
 
         gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
                              (*chain, t1, t2, t3, t4a, t4b, *t_hat), width, q)

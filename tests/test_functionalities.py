@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ivxvsim import functionalities, groups
 from ivxvsim.adversary import ManipulationPolicy
 from ivxvsim.ceremony import ea_accept_ballot
 from ivxvsim.elgamal import Ciphertext, encrypt, make_keypair
@@ -273,7 +274,7 @@ def test_decryption_marks_non_candidate_outputs():
 
 
 
-@pytest.mark.parametrize("preset", ["toy", "standard"])
+@pytest.mark.parametrize("preset", ["toy", "mid", "standard"])
 def test_posted_plaintexts_are_checked_without_decrypting(preset):
     params = setup(preset, 4)
     p, g = params.p, params.g
@@ -294,6 +295,44 @@ def test_posted_plaintexts_are_checked_without_decrypting(preset):
                     [0, 3, 1],         # a wrong length
                     [0, 3, 1, -1, 0]):
         assert not plaintexts_match(sk, pairs, changed), changed
+
+
+@pytest.mark.parametrize("preset", ["mid", "standard"])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_plaintext_check_is_one_full_power_and_binds_every_value(preset, n, monkeypatch):
+    params = setup(preset, 4)
+    q = params.q
+    rng = random.Random(f"plaintext-powers/{preset}/{n}")
+    pk, sk = make_keypair(params, rng.randrange(q // 2, q))
+    values = [i % 4 for i in range(n)]
+    rng.shuffle(values)
+    pairs = [list(encrypt(pk, m, rng.randrange(q))) for m in values]
+    full, short = [], []
+
+    def counting_power(params, base, e):
+        (full if (e % q).bit_length() > q.bit_length() - 8 else short).append(e)
+        return groups.power(params, base, e)
+
+    def recording_multi_exp(params, bases, exponents):
+        exponents = list(exponents)
+        assert all(0 <= e < 2**128 for e in exponents)
+        return groups.multi_exp(params, bases, exponents)
+
+    monkeypatch.setattr(functionalities, "power", counting_power)
+    monkeypatch.setattr(functionalities, "multi_exp", recording_multi_exp)
+    assert plaintexts_match(sk, pairs, values)
+    assert len(full) == 1 and len(short) == 1      # (prod c1^w)^sk and g^(sum w m)
+    monkeypatch.undo()
+    changed = []
+    for i in range(n):
+        for step in (1, -1):                        # -1 from 0 is REJECTED_PLAINTEXT
+            changed.append(values[:i] + [values[i] + step] + values[i + 1 :])
+    for i in range(n - 1):
+        if values[i] != values[i + 1]:
+            changed.append(values[:i] + [values[i + 1], values[i]] + values[i + 2 :])
+    assert len(changed) > 2 * n or n == 1
+    for wrong in changed:
+        assert not plaintexts_match(sk, pairs, wrong), wrong
 
 # ----------------------------------------------------- voting/audit devices
 

@@ -13,6 +13,7 @@ from ivxvsim.groups import (
     fixed_base,
     hash_to_element,
     multi_exp,
+    power,
     products_equal,
     setup,
 )
@@ -349,3 +350,85 @@ def test_comb_table_holds_two_blocks_of_256_entries(preset):
         exponent = sum(1 << i * comb.cols for i in range(8) if d >> i & 1)
         assert low[d] == pow(g, exponent, p)
         assert high[d] == pow(low[d], 1 << comb.half, p)
+
+
+# ------------------------------------- comb tables inside multi_exp
+
+def _product_of_pows(params, bases, exponents):
+    expected = 1
+    for b, e in zip(bases, exponents):
+        expected = expected * pow(b, e, params.p) % params.p
+    return expected
+
+
+@pytest.mark.parametrize("preset", ["mid", "standard"])
+def test_multi_exp_with_comb_tables_equals_product_of_pows(preset):
+    # g and x get tables between the two evaluations, y and z never do;
+    # every case is computed with no table, then with both
+    params = setup(preset, 2)
+    q, g = params.q, params.g
+    rng = random.Random(f"tabled/{preset}")
+    x, y, z = _random_subgroup_elements(params, rng, 3)
+    cols = -(-q.bit_length() // groups._COMB_ROWS)
+    cut_over = [2 ** (cols - 1), 2**cols - 1, 2**cols, 2**cols + 1, -(2**cols)]
+    exponents = _window_boundary_exponents(q) + cut_over
+    cases = [((g, y), (e, rng.getrandbits(128))) for e in exponents]
+    # a tabled base given twice, beside an untabled one
+    twice = cut_over + [0, q - 1, q + 1, -1]
+    cases += [((x, z, x), (e, rng.getrandbits(128), f)) for e, f in zip(twice, reversed(twice))]
+    cases.append(((g, x, y, z, g, x), (q - 1, -5, 0, rng.randrange(q), q + 1, rng.randrange(q))))
+    groups._COMBS.clear()
+    before = [multi_exp(params, b, e) for b, e in cases]
+    assert len(groups._COMBS) == 0             # multi_exp builds no table
+    fixed_base(params, g), fixed_base(params, x)
+    assert fixed_base(params, g).__self__.cols == cols
+    after = [multi_exp(params, b, e) for b, e in cases]
+    for case, got_before, got_after in zip(cases, before, after):
+        assert got_before == got_after == _product_of_pows(params, *case), case
+
+
+@pytest.mark.parametrize("preset", ["mid", "standard"])
+def test_multi_exp_chain_is_as_long_as_the_longest_untabled_exponent(preset, monkeypatch):
+    params = setup(preset, 2)
+    q, g = params.q, params.g
+    comb = fixed_base(params, g).__self__
+    y = _random_subgroup_elements(params, random.Random("chain"), 1)[0]
+    lengths = []
+    original = groups._square_and_multiply
+    monkeypatch.setattr(groups, "_square_and_multiply",
+                        lambda p, slots: lengths.append(len(slots)) or original(p, slots))
+    for e_g, e_y in [(q - 1, 2**128 - 1), (2**comb.cols, 1), (2**comb.cols - 1, 3)]:
+        assert multi_exp(params, (g, y), (e_g, e_y)) == _product_of_pows(params, (g, y),
+                                                                         (e_g, e_y))
+    # a full exponent of g walks its table in half steps; one of at most
+    # cols bits is windowed, as a base without a table would be
+    assert lengths == [max(comb.half, 128), comb.half, comb.cols]
+
+
+def test_comb_cache_is_bounded_and_drops_the_least_recently_used():
+    params = setup("mid", 2)
+    p, q = params.p, params.q
+    size = groups._COMB_CACHE_SIZE
+    bases = _random_subgroup_elements(params, random.Random("cache"), size + 1)
+    groups._COMBS.clear()
+    assert groups._comb(p, q, bases[0]) is None                 # a lookup builds nothing
+    assert len(groups._COMBS) == 0
+    first = groups._comb(p, q, bases[0], build=True)
+    for b in bases[1:size]:
+        groups._comb(p, q, b, build=True)
+    assert groups._comb(p, q, bases[0]) is first                # now the most recent
+    groups._comb(p, q, bases[size], build=True)
+    assert len(groups._COMBS) == size
+    assert groups._comb(p, q, bases[1]) is None                 # the least recent went
+    assert groups._comb(p, q, bases[0]) is first
+    assert all(groups._comb(p, q, b) is not None for b in bases[2:])
+    groups._COMBS.clear()
+
+
+@pytest.mark.parametrize("preset", EVERY_PRESET)
+def test_power_equals_builtin_pow(preset):
+    params = setup(preset, 2)
+    p, q = params.p, params.q
+    base = _random_subgroup_elements(params, random.Random("power"), 1)[0]
+    for e in (0, 1, q - 1, q, q + 1, -1, -q, 2**130 + 7):
+        assert power(params, base, e) == pow(base, e, p), e

@@ -343,14 +343,14 @@ def test_standard_group_shuffle_builds_tables_only_for_fixed_bases():
     # verifier, so it enters a multi-exponentiation and gets no comb table:
     # with n = 4 only g, h and the commitment base have one.
     shuffle._generators.cache_clear()
-    groups._comb.cache_clear()
+    groups._COMBS.clear()
     params = setup("standard", 4)
     rng = random.Random(19)
     pk, _ = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, 4, params)
     proof = prove_shuffle(stmt, wit, rng)
     assert verify_shuffle(stmt, proof)
-    assert groups._comb.cache_info().currsize <= 3
+    assert len(groups._COMBS) <= 3
     # the t3 and t4b equations, each one product over 2n bases, still bind
     for field in ("t3", "t4b"):
         changed = getattr(proof.rounds[0], field) * params.g % params.p
@@ -616,11 +616,14 @@ def old_chain_and_t_hat(params, base, u_tld, rho_hat, w_hat, w_prm):
     return chain, t_hat
 
 
-@pytest.mark.parametrize("params", [TOY, MID], ids=["toy", "mid"])
+@pytest.mark.parametrize("params", [TOY, MID, setup("standard", 4)],
+                         ids=["toy", "mid", "standard"])
 def test_chain_and_t_hat_from_known_logs_equal_the_pow_recurrence(params):
+    # toy and mid take two fixed-base powers per element, standard one
+    # multi_exp per element (see _PRODUCT_CHAIN_MIN_BITS)
     rng = random.Random(f"known-logs/{params.p}")
     base = shuffle._generators(params.p, params.q, params.g, 1)[0]
-    challenge = 2**128 if params is MID else params.q
+    challenge = params.q if params is TOY else 2**128
     for n in range(1, 6):
         u_tld = [rng.randrange(challenge) for _ in range(n)]
         rho_hat, w_hat, w_prm = ([rng.randrange(params.q) for _ in range(n)] for _ in range(3))
@@ -636,7 +639,8 @@ def test_chain_and_t_hat_from_known_logs_equal_the_pow_recurrence(params):
 
 def test_standard_group_prover_makes_no_variable_base_pow(monkeypatch):
     # n = 3: the chain and t_hat took 4 full-size pows of chain elements;
-    # from their known logs they take only fixed-base powers
+    # now every full-size power is read from a comb table, and a chain
+    # element's 128-bit power of the one before it shares a multi_exp chain
     params = setup("standard", 4)
     rng = random.Random(30)
     pk, _ = keygen(params, rng)
@@ -812,13 +816,24 @@ def _recording_multi_exp(monkeypatch):
 
 
 def test_standard_group_prover_multi_exponents_are_below_2_384(monkeypatch):
-    # n = 3: t3, t4a and t4b each raise n bases to the w'_i (the parent
-    # raised them to 2044-2047-bit exponents)
+    # n = 3: only g, h and the commitment base, which have comb tables,
+    # carry exponents of 2^384 or more into multi_exp; t3, t4a and t4b
+    # raise the generators and the outputs to the w'_i, and the chain its
+    # previous element to a 128-bit u~_i (the parent of v4 raised them to
+    # 2044-2047-bit exponents)
     stmt, wit, rng = _standard_instance(35)
+    params = stmt.pk.params
+    p, q = params.p, params.q
+    base = shuffle._generators(p, q, params.g, 3)[0]
     calls = _recording_multi_exp(monkeypatch)
     proof = prove_shuffle(stmt, wit, rng)
-    assert len(calls) == 3
-    assert all(0 <= e < 2**384 for _, exponents in calls for e in exponents)
+    # the witness batch (two products), the chain and t_hat (one product
+    # per element), then t3, t4a and t4b
+    assert len(calls) == 2 + 2 * 3 + 3
+    long_bases = {b for bases, exponents in calls for b, e in zip(bases, exponents)
+                  if (e % q).bit_length() > 384}
+    assert long_bases == {params.g, stmt.pk.h, base}
+    assert all(groups._comb(p, q, b) is not None for b in long_bases)
     monkeypatch.undo()
     assert verify_shuffle(stmt, proof)
 
@@ -836,3 +851,37 @@ def test_standard_group_batch_has_at_most_three_long_exponents(monkeypatch):
     long = [b for b, e in zip(left_bases, left_exponents) if (e % q).bit_length() > 700]
     assert stmt.pk.params.g in long and stmt.pk.h in long
     assert len(long) <= 3
+    base = shuffle._generators(stmt.pk.params.p, q, stmt.pk.params.g, 3)[0]
+    assert set(long) <= {stmt.pk.params.g, stmt.pk.h, base}
+
+
+@pytest.mark.parametrize("preset", ["toy", "mid", "standard"])
+def test_witness_recheck_names_the_first_output_that_does_not_match(preset, monkeypatch):
+    params = TOY if preset == "toy" else setup(preset, 4)
+    rng = random.Random(f"witness/{preset}")
+    pk, _ = keygen(params, rng)
+    stmt, wit = make_instance(rng, pk, 4, params)
+    outs = stmt.outputs
+    g, p = params.g, params.p
+    times = lambda ct, k, f: Ciphertext(*(x * f % p if j == k else x for j, x in enumerate(ct)))
+    cases = [(1, outs[:1] + (times(outs[1], 0, g),) + outs[2:]),
+             (3, outs[:3] + (times(outs[3], 1, g),)),
+             (0, (outs[2], outs[1], outs[0], outs[3]))]
+    # a factor p - 1 = -1, of order 2, leaves the order-q subgroup, which a
+    # weighted check alone would miss for about half of all weights
+    cases += [(i, outs[:i] + (times(outs[i], k, p - 1),) + outs[i + 1:])
+              for i in range(4) for k in (0, 1)]
+    for i, changed in cases:
+        bad = ShuffleStatement(pk=pk, inputs=stmt.inputs, outputs=changed)
+        with pytest.raises(BadWitness, match=rf"^output {i} "):
+            prove_shuffle(bad, wit, rng)
+    # so does an input's: the output drawn from it no longer matches
+    for j in range(4):
+        ins = stmt.inputs[:j] + (times(stmt.inputs[j], 0, p - 1),) + stmt.inputs[j + 1:]
+        bad = ShuffleStatement(pk=pk, inputs=ins, outputs=outs)
+        with pytest.raises(BadWitness, match=rf"^output {wit.perm.index(j)} "):
+            prove_shuffle(bad, wit, rng)
+    # an honest witness passes the one weighted check, without the
+    # per-output re-check
+    monkeypatch.setattr(shuffle, "rerandomize", None)
+    assert verify_shuffle(stmt, prove_shuffle(stmt, wit, rng))
