@@ -32,7 +32,7 @@ TAMPER_MODES = ("forge-signature", "mix-non-last", "tamper-shuffle-output",
                 "tamper-plaintext")
 
 AUDIT_REASONS = ("bad-signature", "last-ballot-mismatch", "shuffle-proof",
-                 "decryption", "complaint")
+                 "decryption", "complaint", "tally")
 
 
 class CeremonyError(Exception):
@@ -418,6 +418,8 @@ _ENTRY_FIELDS = {
     "shuffle": {"inputs": _is_list_of(_is_pair), "outputs": _is_list_of(_is_pair),
                 "proof": _is_str},
     "plaintexts": {"values": _is_list_of(_is_int)},
+    "tally": {"counts": lambda v: type(v) is dict
+              and all(_is_str(k) and _is_int(c) for k, c in v.items())},
 }
 _MATERIAL_FIELDS = {
     "registry-dump": {"rows": _is_list_of(_is_registry_row)},
@@ -502,9 +504,13 @@ def _audit(transcript: ElectionTranscript) -> AuditVerdict:
 
     posted = latest_entry(pub_entries, "plaintexts")
     # verify_shuffle has accepted, so every output is in the group
-    if posted is None or not plaintexts_match(SecretKey(params, sk_value), outputs,
+    if posted is None or not plaintexts_match(SecretKey(params, sk_value), pk.h, outputs,
                                               posted["values"]):
         return AuditVerdict(False, "decryption")
+    tally = latest_entry(pub_entries, "tally")
+    counts = tally_alg(posted["values"], params.candidate_bound)
+    if tally is None or tally["counts"] != {str(c): v for c, v in counts.items()}:
+        return AuditVerdict(False, "tally")
     if transcript.events_of("complaint"):
         return AuditVerdict(False, "complaint")
     return AuditVerdict(True, None)

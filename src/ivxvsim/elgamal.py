@@ -3,9 +3,8 @@ given the encryption randomness (the cast-as-intended primitive).
 
 Messages are candidate indices m < candidate_bound, encoded as g^m and
 recovered by a small linear scan of the exponent range.  Powers of g and
-of the public key h go through the group's fixed-base exponentiation
-(`groups.fixed_base`), which caches one comb table per base in large
-groups; decryption's one power of c1 goes through `groups.power`.
+of the public key h go through `groups.fixed_base`, and decryption's one
+power of c1 through `groups.power`.
 """
 
 from __future__ import annotations

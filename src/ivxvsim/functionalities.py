@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .elgamal import (Ciphertext, NotACandidate, PublicKey, RandomnessMismatch,
                       SecretKey, decrypt, encrypt, keygen, trapdoor_decrypt)
-from .groups import batch_weights, batched, multi_exp, power, products_equal
+from .groups import batch_weights, multi_exp, power, products_equal
 from .shamir import SecretShare, deal, reconstruct
 
 # Tally marker for a shuffled ciphertext that decrypts outside the
@@ -89,25 +89,25 @@ def decrypt_all(sk: SecretKey, pairs) -> list[int]:
     return out
 
 
-def plaintexts_match(sk: SecretKey, pairs, values) -> bool:
-    """Whether `values` is what decrypt_all(sk, pairs) returns.  Each value
-    m in the candidate range states c1^sk * g^m = c2 for its ciphertext;
-    a REJECTED_PLAINTEXT is confirmed by decrypting its ciphertext.  Every
-    c1 and c2 must be in the order-q subgroup, as an accepted shuffle
-    proof establishes for its outputs.
+def plaintexts_match(sk: SecretKey, h: int, pairs, values) -> bool:
+    """Whether g^sk = h and `values` is what decrypt_all(sk, pairs)
+    returns.  Each value m in the candidate range states c1^sk * g^m = c2
+    for its ciphertext, and the key states the same for (g, h) and m = 0;
+    a REJECTED_PLAINTEXT is confirmed by decrypting its ciphertext.  h
+    and every c1 and c2 must be in the order-q subgroup, as an accepted
+    shuffle proof establishes.
 
-    In a large group the equations are checked as one, with the weights
-    w_i that `groups.products_equal` would give them:
-    (prod c1_i^w_i)^sk * g^(sum w_i m_i) = prod c2_i^w_i, two products
-    over 128-bit weights and one full-size power, where a batch of the
-    equations as stated would raise every c1 to a full-size w_i * sk.
-    A false list passes with probability at most 2^-128, as there.  In a
-    small group `products_equal` checks each equation on its own."""
+    In a large group the equations are checked as one, with 128-bit
+    weights w_0 for the key and w_i for the values (`batch_weights`):
+    (g^w_0 * prod c1_i^w_i)^sk * g^(sum w_i m_i) = h^w_0 * prod c2_i^w_i,
+    with one full-size power, where the equations as stated would raise
+    every c1 to a full-size w_i * sk.  A false key or list passes with
+    probability at most 2^-128.  A small group checks each equation."""
     params = sk.params
     if len(values) != len(pairs):
         return False
     p, g, key = params.p, params.g, sk.sk % params.q
-    stated = []             # (c1, c2, m) for each value in the candidate range
+    stated = [(g, h, 0)]    # (c1, c2, m): the key, then each value in the candidate range
     for (c1, c2), m in zip(pairs, values):
         if m == REJECTED_PLAINTEXT:
             if decrypt_all(sk, [(c1, c2)]) != [REJECTED_PLAINTEXT]:
@@ -117,8 +117,8 @@ def plaintexts_match(sk: SecretKey, pairs, values) -> bool:
         else:
             return False
     seed = b"plaintexts|" + b"|".join(
-        b"%d" % x for x in (key, *chain.from_iterable(pairs), *values))
-    if not batched(params):
+        b"%d" % x for x in (key, h, *chain.from_iterable(pairs), *values))
+    if not params.large:
         return products_equal(params, [((c1, g), (key, m), c2) for c1, c2, m in stated], seed)
     weights = batch_weights(seed, len(stated))
     left = power(params, multi_exp(params, [c1 for c1, _, _ in stated], weights), key)

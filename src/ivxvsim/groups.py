@@ -1,38 +1,16 @@
-"""Prime-order Schnorr subgroups of Z_p* with pinned parameter presets.
+"""Prime-order Schnorr subgroups of Z_p* with pinned parameter presets:
+"toy" (p=23, q=11), traceable by hand; "mid", the smallest safe prime
+above 2^255 with g=4, where soundness tests find 128-bit challenges
+shorter than q; and "standard", the 2048-bit MODP group of RFC 3526.
+Each is a safe-prime group, p = 2q + 1, so its order-q subgroup is
+exactly the quadratic residues.
 
-Three presets are provided: "toy" (p=23, q=11) for fast deterministic
-tests and demos; "mid", the smallest safe prime above 2^255 with g=4, a
-group fast enough for soundness tests in which 128-bit challenges are
-shorter than q; and "standard", the 2048-bit safe-prime MODP group from
-RFC 3526 in which g=2 generates the order-q subgroup of quadratic
-residues.
-
-Every group is a safe-prime group, p = 2q + 1, so its order-q subgroup is
-exactly the set of quadratic residues mod p and membership is a Legendre
-symbol.  For large p the module also gives the cheaper ways to compute
-the same powers that the builtin `pow` computes: fixed-base comb tables
-of two blocks (Lim and Lee, "More Flexible Exponentiation with
-Precomputation", CRYPTO 1994), with which a 2048-bit power takes 128
-squarings and at most 256 multiplications, and Straus' simultaneous
-multi-exponentiation with interleaved sliding windows over odd powers
-(Moeller, "Algorithms for Multi-exponentiation", SAC 2001), each
-window's width set by its exponent's length.  The two share one chain
-of squarings: `fixed_base` builds a base's table into one bounded cache,
-and `multi_exp` reads every table already there, column by column, for
-a long exponent of its base, so a product's chain is as long as its
-longest exponent on a base without a table (128 squarings if all are
-tabled, at 2048 bits); `multi_exp` never builds a table.  `power` is
-the builtin pow, for a base raised to a power once.  Below
-`_FAST_MIN_BITS` the builtin `pow` is faster than any of these
-Python-level loops, so small groups (the toy preset) keep it.
-
-`products_equal` checks equations prod base_i^e_i = target: in a large
-group all at once, by the small-exponents test of Bellare, Garay and
-Rabin ("Fast Batch Verification for Modular Exponentiation and Digital
-Signatures", EUROCRYPT 1998) with weights hashed from a seed, and in a
-small group, where weights cannot be sound, one by one.  A negative
-exponent is moved to the other side of the batch check as a short
-positive power, so that products over short challenges stay short.
+A group is large when q has more than 128 bits (`GroupParams.large`,
+decided here and nowhere else).  Only then are 128-bit batch weights
+and shuffle challenges sound, and only then do this module's Python
+loops (Jacobi symbols, comb tables, Straus products) beat the builtin
+pow, which a small group keeps.  Every path computes what the builtin
+pow would, so no transcript depends on which one runs.
 """
 
 from __future__ import annotations
@@ -40,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 # RFC 3526, 2048-bit MODP group. p is a safe prime, q = (p-1)/2 is prime,
@@ -64,9 +42,9 @@ _MID_P = 2**255 + 196479
 
 MAX_CANDIDATE_BOUND = 2**16
 
-# Size of p from which the Jacobi loop, comb tables and Straus' method
-# beat the builtin pow; measured crossover about 128 bits for all three.
-_FAST_MIN_BITS = 128
+# Length of a batch weight and of a shuffle challenge, each sound only when
+# shorter than q: a group is large when q is longer than this.
+_SHORT_BITS = 128
 
 # Comb rows: two blocks of 2^8 entries, about 160 KB at 2048 bits.
 _COMB_ROWS = 8
@@ -88,18 +66,19 @@ class UnknownPreset(ValueError):
 class GroupParams:
     """Ambient modulus p, a safe prime 2q + 1, prime subgroup order q,
     generator g, and the exclusive upper bound on encodable candidate
-    indices."""
+    indices.  `large`, derived from q, says whether q has more than 128
+    bits; every size-dependent choice of arithmetic reads it."""
 
     p: int
     q: int
     g: int
     candidate_bound: int
+    large: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p != 2 * self.q + 1:
             raise ValueError("p must be the safe prime 2q + 1")
-        # chosen once per group: Python-level arithmetic pays off only for large p
-        object.__setattr__(self, "_fast", self.p.bit_length() >= _FAST_MIN_BITS)
+        object.__setattr__(self, "large", self.q.bit_length() > _SHORT_BITS)
 
     def is_element(self, x: int) -> bool:
         """Membership test for the order-q subgroup, the quadratic residues:
@@ -107,7 +86,7 @@ class GroupParams:
         Euler's criterion x^q = 1 in small groups."""
         if not 0 < x < self.p:
             return False
-        if self._fast:
+        if self.large:
             return _jacobi(x, self.p) == 1
         return pow(x, self.q, self.p) == 1
 
@@ -187,11 +166,7 @@ class _Comb:
     i * cols + j of the low block and i * cols + half + j of the high
     one, picks one entry of each table, which is then raised to 2^j:
     `spread` hands those entries to a chain of `half` squarings, which
-    multiplies them in, at most `cols` multiplications, against `cols`
-    squarings with one block and about 1.2 * 2048 multiplications for the
-    builtin pow at 2048 bits.  Building both tables costs about one
-    exponentiation, whose chain of squarings passes every row head of
-    both blocks, and 2 * 255 multiplications.
+    multiplies them in, at most `cols` multiplications.
     """
 
     def __init__(self, p: int, q: int, base: int):
@@ -258,14 +233,11 @@ def _comb(p: int, q: int, base: int, build: bool = False):
 
 
 def fixed_base(params: GroupParams, base: int):
-    """The function e -> base^e mod p for a base of order q (g, a public
-    key, the shuffle's commitment base), e taken mod q.
-
-    In a large group it is the base's comb table, built on first use and
-    kept in a bounded cache, where `multi_exp` finds it too; in a small
-    group it is the builtin pow.  Look it up once per batch of
-    exponentiations."""
-    if params._fast:
+    """The function e -> base^e mod p for a base of order q, e taken mod q:
+    in a large group the base's comb table, built on first use and kept
+    in a bounded cache, where `multi_exp` finds it too; in a small group
+    the builtin pow.  Look it up once per batch of exponentiations."""
+    if params.large:
         return _comb(params.p, params.q, base, build=True).pow
     p = params.p
     return lambda e: pow(base, e, p)   # half the call cost of a keyword partial
@@ -294,18 +266,16 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
     mod q; 1 for no bases.
 
     In a large group Straus' method shares one chain of squarings among
-    all the bases, against one chain per base for separate pows.  Each
-    exponent is cut, from its low end, into windows that start and end
-    on a set bit, so each window is an odd digit below 2^w and only the
-    odd powers of its base are tabled; w grows with the exponent's
-    length (`_WINDOW_LIMITS`), so short exponents keep small tables.  A
-    base that already has a comb table (see `fixed_base`) and an exponent
-    longer than one row of it is instead read from that table, column by
-    column, in the low `half` steps of the same chain: at most `cols`
-    multiplications and no squarings of its own.  The chain is then as
-    long as the longest exponent of a base without a table, or `half`."""
+    all the bases.  Each exponent is cut, from its low end, into windows
+    that start and end on a set bit, so each window is an odd digit below
+    2^w and only the odd powers of its base are tabled; w grows with the
+    exponent's length (`_WINDOW_LIMITS`).  A base that already has a comb
+    table (see `fixed_base`) and an exponent longer than one row of it is
+    instead read from that table, column by column, in the low `half`
+    steps of the same chain, with no squarings of its own.  The chain is
+    then as long as the longest exponent of a base without a table."""
     p = params.p
-    if not params._fast:
+    if not params.large:
         acc = 1
         for b, e in zip(bases, exponents):
             acc = acc * pow(b, e, p) % p
@@ -346,12 +316,6 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
     return _square_and_multiply(p, slots)
 
 
-def batched(params: GroupParams) -> bool:
-    """Whether `products_equal` checks its equations as one weighted batch
-    (a large group) rather than one at a time (a small group)."""
-    return params._fast
-
-
 def batch_weights(seed: bytes, count: int) -> list[int]:
     """The 128-bit weights `products_equal` gives `count` equations in a
     large group, cut from a SHAKE-256 stream over `seed`."""
@@ -369,14 +333,12 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
     factor of order 2 would pass the large-group check for about half of
     all weights.
 
-    In a large group (`batched`) equation k gets a 128-bit weight w_k from
-    a SHAKE-256 stream over `seed` (`batch_weights`), and
-    prod_k (prod_i base_i^e_i)^w_k = prod_k target_k^w_k is checked as two
-    `multi_exp` calls.  A base with e_i >= 0 goes on the left as
+    In a large group equation k gets a 128-bit weight w_k (`batch_weights`)
+    and prod_k (prod_i base_i^e_i)^w_k = prod_k target_k^w_k is checked as
+    two `multi_exp` calls.  A base with e_i >= 0 goes on the left as
     base^(w_k * e_i), to be reduced mod q, and one with e_i < 0 on the
-    right as base^(w_k * |e_i|), beside the targets: a caller that passes
-    a short exponent negated, rather than reduced mod q, keeps its power
-    short.  Each base's exponents are summed on its side, and a base on
+    right as base^(w_k * |e_i|), beside the targets: a short exponent
+    passed negated, rather than reduced mod q, keeps its power short.  Each base's exponents are summed on its side, and a base on
     both sides is folded into the left.  If an equation fails, at most
     one value of its weight makes the sums agree, so a false set passes
     with probability at most 2^-128; the seed must cover everything the
@@ -388,7 +350,7 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
     time in eleven.  An equation over more than q bases repeats some, so
     their exponents are summed first."""
     p = params.p
-    if not batched(params):
+    if not params.large:
         q, rp = params.q, repeat(p)
         for bases, exponents, target in equations:
             if len(bases) > q:

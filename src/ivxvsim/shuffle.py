@@ -5,74 +5,16 @@ The argument commits to a permutation matrix and proves, against a
 hash-derived challenge vector u, that the committed matrix maps u to a
 hidden vector u~ with the same product (a chain of Pedersen-style
 commitments carries the running product), and that the same hidden u~
-links the aggregated input and output ciphertexts.  All verifier
-challenges are replaced by hash-to-scalar over a canonical transcript
-serialization.
-
-Challenges are short, as in Terelius and Wikstroem, "Proofs of
-Restricted Shuffles" (AFRICACRYPT 2010): when q has more than 128 bits,
-each entry of u and the challenge gamma is a 128-bit integer, not
-reduced mod q; in a smaller group each is a scalar mod q.  Soundness of
-a single repetition degrades with the challenge space, so the whole
-argument is repeated `security_rounds(q)` times with independent
-challenges; the mid-size and 2048-bit presets need one round, the toy
-group twenty.
-
-Responses s'_i are integers, as in Verificatum, when q has more than
-385 bits (the 2048-bit preset): each randomizer w'_i is a 384-bit
-integer and s'_i = w'_i + gamma * u~_i is posted unreduced, below 2^385.
-Since gamma * u~_i < 2^256, each s'_i is within statistical distance
-2^-128 of uniform on its range whatever u~_i is, so it hides the
-permutation; the prover's products over the generators and the outputs
-and the verifier's weighted powers of them then take exponents of at
-most 384 and about 512 bits instead of |q|.  In a smaller group (the toy
-and mid presets) w'_i is uniform mod q and s'_i is reduced mod q.
-
-Commitment generators are derived by hashing into the group, so no
-trusted setup is involved.  The prover builds, through
-`groups.fixed_base`, the tables of g, of the key h and of the commitment
-base, the only bases it raises to full-size exponents.  In a large group
-each of t3, t4a, t4b and every t_hat is one `groups.multi_exp`, whose
-chain of squarings reads those tables and runs only as long as its
-other exponents: 384 bits for the w'_i in t3 and t4, and none in t_hat,
-which the prover states over g and the commitment base from its known
-logs (128 squarings at 2048 bits).  Each chain element is g^rho_hat_i
-times a 128-bit power of the one before it, one product too.  Below
-`_PRODUCT_CHAIN_MIN_BITS` (the toy and mid presets), where two
-fixed-base powers measure faster, each chain element and t_hat is two
-of them.  The witness re-check is one weighted `groups.products_equal`
-over the 2n re-randomization equations, after a membership test of
-every input and output, and only if either fails are the outputs
-checked one by one to name the first that does not match.  Only
-`groups` decides which bases get tables.
-
-The verifier checks the proof's shape, that every response is in [0, q)
-(an integer s'_i in [0, 2^385)) and that every distinct element is in
-the order-q subgroup.  It then states each repetition's n + 5 equations
-(t1, t2, t3, t4a, t4b, the n t_hat) as products of powers equal to a
-target, every right-hand power moved left, and hands them all, lazily,
-to `groups.products_equal`.  A short challenge's powers go in with
-negative exponents (-gamma, -u_j * gamma), which that check keeps
-short; g, h and the commitment base, which carry the long exponents,
-are read from their tables where those already exist (in the process
-that proved the shuffle, not in a fresh one), so at 2048 bits the left
-side's chain is then about 513 squarings instead of 2047.  In a large
-group the check is one random linear combination with 128-bit weights
-seeded by the statement digest and the proof's bytes, so the weights
-cover the responses and the verifier stays a pure function of its
-input; a false proof passes with probability at most 2^-128 more than
-when each equation is checked, as the toy group does.
+links the aggregated input and output ciphertexts.  Every challenge is
+hashed from a canonical transcript serialization (`fs_challenge`), and
+the commitment generators are hashed into the group, so no trusted
+setup is involved.
 
 Every element and scalar is encoded big-endian at one width, the byte
 length of p, for the statement digest, both challenges and the proof.
-In each repetition the n entries of u are cut from one SHAKE-256 stream
-over `u|statement digest|round|perm_commits` (domain
-`ivxvsim/shuffle-v4`), so hashing is linear in n.  A proof (`IVXVSHF4`)
-is the magic, n and the repetition count (4 bytes each), then each
-repetition's 5n + 9 values in `ProofRound` field order, so its header
-and the group fix its length; an integer s'_i fits that width.  Proofs
-of the earlier formats (v1 length-prefixed, v2 with mod-q challenges,
-v3 with mod-q responses) no longer verify.
+A proof (`PROOF_MAGIC`) is the magic, n and the repetition count (4
+bytes each), then each repetition's 5n + 9 values in `ProofRound` field
+order, so its header and the group fix its length.
 """
 
 from __future__ import annotations
@@ -94,12 +36,10 @@ _HEADER_LEN = len(PROOF_MAGIC) + 8   # magic, n, repetitions
 # Target grinding resistance of ~2^80 across repetitions.
 _ROUND_TARGET_BITS = 80
 
-# Length of a challenge in a group whose order is longer.
+# Length of a challenge in a large group.
 _CHALLENGE_BITS = 128
 
-# In a group whose order is longer than a response, each randomizer w'_i
-# has 384 bits, so that s'_i = w'_i + gamma * u~_i < 2^384 + 2^256 is
-# posted as an integer below 2^385.
+# Lengths of w'_i and of an integer s'_i (see `_integer_responses`).
 _RANDOMIZER_BITS = 3 * _CHALLENGE_BITS
 _RESPONSE_BITS = _RANDOMIZER_BITS + 1
 
@@ -108,23 +48,13 @@ class BadWitness(ValueError):
     """Witness does not reproduce the statement's outputs from its inputs."""
 
 
-# Size of p from which the prover states each chain element and t_hat as
-# one `multi_exp` (the recurrence g^rho_hat_i * prev^u~_i, and t_hat over g
-# and the commitment base in one chain of squarings) rather than as two
-# fixed-base powers.  Measured crossover, one round's chain and t_hat at
-# n = 20 on an Intel Xeon, Python 3.11: the two paths tie at 384 and 512
-# bits, and the products take 0.6-0.85 of the time at 768, 0.82 at 1024,
-# 0.71 at 1536 and 0.68-0.73 at 2048, but 1.15 at 256 (the mid preset)
-# and 2.3 at n = 2000 in the toy group, where the builtin pow does the
-# work and a multi_exp call only adds Python overhead.
-_PRODUCT_CHAIN_MIN_BITS = 768
-
-
-def _short_challenges(q: int) -> bool:
-    return q.bit_length() > _CHALLENGE_BITS
-
-
 def _integer_responses(q: int) -> bool:
+    """Whether each s'_i = w'_i + gamma * u~_i is posted as an integer, as
+    in Verificatum: with a 384-bit w'_i and gamma * u~_i < 2^256 it is
+    within statistical distance 2^-128 of uniform on its range, so it
+    hides the permutation, and products over the generators and outputs
+    take short exponents.  s'_i < 2^385 must fit the proof's width, so
+    only when q has more than 385 bits; else s'_i is a scalar mod q."""
     return q.bit_length() > _RESPONSE_BITS
 
 
@@ -134,25 +64,28 @@ def security_rounds(q: int) -> int:
     return max(1, -(-_ROUND_TARGET_BITS // min(q.bit_length(), _CHALLENGE_BITS)))
 
 
-def _fs_scalars(transcript: bytes, q: int, count: int, tag: bytes = FS_DOMAIN) -> list[int]:
-    short = _short_challenges(q)
-    need = _CHALLENGE_BITS // 8 if short else (q.bit_length() + 128 + 7) // 8
+def _fs_scalars(transcript: bytes, params: GroupParams, count: int,
+                tag: bytes = FS_DOMAIN) -> list[int]:
+    q = params.q
+    need = _CHALLENGE_BITS // 8 if params.large else (q.bit_length() + 128 + 7) // 8
     stream = hashlib.shake_256(tag + b"|" + transcript).digest(count * need)
     cuts = range(0, count * need, need)
-    if short:
+    if params.large:
         return [int.from_bytes(stream[i : i + need], "big") for i in cuts]
     return [int.from_bytes(stream[i : i + need], "big") % q for i in cuts]
 
 
-def fs_challenge(transcript: bytes, q: int, tag: bytes = FS_DOMAIN) -> int:
+def fs_challenge(transcript: bytes, params: GroupParams, tag: bytes = FS_DOMAIN) -> int:
     """Deterministic, domain-separated hash of a transcript to a challenge.
 
-    When q has more than 128 bits the challenge is the first 128 bits of
-    a SHAKE-256 stream, an integer below 2^128 and so below q.  Otherwise
-    it is a scalar mod q, the stream read to 128 bits beyond the order
-    to keep the reduction bias negligible.
+    In a large group the challenge is the first 128 bits of a SHAKE-256
+    stream, an integer below q, as in Terelius and Wikstroem, "Proofs of
+    Restricted Shuffles" (AFRICACRYPT 2010).  Otherwise it is a scalar
+    mod q, the stream read to 128 bits beyond the order to keep the
+    reduction bias negligible, and `security_rounds` repeats the argument
+    to make up for the small challenge space.
     """
-    return _fs_scalars(transcript, q, 1, tag)[0]
+    return _fs_scalars(transcript, params, 1, tag)[0]
 
 
 def _width(p: int) -> int:
@@ -248,15 +181,18 @@ def _generators(p: int, q: int, g: int, n: int) -> tuple[int, tuple[int, ...], i
     return base, gens, pow(gens_product, -1, p)
 
 
-def _challenge_vector(stmt_digest: bytes, rnd: int, perm_bytes: bytes, n: int, q: int) -> list[int]:
-    """The n entries of u, from the encoded permutation commitments."""
-    return _fs_scalars(b"u|" + stmt_digest + rnd.to_bytes(4, "big") + perm_bytes, q, n)
+def _challenge_vector(stmt_digest: bytes, rnd: int, perm_bytes: bytes, n: int,
+                      params: GroupParams) -> list[int]:
+    """The n entries of u, cut from one SHAKE-256 stream over the encoded
+    permutation commitments, so hashing is linear in n."""
+    return _fs_scalars(b"u|" + stmt_digest + rnd.to_bytes(4, "big") + perm_bytes, params, n)
 
 
-def _round_gamma(stmt_digest: bytes, rnd: int, perm_bytes: bytes, rest, width: int, q: int) -> int:
+def _round_gamma(stmt_digest: bytes, rnd: int, perm_bytes: bytes, rest, width: int,
+                 params: GroupParams) -> int:
     """gamma over perm_commits (as encoded for u), then `rest`: chain, t1..t4b, t_hat."""
     return fs_challenge(b"gamma|" + stmt_digest + rnd.to_bytes(4, "big") + perm_bytes
-                        + _encode(rest, width), q)
+                        + _encode(rest, width), params)
 
 
 def _chain_and_t_hat(params: GroupParams, base: int, u_tld, rho_hat, w_hat, w_prm):
@@ -267,22 +203,20 @@ def _chain_and_t_hat(params: GroupParams, base: int, u_tld, rho_hat, w_hat, w_pr
 
     The prover knows prev_i = g^a * base^b, starting from a = 0, b = 1:
     then t_hat_i = g^(w_hat_i + w'_i a) * base^(w'_i b) and chain_i =
-    g^(rho_hat_i + u~_i a) * base^(u~_i b).  From `_PRODUCT_CHAIN_MIN_BITS`
-    up, each t_hat_i is one product over the two tabled bases, and each
-    chain element the recurrence itself, a full power of g read from its
-    table times a u~_i-th power of prev_i, one product too; in smaller
-    groups each is two fixed-base powers."""
-    p, q, g = params.p, params.q, params.g
+    g^(rho_hat_i + u~_i a) * base^(u~_i b).  In a large group each t_hat_i
+    is one product over the two tabled bases and each chain element the
+    recurrence itself, one product too; in a small group, where the
+    builtin pow does the work, each is two fixed-base powers."""
+    p, q, g, large = params.p, params.q, params.g, params.large
     g_pow, base_pow = fixed_base(params, g), fixed_base(params, base)   # builds both tables
-    products = p.bit_length() >= _PRODUCT_CHAIN_MIN_BITS
     chain, t_hat = [], []
     a, b, prev = 0, 1, base
     for u_i, r_i, w_i, w_prm_i in zip(u_tld, rho_hat, w_hat, w_prm):
         x, y = (w_i + w_prm_i * a) % q, w_prm_i * b % q
-        t_hat.append(multi_exp(params, (g, base), (x, y)) if products
+        t_hat.append(multi_exp(params, (g, base), (x, y)) if large
                      else g_pow(x) * base_pow(y) % p)
         a, b = (r_i + u_i * a) % q, u_i * b % q
-        prev = multi_exp(params, (g, prev), (r_i, u_i)) if products else g_pow(a) * base_pow(b) % p
+        prev = multi_exp(params, (g, prev), (r_i, u_i)) if large else g_pow(a) * base_pow(b) % p
         chain.append(prev)
     return chain, t_hat, a
 
@@ -291,10 +225,9 @@ def _check_witness(statement: ShuffleStatement, witness: ShuffleWitness, seed: b
     """Raise BadWitness, naming the first output that is not a
     re-randomization of its input, unless g^r_i * c1 = c1' and
     h^r_i * c2 = c2' for every output (c1', c2') and its input (c1, c2).
-    The 2n equations are checked as one by `groups.products_equal`,
-    whose weights `seed` must cover, once every input and output is found
-    in the order-q subgroup, as that check requires; if one is not, or
-    the check fails, one output at a time."""
+    Once every input and output is found in the order-q subgroup, the 2n
+    equations are one `groups.products_equal`, whose weights `seed` must
+    cover; if that fails, each output is checked in turn."""
     pk = statement.pk
     params = pk.params
     q, g = params.q, params.g
@@ -340,7 +273,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         for i in range(n):
             commits[perm[i]] = g_pow(rho[perm[i]]) * gens[i] % p
         perm_bytes = _encode(commits, width)
-        u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, q)
+        u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, params)
         u_tld = [u[perm[i]] for i in range(n)]
 
         rho_hat = [rng.randrange(q) for _ in range(n)]
@@ -363,7 +296,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         t4b = multi_exp(params, (pk.h, *out_b), (-w_r % q, *w_prm))
 
         gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
-                             (*chain, t1, t2, t3, t4a, t4b, *t_hat), width, q)
+                             (*chain, t1, t2, t3, t4a, t4b, *t_hat), width, params)
 
         rounds.append(ProofRound(
             perm_commits=tuple(commits),
@@ -393,14 +326,14 @@ def _round_equations(stmt_digest: bytes, rnd: int, pr: ProofRound, params: Group
     n = len(pr.perm_commits)
     width = _width(p)
     perm_bytes = _encode(pr.perm_commits, width)
-    u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, q)
+    u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, params)
     gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
                          (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat),
-                         width, q)
-    # a short challenge's powers stay short as negative exponents, which
+                         width, params)
+    # a 128-bit challenge's powers stay short as negative exponents, which
     # products_equal moves to its short side; mod-q challenges are reduced,
     # as the builtin pow of a small group wants them
-    short = _short_challenges(q)
+    short = params.large
     neg_gamma = -gamma if short else -gamma % q
     neg_u_gamma = [u_j * neg_gamma for u_j in u] if short else [u_j * neg_gamma % q for u_j in u]
 

@@ -320,6 +320,66 @@ def test_replay_detects_transcript_edits():
     assert not recomputed.valid
 
 
+def replay_edited(result, edit) -> AuditVerdict:
+    """The recomputed verdict of the run's stored transcript after
+    edit(event) has changed its events in place."""
+    events = [json.loads(line) for line in result.transcript.to_jsonl().splitlines()]
+    for event in events:
+        edit(event)
+    text = "".join(json.dumps(event) + "\n" for event in events)
+    return audit_transcript(ElectionTranscript.from_jsonl(text))[0]
+
+
+def board_entry(event, kind):
+    entry = event.get("payload", {}).get("entry")
+    return entry if isinstance(entry, dict) and entry.get("kind") == kind else None
+
+
+def test_a_rewritten_tally_is_invalid():
+    result = run_election(honest_config(n_voters=5, seed=1))
+    assert result.tally == {0: 1, 1: 2, 2: 2} and result.verdict.valid
+
+    def rewrite(counts):
+        def edit(event):
+            entry = board_entry(event, "tally")
+            if entry is not None:
+                entry["counts"] = counts
+        return edit
+
+    assert replay_edited(result, rewrite({"0": 5})) == AuditVerdict(False, "tally")
+    assert replay_edited(result, rewrite({"0": 1, "1": 2})) == AuditVerdict(False, "tally")
+
+    def drop(event):
+        entry = board_entry(event, "tally")
+        if entry is not None:
+            entry["kind"] = "note"
+
+    assert replay_edited(result, drop) == AuditVerdict(False, "tally")
+    # JSON true is not a count of 1, and a malformed tally names its field
+    for counts in ({"0": True, "1": 2, "2": 2}, {"0": "1"}, [1, 2, 2]):
+        with pytest.raises(ReplayError, match="counts"):
+            replay_edited(result, rewrite(counts))
+
+
+def test_a_key_that_does_not_match_h_is_invalid():
+    # in the toy group sk = 5 opens the outputs to other candidates; a
+    # transcript that posts them, and their tally, still fails on the key
+    result = run_election(honest_config(n_voters=3, seed=2))
+    assert result.verdict.valid
+
+    def edit(event):
+        if event.get("kind") == "election-key":
+            assert event["payload"]["sk"] == 1
+            event["payload"]["sk"] = 5
+        if board_entry(event, "plaintexts") is not None:
+            assert event["payload"]["entry"]["values"] == [0, 1, 2]
+            event["payload"]["entry"]["values"] = [1, 0, 0]
+        if board_entry(event, "tally") is not None:
+            event["payload"]["entry"]["counts"] = {"0": 2, "1": 1}
+
+    assert replay_edited(result, edit) == AuditVerdict(False, "decryption")
+
+
 def test_transcript_jsonl_roundtrip():
     result = run_election(honest_config())
     text = result.transcript.to_jsonl()

@@ -9,7 +9,7 @@ import pytest
 from ivxvsim import functionalities, groups
 from ivxvsim.adversary import ManipulationPolicy
 from ivxvsim.ceremony import ea_accept_ballot
-from ivxvsim.elgamal import Ciphertext, encrypt, make_keypair
+from ivxvsim.elgamal import Ciphertext, SecretKey, encrypt, make_keypair
 from ivxvsim.functionalities import (
     REJECTED_PLAINTEXT,
     AuditDevice,
@@ -286,7 +286,7 @@ def test_posted_plaintexts_are_checked_without_decrypting(preset):
     pairs = [[c.c1, c.c2] for c in cts]
     values = [0, 3, 1, REJECTED_PLAINTEXT]
     assert decrypt_all(sk, pairs) == values
-    assert plaintexts_match(sk, pairs, values)
+    assert plaintexts_match(sk, pk.h, pairs, values)
     for changed in ([0, 2, 1, -1],     # a wrong value
                     [-1, 3, 1, -1],    # a spurious REJECTED_PLAINTEXT
                     [0, 3, 4, -1],     # a value at the bound
@@ -294,7 +294,13 @@ def test_posted_plaintexts_are_checked_without_decrypting(preset):
                     [0, 3, 1, -2],
                     [0, 3, 1],         # a wrong length
                     [0, 3, 1, -1, 0]):
-        assert not plaintexts_match(sk, pairs, changed), changed
+        assert not plaintexts_match(sk, pk.h, pairs, changed), changed
+    # a key other than h's, with the values it decrypts to
+    other = SecretKey(params, sk.sk + 1)
+    opened = decrypt_all(other, pairs)
+    assert plaintexts_match(other, pow(g, other.sk, p), pairs, opened)
+    assert not plaintexts_match(other, pk.h, pairs, opened)
+    assert not plaintexts_match(other, pk.h, [], [])
 
 
 @pytest.mark.parametrize("preset", ["mid", "standard"])
@@ -320,7 +326,7 @@ def test_plaintext_check_is_one_full_power_and_binds_every_value(preset, n, monk
 
     monkeypatch.setattr(functionalities, "power", counting_power)
     monkeypatch.setattr(functionalities, "multi_exp", recording_multi_exp)
-    assert plaintexts_match(sk, pairs, values)
+    assert plaintexts_match(sk, pk.h, pairs, values)
     assert len(full) == 1 and len(short) == 1      # (prod c1^w)^sk and g^(sum w m)
     monkeypatch.undo()
     changed = []
@@ -332,7 +338,7 @@ def test_plaintext_check_is_one_full_power_and_binds_every_value(preset, n, monk
             changed.append(values[:i] + [values[i + 1], values[i]] + values[i + 2 :])
     assert len(changed) > 2 * n or n == 1
     for wrong in changed:
-        assert not plaintexts_match(sk, pairs, wrong), wrong
+        assert not plaintexts_match(sk, pk.h, pairs, wrong), wrong
 
 # ----------------------------------------------------- voting/audit devices
 

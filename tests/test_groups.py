@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from ivxvsim import groups
+from ivxvsim import groups, shuffle
 from ivxvsim.groups import (
     MAX_CANDIDATE_BOUND,
     GroupParams,
@@ -118,6 +118,21 @@ def test_group_params_rejects_a_modulus_that_is_not_2q_plus_1():
     with pytest.raises(ValueError):
         GroupParams(p=47, q=11, g=2, candidate_bound=2)
     assert GroupParams(p=47, q=23, g=2, candidate_bound=2).q == 23
+
+
+@pytest.mark.parametrize("preset, large, integer_responses", [
+    ("toy", False, False), ("mid", True, False), ("standard", True, True),
+])
+def test_each_preset_has_one_size_regime(preset, large, integer_responses):
+    # large: q > 2^128, so 128-bit challenges and batch weights are sound;
+    # integer s' responses below 2^385 need q wider than that
+    params = setup(preset, 2)
+    assert params.large is large
+    assert shuffle._integer_responses(params.q) is integer_responses
+    # derived, not a knob: no constructor argument, no part of equality
+    with pytest.raises(TypeError):
+        GroupParams(p=params.p, q=params.q, g=params.g, candidate_bound=2, large=not large)
+    assert params == setup(preset, 2) and hash(params) == hash(setup(preset, 2))
 
 
 @pytest.mark.parametrize("preset", PRESETS)

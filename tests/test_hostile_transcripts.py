@@ -1,14 +1,16 @@
 """Replay of hostile transcripts: every single-field mutation of a stored
 transcript must end in a verdict or a ReplayError, never another
-exception."""
+exception, and a valid verdict must certify the run's own tally."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from ivxvsim.ceremony import (ElectionConfig, ElectionTranscript, ReplayError,
                               audit_transcript, run_election)
+from ivxvsim.functionalities import latest_entry
 
 DELETE = object()
 MUTATIONS = 500
@@ -28,6 +30,18 @@ def paths(node, prefix=()):
     for key, child in items:
         yield prefix + (key,)
         yield from paths(child, prefix + (key,))
+
+
+def every_mutation(lines):
+    """(line index, path, replacement) for every single-field mutation."""
+    for index, line in enumerate(lines):
+        doc = json.loads(line)
+        for path in paths(doc):
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            for replacement in replacements(parent[path[-1]]):
+                yield index, path, replacement
 
 
 def mutate(line: str, path, replacement) -> str:
@@ -57,15 +71,16 @@ def transcript_lines():
     return run_election(config).transcript.to_jsonl().splitlines()
 
 
+@pytest.fixture(scope="module")
+def mid_lines():
+    # the 256-bit group, whose shuffle proof carries 128-bit challenges
+    config = ElectionConfig(n_voters=4, n_trustees=3, threshold=2, candidate_bound=3, seed=12,
+                            group_preset="mid", scripts={1: "VVC", 2: "VC"})
+    return run_election(config).transcript.to_jsonl().splitlines()
+
+
 def test_single_field_mutations_end_in_verdict_or_replay_error(transcript_lines):
-    candidates = []
-    for index, line in enumerate(transcript_lines):
-        doc = json.loads(line)
-        for path in paths(doc):
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            candidates += [(index, path, r) for r in replacements(parent[path[-1]])]
+    candidates = list(every_mutation(transcript_lines))
     rng = random.Random("hostile-transcripts")
     chosen = rng.sample(candidates, MUTATIONS)
     outcomes = {"verdict": 0, "ReplayError": 0}
@@ -112,11 +127,8 @@ def test_registry_message_outside_ascii_is_a_replay_error(transcript_lines):
         audit_transcript(ElectionTranscript.from_jsonl("\n".join(lines) + "\n"))
 
 
-def test_single_field_mutations_of_a_mid_group_transcript():
-    # the 256-bit group, whose shuffle proof carries 128-bit challenges
-    config = ElectionConfig(n_voters=4, n_trustees=3, threshold=2, candidate_bound=3, seed=12,
-                            group_preset="mid", scripts={1: "VVC", 2: "VC"})
-    lines = run_election(config).transcript.to_jsonl().splitlines()
+def test_single_field_mutations_of_a_mid_group_transcript(mid_lines):
+    lines = mid_lines
     rng = random.Random("hostile-mid-transcripts")
     outcomes = {"verdict": 0, "ReplayError": 0}
     for _ in range(200):
@@ -130,3 +142,29 @@ def test_single_field_mutations_of_a_mid_group_transcript():
         edited[index] = mutate(lines[index], path, rng.choice(replacements(value)))
         outcomes[replay_outcome("\n".join(edited) + "\n")] += 1
     assert outcomes["verdict"] > 0 and outcomes["ReplayError"] > 0
+
+
+def posted_tally(transcript: ElectionTranscript) -> dict:
+    entries = [(0, e["payload"]["entry"]) for e in transcript.events_of("pub-post")]
+    return latest_entry(entries, "tally")["counts"]
+
+
+@pytest.mark.parametrize("lines_fixture", ["transcript_lines", "mid_lines"], ids=["toy", "mid"])
+def test_a_valid_replay_after_any_single_field_mutation_posts_the_run_tally(lines_fixture,
+                                                                            request):
+    lines = request.getfixturevalue(lines_fixture)
+    expected = posted_tally(ElectionTranscript.from_jsonl("\n".join(lines) + "\n"))
+    outcomes = Counter()
+    for index, path, replacement in every_mutation(lines):
+        edited = list(lines)
+        edited[index] = mutate(lines[index], path, replacement)
+        try:
+            transcript = ElectionTranscript.from_jsonl("\n".join(edited) + "\n")
+            recomputed, _ = audit_transcript(transcript)
+        except ReplayError:
+            outcomes["ReplayError"] += 1
+            continue
+        outcomes[recomputed.reason or "valid"] += 1
+        if recomputed.valid:
+            assert posted_tally(transcript) == expected, (index, path, replacement)
+    assert outcomes["valid"] and outcomes["tally"] and outcomes["decryption"], outcomes

@@ -18,6 +18,11 @@ PINNED = {
     "toy": (dict(n_voters=8, n_trustees=3, threshold=2, candidate_bound=3, seed=11,
                  scripts={1: "VVC", 2: "VC", 3: "VV", 4: "VCV"}),
             "af87d1bab5df88f385805b8a166dce590acb94f36045ddb7ba58976cbbca0a17"),
+    # 256-bit group, 6 voters: the one preset on the large-group prover
+    # path without integer s' responses
+    "mid": (dict(n_voters=6, n_trustees=3, threshold=2, candidate_bound=3, seed=5,
+                 group_preset="mid", scripts={1: "VVC", 2: "VC", 3: "VCV"}),
+            "f458f73c0e72c454723d0126e9704bc521d20f3581a37bf23ba3d73c0e8cbfd4"),
     # 2048-bit group, 2 voters, one of whom re-votes
     "standard": (dict(n_voters=2, n_trustees=3, threshold=2, candidate_bound=3, seed=7,
                       group_preset="standard", scripts={1: "VVC", 2: "VC"}),
