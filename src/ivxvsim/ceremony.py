@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .behavior import BehaviorDistribution, default_distribution, validate_pattern
 from .elgamal import Ciphertext, PublicKey, SecretKey, encrypt, rerandomize
-from .groups import setup
+from .groups import products_equal, setup
 from .functionalities import (AuditDevice, BulletinBoard, CertRegistry,
                               DecryptionService, KeyGenService, REJECTED_PLAINTEXT,
                               VotingDevice, cipher_bytes, last_ballots, latest_entry,
-                              plaintexts_match)
+                              plaintext_equations)
 from .seeding import rng_for
 from .shuffle import (ShuffleStatement, ShuffleWitness, prove_shuffle,
-                      serialize_proof, verify_shuffle)
+                      serialize_proof, shuffle_equations, verify_shuffle)
 
 TOOL_VERSION = "0.1.0"
 
@@ -137,6 +138,12 @@ class ElectionConfig:
             raise ValueError("tamper-plaintext needs at least two candidates")
 
 
+# What json.loads raises on text it cannot turn into a value: a syntax
+# error, an integer longer than the interpreter converts, or nesting
+# deeper than its recursion limit.
+JSON_ERRORS = (ValueError, RecursionError)
+
+
 class ElectionTranscript:
     """Ordered event log plus the manifest that determines it."""
 
@@ -166,7 +173,7 @@ class ElectionTranscript:
             raise ReplayError("empty transcript")
         try:
             head = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+        except JSON_ERRORS as exc:
             raise ReplayError(f"bad manifest line: {exc}") from None
         if not isinstance(head, dict) or not isinstance(head.get("manifest"), dict):
             raise ReplayError("first line is not a manifest")
@@ -175,7 +182,7 @@ class ElectionTranscript:
         for ln in lines[1:]:
             try:
                 event = json.loads(ln)
-            except json.JSONDecodeError as exc:
+            except JSON_ERRORS as exc:
                 raise ReplayError(f"bad event line: {exc}") from None
             if not isinstance(event, dict) or not {"seq", "phase", "actor", "kind", "payload"} <= set(event):
                 raise ReplayError("event missing required fields")
@@ -499,13 +506,21 @@ def _audit(transcript: ElectionTranscript) -> AuditVerdict:
         proof_blob = bytes.fromhex(shuffle_entry["proof"])
     except ValueError:
         return AuditVerdict(False, "shuffle-proof")
-    if not verify_shuffle(statement, proof_blob):
+    stated = shuffle_equations(statement, proof_blob)
+    if stated is None:
         return AuditVerdict(False, "shuffle-proof")
+    equations, seed = stated
 
+    # shuffle_equations has found h and every output in the group.  The
+    # shuffle's and the plaintexts' equations are checked as one product;
+    # only if that fails, or the plaintexts state none, is the shuffle
+    # checked alone, to tell a false proof from false plaintexts.
     posted = latest_entry(pub_entries, "plaintexts")
-    # verify_shuffle has accepted, so every output is in the group
-    if posted is None or not plaintexts_match(SecretKey(params, sk_value), pk.h, outputs,
-                                              posted["values"]):
+    plain = None if posted is None else plaintext_equations(
+        SecretKey(params, sk_value), pk.h, outputs, posted["values"])
+    if plain is None or not products_equal(params, chain(equations, plain[0]), seed + plain[1]):
+        if not verify_shuffle(statement, proof_blob):
+            return AuditVerdict(False, "shuffle-proof")
         return AuditVerdict(False, "decryption")
     tally = latest_entry(pub_entries, "tally")
     counts = tally_alg(posted["values"], params.candidate_bound)

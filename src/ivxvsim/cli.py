@@ -23,7 +23,7 @@ from .adversary import (AttackOutcome, PolicyDomainError, end_to_end_attack,
                         optimal_policy, outcome_probabilities, policy_from_spec,
                         undetected_probability, CSV_REPORT_HEADER)
 from .behavior import default_distribution, load_distribution
-from .ceremony import (CeremonyError, ElectionConfig, ElectionTranscript,
+from .ceremony import (JSON_ERRORS, CeremonyError, ElectionConfig, ElectionTranscript,
                        ReplayError, TOOL_VERSION, audit_transcript, run_election)
 
 _CONFIG_KEYS = {field.name for field in dataclasses.fields(ElectionConfig)}
@@ -63,7 +63,7 @@ def _load_config(path, flag_seed, refused=None) -> tuple[ElectionConfig, dict]:
         raise CliError(f"cannot read config: {exc}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except JSON_ERRORS as exc:
         raise CliError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise CliError("config must be a JSON object")

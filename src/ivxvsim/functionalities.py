@@ -4,7 +4,9 @@ and the voter-side devices.
 
 Each is a single-threaded object addressed by an election identifier;
 "ideal" means the component itself is incorruptible, while its callers
-(devices, authority) may misbehave.
+(devices, authority) may misbehave.  The equations that posted
+plaintexts must satisfy (`plaintext_equations`) are stated here, for the
+auditor to check alone or in one product with a shuffle's.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .elgamal import (Ciphertext, NotACandidate, PublicKey, RandomnessMismatch,
                       SecretKey, decrypt, encrypt, keygen, trapdoor_decrypt)
-from .groups import batch_weights, multi_exp, power, products_equal
+from .groups import batch_weights, multi_exp, products_equal
 from .shamir import SecretShare, deal, reconstruct
 
 # Tally marker for a shuffled ciphertext that decrypts outside the
@@ -89,41 +91,54 @@ def decrypt_all(sk: SecretKey, pairs) -> list[int]:
     return out
 
 
-def plaintexts_match(sk: SecretKey, h: int, pairs, values) -> bool:
-    """Whether g^sk = h and `values` is what decrypt_all(sk, pairs)
-    returns.  Each value m in the candidate range states c1^sk * g^m = c2
-    for its ciphertext, and the key states the same for (g, h) and m = 0;
-    a REJECTED_PLAINTEXT is confirmed by decrypting its ciphertext.  h
-    and every c1 and c2 must be in the order-q subgroup, as an accepted
-    shuffle proof establishes.
+def plaintext_equations(sk: SecretKey, h: int, pairs, values):
+    """The equations stating that g^sk = h and that `values` is what
+    decrypt_all(sk, pairs) returns, as (equations, seed) for
+    `groups.products_equal`; None when `values` has the wrong length or
+    a value outside the candidate range, or marks REJECTED_PLAINTEXT a
+    ciphertext that decrypts to a candidate.  Each value m in the
+    candidate range states c1^sk * g^m = c2 for its ciphertext, and the
+    key states the same for (g, h) and m = 0.  h and every c1 and c2 must
+    be in the order-q subgroup, as an accepted shuffle proof establishes.
 
-    In a large group the equations are checked as one, with 128-bit
-    weights w_0 for the key and w_i for the values (`batch_weights`):
-    (g^w_0 * prod c1_i^w_i)^sk * g^(sum w_i m_i) = h^w_0 * prod c2_i^w_i,
-    with one full-size power, where the equations as stated would raise
-    every c1 to a full-size w_i * sk.  A false key or list passes with
-    probability at most 2^-128.  A small group checks each equation."""
+    In a large group the equations are stated as one, with 128-bit
+    weights w_0 for the key and w_i for the values (`batch_weights` over
+    the seed): X^sk * g^(sum w_i m_i) * h^-w_0 * prod c2_i^-w_i = 1, where
+    X = g^w_0 * prod c1_i^w_i is one product over the weights.  Its one
+    full-size exponent, sk on X, shares the squaring chain of whatever
+    product checks it, and g, h and the c2_i are bases a shuffle's
+    equations already carry; stated one by one, every c1 would take a
+    full-size w_i * sk.  A false key or list passes with probability at
+    most 2^-128.  A small group states each equation."""
     params = sk.params
     if len(values) != len(pairs):
-        return False
-    p, g, key = params.p, params.g, sk.sk % params.q
+        return None
+    g, key = params.g, sk.sk % params.q
     stated = [(g, h, 0)]    # (c1, c2, m): the key, then each value in the candidate range
     for (c1, c2), m in zip(pairs, values):
         if m == REJECTED_PLAINTEXT:
             if decrypt_all(sk, [(c1, c2)]) != [REJECTED_PLAINTEXT]:
-                return False
+                return None
         elif 0 <= m < params.candidate_bound:
             stated.append((c1, c2, m))
         else:
-            return False
+            return None
     seed = b"plaintexts|" + b"|".join(
         b"%d" % x for x in (key, h, *chain.from_iterable(pairs), *values))
     if not params.large:
-        return products_equal(params, [((c1, g), (key, m), c2) for c1, c2, m in stated], seed)
+        return [((c1, g), (key, m), c2) for c1, c2, m in stated], seed
     weights = batch_weights(seed, len(stated))
-    left = power(params, multi_exp(params, [c1 for c1, _, _ in stated], weights), key)
-    left = left * power(params, g, sum(w * m for w, (_, _, m) in zip(weights, stated))) % p
-    return left == multi_exp(params, [c2 for _, c2, _ in stated], weights)
+    x = multi_exp(params, [c1 for c1, _, _ in stated], weights)
+    bases = (x, g, *[c2 for _, c2, _ in stated])
+    exponents = (key, sum(w * m for w, (_, _, m) in zip(weights, stated)), *[-w for w in weights])
+    return [(bases, exponents, 1)], seed
+
+
+def plaintexts_match(sk: SecretKey, h: int, pairs, values) -> bool:
+    """Whether g^sk = h and `values` is what decrypt_all(sk, pairs)
+    returns: `plaintext_equations` checked by `groups.products_equal`."""
+    stated = plaintext_equations(sk, h, pairs, values)
+    return stated is not None and products_equal(sk.params, *stated)
 
 
 class BulletinBoard:

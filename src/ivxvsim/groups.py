@@ -338,12 +338,14 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
     two `multi_exp` calls.  A base with e_i >= 0 goes on the left as
     base^(w_k * e_i), to be reduced mod q, and one with e_i < 0 on the
     right as base^(w_k * |e_i|), beside the targets: a short exponent
-    passed negated, rather than reduced mod q, keeps its power short.  Each base's exponents are summed on its side, and a base on
-    both sides is folded into the left.  If an equation fails, at most
-    one value of its weight makes the sums agree, so a false set passes
-    with probability at most 2^-128; the seed must cover everything the
-    equations are built from, so that none can be chosen after the
-    weights.
+    passed negated, rather than reduced mod q, keeps its power short.
+    Each base's exponents are summed on its side, a base on both sides
+    is folded into the left, and a target of 1 adds nothing, so an
+    equation may be stated as a product equal to 1.  If an equation
+    fails, at most one value of its weight makes the sums agree, so a
+    false set passes with probability at most 2^-128; the seed must cover
+    everything the equations are built from, so that none can be chosen
+    after the weights.
 
     In a small group each equation is checked in turn, up to the first
     that fails: with q = 11 a weighted check would pass a false set one
@@ -372,7 +374,8 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
                 right[b] = right.get(b, 0) - w * e
             else:
                 left[b] = left.get(b, 0) + w * e
-        right[target] = right.get(target, 0) + w
+        if target != 1:
+            right[target] = right.get(target, 0) + w
     for b in left.keys() & right.keys():
         left[b] -= right.pop(b)
     return multi_exp(params, left, left.values()) == multi_exp(params, right, right.values())

@@ -10,6 +10,10 @@ hashed from a canonical transcript serialization (`fs_challenge`), and
 the commitment generators are hashed into the group, so no trusted
 setup is involved.
 
+The verifier states what it checks as equations (`shuffle_equations`),
+so that an auditor can check them in one weighted product together with
+others; `verify_shuffle` checks them alone.
+
 Every element and scalar is encoded big-endian at one width, the byte
 length of p, for the statement digest, both challenges and the proof.
 A proof (`PROOF_MAGIC`) is the magic, n and the repetition count (4
@@ -33,7 +37,7 @@ PROOF_MAGIC = b"IVXVSHF4"
 
 _HEADER_LEN = len(PROOF_MAGIC) + 8   # magic, n, repetitions
 
-# Target grinding resistance of ~2^80 across repetitions.
+# Soundness target across repetitions, in bits (see `security_rounds`).
 _ROUND_TARGET_BITS = 80
 
 # Length of a challenge in a large group.
@@ -59,8 +63,10 @@ def _integer_responses(q: int) -> bool:
 
 
 def security_rounds(q: int) -> int:
-    """Number of parallel repetitions needed for the challenge space of
-    order q: min(|q|, 128) bits per repetition."""
+    """Number of parallel repetitions for the challenge space of order q:
+    ceil(80 / min(|q|, 128)), with |q| the bit length of q.  A challenge
+    mod q carries log2(q) bits, fewer than |q|, so the toy group's 20
+    repetitions of log2(11) ~ 3.46 bits reach about 69 bits, not 80."""
     return max(1, -(-_ROUND_TARGET_BITS // min(q.bit_length(), _CHALLENGE_BITS)))
 
 
@@ -362,10 +368,15 @@ def _round_equations(stmt_digest: bytes, rnd: int, pr: ProofRound, params: Group
                    zip(pr.s_hat, pr.s_prm, repeat(neg_gamma)), pr.t_hat)
 
 
-def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
-    """Check a proof against a statement.  Accepts either a ShuffleProof
-    or its byte serialization; anything malformed is a reject, not an
-    error."""
+def shuffle_equations(statement: ShuffleStatement, proof):
+    """The equations a proof must satisfy, as (equations, seed) for
+    `groups.products_equal`; None for a proof that is malformed, has the
+    wrong shape or a scalar out of range, or holds a value outside the
+    group.  Accepts either a ShuffleProof or its byte serialization.  The
+    equations are produced lazily; every element of the statement,
+    h included, has been found in the order-q subgroup, and the seed
+    covers the statement and every response, not only what the
+    challenges cover."""
     pk = statement.pk
     params = pk.params
     q = params.q
@@ -375,24 +386,24 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
         try:
             proof = deserialize_proof(blob, params)
         except ValueError:
-            return False
+            return None
     n = len(statement.inputs)
     if proof.n != n or len(proof.rounds) != security_rounds(q):
-        return False
+        return None
     # each distinct element of the statement and of every round is tested once
     elements = {pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct)}
     s_prm_bound = 1 << _RESPONSE_BITS if _integer_responses(q) else q
     for pr in proof.rounds:
         if not (len(pr.perm_commits) == len(pr.chain_commits) == len(pr.t_hat)
                 == len(pr.s_hat) == len(pr.s_prm) == n):
-            return False
+            return None
         values = pr.values()
         scalars = values[3 * n + 5 :]          # s_bar .. s_hat, then s_prm
         if min(scalars) < 0 or max(scalars[: n + 4]) >= q or max(pr.s_prm) >= s_prm_bound:
-            return False
+            return None
         elements.update(values[: 3 * n + 5])   # commitments, t1..t4b, t_hat
     if not all(map(params.is_element, elements)):
-        return False
+        return None
     if blob is None:
         blob = serialize_proof(proof, params)
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
@@ -402,9 +413,15 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
     equations = chain.from_iterable(
         _round_equations(stmt_digest, rnd, pr, params, gens, gens_inverse, base, parts)
         for rnd, pr in enumerate(proof.rounds))
-    # the weights cover the statement and every response, not only what
-    # the challenges cover
-    return products_equal(params, equations, stmt_digest + blob)
+    return equations, stmt_digest + blob
+
+
+def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
+    """Check a proof against a statement: `shuffle_equations` checked by
+    `groups.products_equal`.  Anything malformed is a reject, not an
+    error."""
+    stated = shuffle_equations(statement, proof)
+    return stated is not None and products_equal(statement.pk.params, *stated)
 
 
 def serialize_proof(proof: ShuffleProof, params: GroupParams) -> bytes:

@@ -1,11 +1,13 @@
 """End-to-end election runs, the audit chain, and transcript replay."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
 
 import pytest
 
+from ivxvsim import ceremony, elgamal, functionalities, groups, shuffle
 from ivxvsim.adversary import ManipulationPolicy
 from ivxvsim.ceremony import (
     TAMPER_MODES,
@@ -19,6 +21,7 @@ from ivxvsim.ceremony import (
     run_election,
     tally_alg,
 )
+from ivxvsim.elgamal import SecretKey
 from ivxvsim.functionalities import (
     REJECTED_PLAINTEXT,
     Ballot,
@@ -26,6 +29,7 @@ from ivxvsim.functionalities import (
     CertRegistry,
     KeyGenService,
     VotingDevice,
+    decrypt_all,
     last_ballots,
 )
 from ivxvsim.groups import setup
@@ -378,6 +382,95 @@ def test_a_key_that_does_not_match_h_is_invalid():
             event["payload"]["entry"]["counts"] = {"0": 2, "1": 1}
 
     assert replay_edited(result, edit) == AuditVerdict(False, "decryption")
+
+
+# ------------------------------------------- one weighted product per audit
+
+@pytest.fixture(scope="module", params=["toy", "mid", "standard"])
+def three_voter_run(request):
+    result = run_election(honest_config(n_voters=3, seed=4, group_preset=request.param))
+    assert result.verdict.valid
+    return result
+
+
+def test_a_valid_replay_is_one_product_and_no_power(three_voter_run, monkeypatch):
+    # the shuffle's and the plaintexts' equations are checked together
+    calls = []
+
+    def counting(params, equations, seed):
+        calls.append(seed)
+        return groups.products_equal(params, equations, seed)
+
+    def no_power(*args):
+        raise AssertionError("a valid replay makes no power of its own")
+
+    for module in (ceremony, functionalities, shuffle):
+        monkeypatch.setattr(module, "products_equal", counting)
+    monkeypatch.setattr(groups, "power", no_power)
+    monkeypatch.setattr(elgamal, "power", no_power)
+    stored = ElectionTranscript.from_jsonl(three_voter_run.transcript.to_jsonl())
+    assert audit_transcript(stored)[0] == AuditVerdict(True, None)
+    assert len(calls) == 1
+
+
+def _posted(result, kind) -> dict:
+    """The last board entry of one kind in the run's transcript."""
+    return [board_entry(e, kind) for e in result.transcript.events
+            if board_entry(e, kind) is not None][-1]
+
+
+def _replay_with(result, forge_proof=False, values=None, sk=None) -> AuditVerdict:
+    """The recomputed verdict after the first round's s_bar is changed
+    (`forge_proof`), `values` and their tally are posted, or the key is
+    replaced by `sk`."""
+    manifest = result.transcript.manifest
+    params = setup(manifest["group_preset"], manifest["candidate_bound"])
+
+    def edit(event):
+        shuffled = board_entry(event, "shuffle")
+        if forge_proof and shuffled is not None:
+            proof = shuffle.deserialize_proof(bytes.fromhex(shuffled["proof"]), params)
+            first = dataclasses.replace(proof.rounds[0],
+                                        s_bar=(proof.rounds[0].s_bar + 1) % params.q)
+            forged = dataclasses.replace(proof, rounds=(first, *proof.rounds[1:]))
+            shuffled["proof"] = shuffle.serialize_proof(forged, params).hex()
+        if values is not None and board_entry(event, "plaintexts") is not None:
+            event["payload"]["entry"]["values"] = values
+        if values is not None and board_entry(event, "tally") is not None:
+            counts = tally_alg(values, params.candidate_bound)
+            event["payload"]["entry"]["counts"] = {str(c): v for c, v in counts.items()}
+        if sk is not None and event.get("kind") == "election-key":
+            event["payload"]["sk"] = sk
+
+    return replay_edited(result, edit)
+
+
+def _wrong_plaintexts(values) -> list:
+    """A value changed, one out of range, and one missing; each posted
+    with its tally."""
+    return [[(values[0] + 1) % 3, *values[1:]], [7, *values[1:]], values[:-1]]
+
+
+def test_a_false_proof_is_named_before_false_plaintexts(three_voter_run):
+    values = _posted(three_voter_run, "plaintexts")["values"]
+    for wrong in (None, *_wrong_plaintexts(values)):
+        assert _replay_with(three_voter_run, forge_proof=True, values=wrong) == \
+            AuditVerdict(False, "shuffle-proof"), wrong
+
+
+def test_false_plaintexts_or_key_under_a_valid_proof_are_decryption(three_voter_run):
+    values = _posted(three_voter_run, "plaintexts")["values"]
+    for wrong in _wrong_plaintexts(values):
+        assert _replay_with(three_voter_run, values=wrong) == \
+            AuditVerdict(False, "decryption"), wrong
+    # a key other than h's, with the values it decrypts to and their tally
+    manifest = three_voter_run.transcript.manifest
+    params = setup(manifest["group_preset"], manifest["candidate_bound"])
+    sk = three_voter_run.transcript.events_of("election-key")[-1]["payload"]["sk"]
+    other = sk % (params.q - 1) + 1
+    opened = decrypt_all(SecretKey(params, other), _posted(three_voter_run, "shuffle")["outputs"])
+    assert _replay_with(three_voter_run, values=opened, sk=other) == \
+        AuditVerdict(False, "decryption")
 
 
 def test_transcript_jsonl_roundtrip():

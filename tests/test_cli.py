@@ -307,6 +307,22 @@ def test_replay_truncated_transcript_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# JSON that json.loads cannot turn into a value although its syntax is
+# right: an integer past the interpreter's 4300-digit conversion limit,
+# and arrays nested far deeper than its recursion limit.
+UNPARSABLE_JSON = {"long-integer": "1" * 5000, "deep-nesting": "[" * 100_000 + "]" * 100_000}
+
+
+@pytest.mark.parametrize("command", ["run", "attack", "replay"])
+@pytest.mark.parametrize("probe", UNPARSABLE_JSON)
+def test_unparsable_json_input_exits_one(tmp_path, capsys, command, probe):
+    path = tmp_path / "input.json"
+    path.write_text(UNPARSABLE_JSON[probe] + "\n")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_replay_missing_file(capsys):
     assert main(["replay", "/nonexistent/t.jsonl"]) == 1
     capsys.readouterr()

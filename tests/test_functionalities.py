@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ivxvsim import functionalities, groups
+from ivxvsim import elgamal, functionalities, groups
 from ivxvsim.adversary import ManipulationPolicy
 from ivxvsim.ceremony import ea_accept_ballot
 from ivxvsim.elgamal import Ciphertext, SecretKey, encrypt, make_keypair
@@ -313,21 +313,36 @@ def test_plaintext_check_is_one_full_power_and_binds_every_value(preset, n, monk
     values = [i % 4 for i in range(n)]
     rng.shuffle(values)
     pairs = [list(encrypt(pk, m, rng.randrange(q))) for m in values]
-    full, short = [], []
+    inner, joint = [], []        # (bases, exponents, product) of each multi_exp call
+    original_multi_exp = groups.multi_exp
 
-    def counting_power(params, base, e):
-        (full if (e % q).bit_length() > q.bit_length() - 8 else short).append(e)
-        return groups.power(params, base, e)
+    def recording(calls):
+        def multi_exp(params, bases, exponents):
+            bases, exponents = list(bases), list(exponents)
+            product = original_multi_exp(params, bases, exponents)
+            calls.append((bases, exponents, product))
+            return product
+        return multi_exp
 
-    def recording_multi_exp(params, bases, exponents):
-        exponents = list(exponents)
-        assert all(0 <= e < 2**128 for e in exponents)
-        return groups.multi_exp(params, bases, exponents)
+    def no_power(*args):
+        raise AssertionError("the plaintext check makes no power of its own")
 
-    monkeypatch.setattr(functionalities, "power", counting_power)
-    monkeypatch.setattr(functionalities, "multi_exp", recording_multi_exp)
+    monkeypatch.setattr(groups, "power", no_power)
+    monkeypatch.setattr(elgamal, "power", no_power)
+    monkeypatch.setattr(functionalities, "multi_exp", recording(inner))
+    monkeypatch.setattr(groups, "multi_exp", recording(joint))
     assert plaintexts_match(sk, pk.h, pairs, values)
-    assert len(full) == 1 and len(short) == 1      # (prod c1^w)^sk and g^(sum w m)
+    # X = g^w_0 * prod c1_i^w_i, one product over 128-bit weights
+    assert len(inner) == 1
+    bases, exponents, x = inner[0]
+    assert bases == [params.g, *(c1 for c1, _ in pairs)]
+    assert all(0 <= e < 2**128 for e in exponents)
+    # the product that checks the equation raises X, which has no comb
+    # table, to a weight times sk; every other exponent is a weight times a
+    # weight or times a sum of weighted values, below 2^260
+    long = [b for bases, exponents, _ in joint for b, e in zip(bases, exponents)
+            if not 0 <= e < 2**260]
+    assert long == [x] and groups._comb(params.p, q, x) is None
     monkeypatch.undo()
     changed = []
     for i in range(n):

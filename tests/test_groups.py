@@ -314,6 +314,31 @@ def test_products_equal_with_negative_exponents_equals_checking_each(preset):
         assert not products_equal(params, changed, b"seed"), k
 
 
+@pytest.mark.parametrize("preset", EVERY_PRESET)
+def test_products_equal_with_target_one_equals_checking_each(preset, monkeypatch):
+    # an equation stated as a product equal to 1 is checked like any other,
+    # and in a large group the target 1 never becomes a base of the product
+    params = setup(preset, 2)
+    rng = random.Random(f"identity-target/{preset}")
+    x, y = _random_subgroup_elements(params, rng, 2)
+    a, b = rng.randrange(params.q), rng.getrandbits(128)
+    t = multi_exp(params, (x, y), (a, b))
+    equations = _signed_equations(params, rng) + [((x, y, t), (a, b, -1), 1)]
+    bases_seen = []
+    original = groups.multi_exp
+
+    def recording(params, bases, exponents):
+        bases_seen.extend(bases)
+        return original(params, bases, exponents)
+
+    monkeypatch.setattr(groups, "multi_exp", recording)
+    assert products_equal(params, equations, b"seed")
+    assert 1 not in bases_seen
+    for changed in (((x, y, t), (a + 1, b, -1), 1), ((x, y, t), (a, b, -2), 1),
+                    ((x, y, t), (a, b, -1), params.g)):
+        assert not products_equal(params, equations[:-1] + [changed], b"seed"), changed
+
+
 # ------------------------------------------------- the two-block comb
 
 def _comb_boundary_exponents(q, cols, half):

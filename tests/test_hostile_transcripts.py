@@ -168,3 +168,18 @@ def test_a_valid_replay_after_any_single_field_mutation_posts_the_run_tally(line
         if recomputed.valid:
             assert posted_tally(transcript) == expected, (index, path, replacement)
     assert outcomes["valid"] and outcomes["tally"] and outcomes["decryption"], outcomes
+
+
+# JSON that json.loads cannot turn into a value although its syntax is
+# right: an integer past the interpreter's 4300-digit conversion limit,
+# and arrays nested far deeper than its recursion limit.
+UNPARSABLE_JSON = {"long-integer": "1" * 5000, "deep-nesting": "[" * 100_000 + "]" * 100_000}
+
+
+@pytest.mark.parametrize("probe", UNPARSABLE_JSON)
+def test_unparsable_json_is_a_replay_error(transcript_lines, probe):
+    text = UNPARSABLE_JSON[probe]
+    for lines in ([text, *transcript_lines[1:]],                       # as the manifest
+                  [*transcript_lines[:3], text, *transcript_lines[3:]]):   # as an event
+        with pytest.raises(ReplayError):
+            ElectionTranscript.from_jsonl("\n".join(lines) + "\n")
