@@ -117,6 +117,9 @@ class ElectionConfig:
             raise ValueError("corrupted voters need a manipulation policy")
         if corrupted and self.candidate_bound < 2:
             raise ValueError("manipulation needs at least two candidates")
+        if corrupted and self.manipulation_offset % self.candidate_bound == 0:
+            raise ValueError("manipulation_offset must not be a multiple of "
+                             "candidate_bound: it would change no vote")
         if self.intents is not None:
             intents = tuple(self.intents)
             if len(intents) != self.n_voters:

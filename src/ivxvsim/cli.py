@@ -33,6 +33,8 @@ _REQUIRED_KEYS = tuple(field.name for field in dataclasses.fields(ElectionConfig
 _ATTACK_REFUSED = {
     "corrupted": "attack does not read the config's 'corrupted': --corrupted sets it",
     "policy": "attack does not read the config's 'policy': --policy sets it",
+    "scripts": "attack does not take the config's 'scripts': its analytic estimate "
+               "assumes voters drawn from the distribution",
     "tamper": "attack does not take the config's 'tamper': it counts only "
               "invalid(complaint) as detected",
 }
@@ -82,9 +84,8 @@ def _load_config(path, flag_seed, refused=None) -> tuple[ElectionConfig, dict]:
         kwargs["distribution"] = load_distribution(kwargs["distribution"])
     if kwargs.get("policy") is not None:
         kwargs["policy"] = policy_from_spec(kwargs["policy"])
-    for key in ("corrupted", "intents", "scripts"):
-        if key in kwargs and kwargs[key] is None:
-            del kwargs[key]
+    if kwargs.get("corrupted", ()) is None:   # the one field whose default is not None
+        del kwargs["corrupted"]
     kwargs["seed"] = _resolve_seed(flag_seed, kwargs.get("seed", 0))
     digest = hashlib.sha256(text.encode()).hexdigest()
     try:

@@ -1,16 +1,18 @@
 """Prime-order Schnorr subgroups of Z_p* with pinned parameter presets:
 "toy" (p=23, q=11), traceable by hand; "mid", the smallest safe prime
-above 2^255 with g=4, where soundness tests find 128-bit challenges
-shorter than q; and "standard", the 2048-bit MODP group of RFC 3526.
-Each is a safe-prime group, p = 2q + 1, so its order-q subgroup is
-exactly the quadratic residues.
+above 2^386 with g=4, the fastest group that takes every large-group
+path; and "standard", the 2048-bit MODP group of RFC 3526.  Each is a
+safe-prime group, p = 2q + 1, so its order-q subgroup is exactly the
+quadratic residues, which `is_element` finds by a Jacobi symbol.
 
-A group is large when q has more than 128 bits (`GroupParams.large`,
-decided here and nowhere else).  Only then are 128-bit batch weights
-and shuffle challenges sound, and only then do this module's Python
-loops (Jacobi symbols, comb tables, Straus products) beat the builtin
-pow, which a small group keeps.  Every path computes what the builtin
-pow would, so no transcript depends on which one runs.
+A group is large when q has more than 3 * 128 + 1 bits
+(`GroupParams.large`, decided here and nowhere else).  At that length
+128-bit batch weights and shuffle challenges are sound, a shuffle
+response over a 384-bit randomizer is shorter than q and fits an
+element's width, and this module's Python loops (comb tables, Straus
+products) beat the builtin pow, which a small group keeps.  Every path
+computes what the builtin pow would, so no transcript depends on which
+one runs.
 """
 
 from __future__ import annotations
@@ -35,16 +37,16 @@ _MODP_2048_P = int(
     16,
 )
 
-# The smallest safe prime above 2^255, found with sympy: q = 2^254 + 98239
-# and p = 2q + 1 are prime, and g = 4 = 2^2, a quadratic residue other
-# than 1, has order q.
-_MID_P = 2**255 + 196479
+# The smallest safe prime whose q is longer than 385 bits, found with
+# sympy: q = 2^385 + 241971 and p = 2q + 1 are prime, and g = 4 = 2^2, a
+# quadratic residue other than 1, has order q.
+_MID_P = 2**386 + 483943
 
 MAX_CANDIDATE_BOUND = 2**16
 
 # Length of a batch weight and of a shuffle challenge, each sound only when
-# shorter than q: a group is large when q is longer than this.
-_SHORT_BITS = 128
+# shorter than q; a shuffle response is below 2^(3 * SHORT_BITS + 1).
+SHORT_BITS = 128
 
 # Comb rows: two blocks of 2^8 entries, about 160 KB at 2048 bits.
 _COMB_ROWS = 8
@@ -66,8 +68,8 @@ class UnknownPreset(ValueError):
 class GroupParams:
     """Ambient modulus p, a safe prime 2q + 1, prime subgroup order q,
     generator g, and the exclusive upper bound on encodable candidate
-    indices.  `large`, derived from q, says whether q has more than 128
-    bits; every size-dependent choice of arithmetic reads it."""
+    indices.  `large`, derived from q, says whether q has more than
+    3 * SHORT_BITS + 1 bits; every size-dependent choice reads it."""
 
     p: int
     q: int
@@ -78,17 +80,12 @@ class GroupParams:
     def __post_init__(self):
         if self.p != 2 * self.q + 1:
             raise ValueError("p must be the safe prime 2q + 1")
-        object.__setattr__(self, "large", self.q.bit_length() > _SHORT_BITS)
+        object.__setattr__(self, "large", self.q.bit_length() > 3 * SHORT_BITS + 1)
 
     def is_element(self, x: int) -> bool:
         """Membership test for the order-q subgroup, the quadratic residues:
-        the Legendre symbol (x|p) = 1, computed as a Jacobi symbol, or by
-        Euler's criterion x^q = 1 in small groups."""
-        if not 0 < x < self.p:
-            return False
-        if self.large:
-            return _jacobi(x, self.p) == 1
-        return pow(x, self.q, self.p) == 1
+        the Legendre symbol (x|p) = 1, computed as a Jacobi symbol."""
+        return 0 < x < self.p and _jacobi(x, self.p) == 1
 
     def random_scalar(self, rng) -> int:
         return rng.randrange(self.q)

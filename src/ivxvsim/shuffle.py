@@ -30,7 +30,8 @@ from itertools import chain, islice, repeat
 from operator import mul
 
 from .elgamal import Ciphertext, PublicKey, rerandomize
-from .groups import GroupParams, fixed_base, hash_to_element, multi_exp, products_equal
+from .groups import (SHORT_BITS, GroupParams, fixed_base, hash_to_element, multi_exp,
+                     products_equal)
 
 FS_DOMAIN = b"ivxvsim/shuffle-v4"
 PROOF_MAGIC = b"IVXVSHF4"
@@ -40,11 +41,12 @@ _HEADER_LEN = len(PROOF_MAGIC) + 8   # magic, n, repetitions
 # Soundness target across repetitions, in bits (see `security_rounds`).
 _ROUND_TARGET_BITS = 80
 
-# Length of a challenge in a large group.
-_CHALLENGE_BITS = 128
-
-# Lengths of w'_i and of an integer s'_i (see `_integer_responses`).
-_RANDOMIZER_BITS = 3 * _CHALLENGE_BITS
+# In a large group each w'_i is a 384-bit integer and each response
+# s'_i = w'_i + gamma * u~_i is posted unreduced, below 2^385 < q, as in
+# Verificatum: with gamma * u~_i < 2^256 it is within statistical distance
+# 2^-128 of uniform on its range, so it hides the permutation, and products
+# over the generators and outputs take short exponents.
+_RANDOMIZER_BITS = 3 * SHORT_BITS
 _RESPONSE_BITS = _RANDOMIZER_BITS + 1
 
 
@@ -52,28 +54,18 @@ class BadWitness(ValueError):
     """Witness does not reproduce the statement's outputs from its inputs."""
 
 
-def _integer_responses(q: int) -> bool:
-    """Whether each s'_i = w'_i + gamma * u~_i is posted as an integer, as
-    in Verificatum: with a 384-bit w'_i and gamma * u~_i < 2^256 it is
-    within statistical distance 2^-128 of uniform on its range, so it
-    hides the permutation, and products over the generators and outputs
-    take short exponents.  s'_i < 2^385 must fit the proof's width, so
-    only when q has more than 385 bits; else s'_i is a scalar mod q."""
-    return q.bit_length() > _RESPONSE_BITS
-
-
 def security_rounds(q: int) -> int:
     """Number of parallel repetitions for the challenge space of order q:
     ceil(80 / min(|q|, 128)), with |q| the bit length of q.  A challenge
     mod q carries log2(q) bits, fewer than |q|, so the toy group's 20
     repetitions of log2(11) ~ 3.46 bits reach about 69 bits, not 80."""
-    return max(1, -(-_ROUND_TARGET_BITS // min(q.bit_length(), _CHALLENGE_BITS)))
+    return max(1, -(-_ROUND_TARGET_BITS // min(q.bit_length(), SHORT_BITS)))
 
 
 def _fs_scalars(transcript: bytes, params: GroupParams, count: int,
                 tag: bytes = FS_DOMAIN) -> list[int]:
     q = params.q
-    need = _CHALLENGE_BITS // 8 if params.large else (q.bit_length() + 128 + 7) // 8
+    need = SHORT_BITS // 8 if params.large else (q.bit_length() + SHORT_BITS + 7) // 8
     stream = hashlib.shake_256(tag + b"|" + transcript).digest(count * need)
     cuts = range(0, count * need, need)
     if params.large:
@@ -231,9 +223,10 @@ def _check_witness(statement: ShuffleStatement, witness: ShuffleWitness, seed: b
     """Raise BadWitness, naming the first output that is not a
     re-randomization of its input, unless g^r_i * c1 = c1' and
     h^r_i * c2 = c2' for every output (c1', c2') and its input (c1, c2).
-    Once every input and output is found in the order-q subgroup, the 2n
-    equations are one `groups.products_equal`, whose weights `seed` must
-    cover; if that fails, each output is checked in turn."""
+    Once each distinct element of the statement is found in the order-q
+    subgroup, the 2n equations are one `groups.products_equal`, whose
+    weights `seed` must cover; if that fails, each output is checked in
+    turn."""
     pk = statement.pk
     params = pk.params
     q, g = params.q, params.g
@@ -243,7 +236,7 @@ def _check_witness(statement: ShuffleStatement, witness: ShuffleWitness, seed: b
         (((g, x.c1), (r, 1), y.c1), ((pk.h, x.c2), (r, 1), y.c2))
         for x, y, r in zip(ins, statement.outputs, rands))
     seed += _encode(rands, _width(params.p)) + _encode(witness.perm, 4)
-    elements = (v for x, y in zip(ins, statement.outputs) for v in (*x, *y))
+    elements = {x for ct in statement.inputs + statement.outputs for x in ct}
     if all(map(params.is_element, elements)) and products_equal(params, equations, seed):
         return
     for i, (x, y, r) in enumerate(zip(ins, statement.outputs, rands)):
@@ -289,7 +282,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
 
         w_bar, w_dot, w_tld, w_r = [rng.randrange(q) for _ in range(4)]
         w_hat = [rng.randrange(q) for _ in range(n)]
-        if _integer_responses(q):
+        if params.large:
             w_prm = [rng.getrandbits(_RANDOMIZER_BITS) for _ in range(n)]
         else:
             w_prm = [rng.randrange(q) for _ in range(n)]
@@ -392,7 +385,7 @@ def shuffle_equations(statement: ShuffleStatement, proof):
         return None
     # each distinct element of the statement and of every round is tested once
     elements = {pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct)}
-    s_prm_bound = 1 << _RESPONSE_BITS if _integer_responses(q) else q
+    s_prm_bound = 1 << _RESPONSE_BITS if params.large else q
     for pr in proof.rounds:
         if not (len(pr.perm_commits) == len(pr.chain_commits) == len(pr.t_hat)
                 == len(pr.s_hat) == len(pr.s_prm) == n):

@@ -252,7 +252,8 @@ def test_tamper_modes_flip_the_verdict(mode):
 
 @pytest.mark.parametrize("mode", TAMPER_MODES)
 def test_tamper_modes_flip_the_verdict_in_the_mid_group(mode):
-    # a 256-bit group, where the shuffle's challenges are 128-bit integers
+    # a 387-bit group, where the shuffle's challenges are 128-bit integers
+    # and its responses integers below 2^385, as in the standard group
     for seed in range(5):
         result = run_election(tamper_config(mode, seed=seed, group_preset="mid"))
         assert result.verdict == AuditVerdict(False, TAMPER_REASONS[mode]), seed
@@ -519,6 +520,12 @@ def test_config_validation_errors():
         honest_config(corrupted=(9,), policy=ManipulationPolicy.always())
     with pytest.raises(ValueError):
         honest_config(corrupted=(1,))  # corrupted voters need a policy
+    for offset in (0, 3, -3):
+        # C = 3: the device would encrypt the voter's own intent while its
+        # cast event says manipulated, so no trial could be detected
+        with pytest.raises(ValueError, match="multiple of candidate_bound"):
+            honest_config(corrupted=(1,), policy=ManipulationPolicy.always(),
+                          manipulation_offset=offset)
     with pytest.raises(ValueError):
         honest_config(intents=(0, 1))  # wrong length
     with pytest.raises(ValueError):

@@ -92,6 +92,14 @@ WRONG_TYPED_FIELDS = [
 ]
 
 
+def test_run_reads_null_as_the_default(tmp_path, capsys):
+    nulls = dict(corrupted=None, intents=None, scripts=None, policy=None, tamper=None)
+    assert main(["run", write_config(tmp_path, "null.json", **nulls)]) == 0
+    assert main(["run", write_config(tmp_path, "default.json")]) == 0
+    first, second = capsys.readouterr().out.split("}\n{")
+    assert json.loads(first + "}") == json.loads("{" + second)
+
+
 @pytest.mark.parametrize("command", ["run", "attack"])
 @pytest.mark.parametrize("key,value", WRONG_TYPED_FIELDS)
 def test_wrong_typed_config_field_exits_one(tmp_path, capsys, command, key, value):
@@ -227,10 +235,12 @@ def test_attack_writes_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("corrupted", [1, 2]), ("corrupted", []),
-                                       ("policy", "never"), ("tamper", "tamper-plaintext")])
+                                       ("policy", "never"), ("tamper", "tamper-plaintext"),
+                                       ("scripts", {"1": "VC"})])
 def test_attack_refuses_fields_its_flags_set(tmp_path, capsys, key, value):
     # overriding these silently made a tamper-plaintext config report 0
-    # detected although every trial ended invalid(decryption)
+    # detected although every trial ended invalid(decryption), and forced
+    # scripts 100% detected beside an analytic 0.9216 undetected
     cfg = write_config(tmp_path, n_voters=2, **{key: value})
     assert main(["attack", cfg, "--trials", "1"]) == 1
     err = capsys.readouterr().err
@@ -238,9 +248,20 @@ def test_attack_refuses_fields_its_flags_set(tmp_path, capsys, key, value):
 
 
 def test_attack_accepts_null_for_fields_its_flags_set(tmp_path, capsys):
-    cfg = write_config(tmp_path, n_voters=2, corrupted=None, policy=None, tamper=None)
+    cfg = write_config(tmp_path, n_voters=2, corrupted=None, policy=None, tamper=None,
+                       scripts=None)
     assert main(["attack", cfg, "--trials", "1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("offset", [0, 3])
+def test_attack_refuses_an_offset_that_changes_no_vote(tmp_path, capsys, offset):
+    cfg = write_config(tmp_path, n_voters=2, manipulation_offset=offset)
+    assert main(["attack", cfg, "--corrupted", "2", "--trials", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error:") and err.count("\n") == 1 and "manipulation_offset" in err
 
 
 def test_attack_argument_validation(tmp_path, capsys):

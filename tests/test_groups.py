@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from ivxvsim import groups, shuffle
+from ivxvsim import groups
 from ivxvsim.groups import (
     MAX_CANDIDATE_BOUND,
     GroupParams,
@@ -120,15 +120,13 @@ def test_group_params_rejects_a_modulus_that_is_not_2q_plus_1():
     assert GroupParams(p=47, q=23, g=2, candidate_bound=2).q == 23
 
 
-@pytest.mark.parametrize("preset, large, integer_responses", [
-    ("toy", False, False), ("mid", True, False), ("standard", True, True),
-])
-def test_each_preset_has_one_size_regime(preset, large, integer_responses):
-    # large: q > 2^128, so 128-bit challenges and batch weights are sound;
-    # integer s' responses below 2^385 need q wider than that
+@pytest.mark.parametrize("preset, large", [("toy", False), ("mid", True), ("standard", True)])
+def test_each_preset_has_one_size_regime(preset, large):
+    # large: q > 2^385, so 128-bit challenges and batch weights are sound
+    # and integer s' responses below 2^385 are shorter than q
     params = setup(preset, 2)
     assert params.large is large
-    assert shuffle._integer_responses(params.q) is integer_responses
+    assert large is (params.q > 2**385)
     # derived, not a knob: no constructor argument, no part of equality
     with pytest.raises(TypeError):
         GroupParams(p=params.p, q=params.q, g=params.g, candidate_bound=2, large=not large)
@@ -243,11 +241,11 @@ def test_mid_preset_is_a_safe_prime_group_with_g_of_order_q():
     params = setup("mid", 10)
     p, q, g = params.p, params.q, params.g
     assert sympy.isprime(p) and sympy.isprime(q)
-    assert p == 2 * q + 1 and p.bit_length() == 256 and p > 2**255
-    assert g == 4
+    assert (p, q, g) == (2**386 + 483943, 2**385 + 241971, 4)
+    assert p == 2 * q + 1 and p.bit_length() == 387
     # q is prime, so g != 1 with g^q = 1 has order exactly q
     assert g != 1 and pow(g, q, p) == 1
-    assert q.bit_length() > 128   # 128-bit challenges are shorter than q
+    assert q > 2**385   # 128-bit challenges and integer s' < 2^385 are shorter than q
 
 
 def _window_boundary_exponents(q):

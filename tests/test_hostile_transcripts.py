@@ -73,7 +73,8 @@ def transcript_lines():
 
 @pytest.fixture(scope="module")
 def mid_lines():
-    # the 256-bit group, whose shuffle proof carries 128-bit challenges
+    # the 387-bit group, whose shuffle proof carries 128-bit challenges and
+    # integer responses, as the standard group's does
     config = ElectionConfig(n_voters=4, n_trustees=3, threshold=2, candidate_bound=3, seed=12,
                             group_preset="mid", scripts={1: "VVC", 2: "VC"})
     return run_election(config).transcript.to_jsonl().splitlines()

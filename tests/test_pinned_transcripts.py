@@ -18,11 +18,12 @@ PINNED = {
     "toy": (dict(n_voters=8, n_trustees=3, threshold=2, candidate_bound=3, seed=11,
                  scripts={1: "VVC", 2: "VC", 3: "VV", 4: "VCV"}),
             "af87d1bab5df88f385805b8a166dce590acb94f36045ddb7ba58976cbbca0a17"),
-    # 256-bit group, 6 voters: the one preset on the large-group prover
-    # path without integer s' responses
+    # 387-bit group, 6 voters: the smallest large group, on the standard
+    # group's code with integer s' responses (re-pinned when mid moved
+    # from a 256-bit prime to this one)
     "mid": (dict(n_voters=6, n_trustees=3, threshold=2, candidate_bound=3, seed=5,
                  group_preset="mid", scripts={1: "VVC", 2: "VC", 3: "VCV"}),
-            "f458f73c0e72c454723d0126e9704bc521d20f3581a37bf23ba3d73c0e8cbfd4"),
+            "d0a10032179fcf310a9bdfc23bc987c8fcec3bfb309360887a070482c4af2a62"),
     # 2048-bit group, 2 voters, one of whom re-votes
     "standard": (dict(n_voters=2, n_trustees=3, threshold=2, candidate_bound=3, seed=7,
                       group_preset="standard", scripts={1: "VVC", 2: "VC"}),

@@ -661,8 +661,9 @@ def test_standard_group_prover_makes_no_variable_base_pow(monkeypatch):
 
 
 # ------------------------------------------------- the mid-size group
-# 256 bits: as fast as the toy group, but the equations, not the size of
-# the group, are what stands between a changed proof and acceptance.
+# 387 bits, the smallest large group: it runs the standard group's code,
+# so the equations, not the size of the group, are what stands between a
+# changed proof and acceptance.
 
 @pytest.fixture(scope="module")
 def mid_proof():
@@ -761,34 +762,47 @@ def test_mid_group_rejects_a_shuffle_with_one_component_off(monkeypatch, compone
 
 
 # --------------------------------- integer responses over short randomizers
-# When q has more than 385 bits, each w'_i is a 384-bit integer and each
-# s'_i = w'_i + gamma * u~_i is posted unreduced, below 2^385.
+# In a large group (q longer than 385 bits), each w'_i is a 384-bit integer
+# and each s'_i = w'_i + gamma * u~_i is posted unreduced, below 2^385.
 
-def test_standard_group_s_prm_are_integers_below_2_385(standard_proof):
-    _, proof = standard_proof
+def _assert_s_prm_are_integers_below_2_385(proof):
     for s in proof.rounds[0].s_prm:
         assert 2**256 < s < 2**385
 
 
-def test_s_prm_are_scalars_mod_q_in_the_toy_and_mid_groups(mid_proof):
-    _, mid = mid_proof
+def test_standard_group_s_prm_are_integers_below_2_385(standard_proof):
+    _assert_s_prm_are_integers_below_2_385(standard_proof[1])
+
+
+def test_mid_group_s_prm_are_integers_below_2_385(mid_proof):
+    _assert_s_prm_are_integers_below_2_385(mid_proof[1])
+
+
+def test_s_prm_are_scalars_mod_q_in_the_toy_group():
     rng = random.Random(34)
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 3)
     toy = prove_shuffle(stmt, wit, rng)
-    for proof, params in ((mid, MID), (toy, TOY)):
-        assert all(0 <= s < params.q for pr in proof.rounds for s in pr.s_prm)
+    assert all(0 <= s < TOY.q for pr in toy.rounds for s in pr.s_prm)
 
 
-@pytest.mark.parametrize("change", ["2^385", "q-1", "plus-q"])
-def test_standard_group_rejects_s_prm_out_of_range(standard_proof, change):
-    stmt, proof = standard_proof
+def _assert_rejects_s_prm_out_of_range(stmt, proof, change):
     q = stmt.pk.params.q
     s_prm = proof.rounds[0].s_prm
     bad = {"2^385": 2**385, "q-1": q - 1, "plus-q": s_prm[0] + q}[change]
     changed = with_round(proof, s_prm=(bad, *s_prm[1:]))
     assert not verify_shuffle(stmt, changed)
     assert not verify_shuffle(stmt, serialize_proof(changed, stmt.pk.params))
+
+
+@pytest.mark.parametrize("change", ["2^385", "q-1", "plus-q"])
+def test_standard_group_rejects_s_prm_out_of_range(standard_proof, change):
+    _assert_rejects_s_prm_out_of_range(*standard_proof, change)
+
+
+@pytest.mark.parametrize("change", ["2^385", "q-1", "plus-q"])
+def test_mid_group_rejects_s_prm_out_of_range(mid_proof, change):
+    _assert_rejects_s_prm_out_of_range(*mid_proof, change)
 
 
 def _standard_instance(seed, n=3):
