@@ -77,7 +77,10 @@ class ManipulationPolicy:
                 decision = row["decision"].strip().upper()
                 if decision not in ("M", "H"):
                     raise ValueError(f"{path}:{lineno}: decision must be M or H")
-                table[row["history"].strip()] = decision == "M"
+                history = row["history"].strip()
+                if history in table:
+                    raise ValueError(f"{path}:{lineno}: duplicate history {history!r}")
+                table[history] = decision == "M"
         return cls(f"csv:{path}", table=table)
 
     def decide(self, history: str) -> bool:

@@ -210,13 +210,12 @@ def tally_alg(plaintexts, candidate_bound: Optional[int] = None) -> dict:
     return dict(sorted(counts.items()))
 
 
-def voter_vote_loop(script: str, sid, voter_id: int, intent: int, pk: PublicKey,
-                    device: VotingDevice, checker: AuditDevice, ea_accept):
-    """Run one voter's action script.
+def voter_vote_loop(script: str, intent: int, pk: PublicKey, device: VotingDevice,
+                    checker: AuditDevice, ea_accept) -> list:
+    """Run one voter's action script and return its events.
 
     Each V casts via the device and submits to the authority; each C
-    checks the latest token and, on mismatch, complains and stops.
-    Returns (events, complained)."""
+    checks the latest token and, on mismatch, complains and stops."""
     validate_pattern(script)
     events = []
     history = ""
@@ -234,9 +233,9 @@ def voter_vote_loop(script: str, sid, voter_id: int, intent: int, pk: PublicKey,
                            "matches": matches, "observed": observed})
             if not matches:
                 events.append({"kind": "complaint", "ssid": list(token.ssid)})
-                return events, True
+                break
         history += action
-    return events, False
+    return events
 
 
 def ea_accept_ballot(sid, registry: CertRegistry, board: BulletinBoard,
@@ -319,7 +318,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     # Voting: each voter runs their script to completion, in id order.
     phase_box[0] = "voting"
     transcript.record("voting", "EA", "phase-open", {})
-    checker = AuditDevice(sid, board, pk)
+    checker = AuditDevice(board, pk)
     for i in range(1, n + 1):
         device = VotingDevice(sid, i, registry, rng_for(seed, "vsd", i),
                               policy=policy if i in config.corrupted else None,
@@ -329,8 +328,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
         else:
             script = dist.sample(rng_for(seed, "vemu", i))
         transcript.record("voting", f"voter-{i}", "script", {"script": script})
-        events, _complained = voter_vote_loop(script, sid, i, intents[i - 1], pk,
-                                              device, checker, ea_accept)
+        events = voter_vote_loop(script, intents[i - 1], pk, device, checker, ea_accept)
         for ev in events:
             transcript.record("voting", f"voter-{i}", ev["kind"],
                               {key: val for key, val in ev.items() if key != "kind"})
@@ -509,19 +507,18 @@ def _audit(transcript: ElectionTranscript) -> AuditVerdict:
         proof_blob = bytes.fromhex(shuffle_entry["proof"])
     except ValueError:
         return AuditVerdict(False, "shuffle-proof")
-    stated = shuffle_equations(statement, proof_blob)
-    if stated is None:
+    equations = shuffle_equations(statement, proof_blob)
+    if equations is None:
         return AuditVerdict(False, "shuffle-proof")
-    equations, seed = stated
 
     # shuffle_equations has found h and every output in the group.  The
-    # shuffle's and the plaintexts' equations are checked as one product;
-    # only if that fails, or the plaintexts state none, is the shuffle
-    # checked alone, to tell a false proof from false plaintexts.
+    # shuffle's and the plaintexts' equations are checked as one weighted
+    # product; only if that fails, or the plaintexts state none, is the
+    # shuffle checked alone, to tell a false proof from false plaintexts.
     posted = latest_entry(pub_entries, "plaintexts")
     plain = None if posted is None else plaintext_equations(
         SecretKey(params, sk_value), pk.h, outputs, posted["values"])
-    if plain is None or not products_equal(params, chain(equations, plain[0]), seed + plain[1]):
+    if plain is None or not products_equal(params, chain(equations, plain)):
         if not verify_shuffle(statement, proof_blob):
             return AuditVerdict(False, "shuffle-proof")
         return AuditVerdict(False, "decryption")

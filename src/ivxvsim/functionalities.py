@@ -11,7 +11,6 @@ auditor to check alone or in one product with a shuffle's.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 from .elgamal import (Ciphertext, NotACandidate, PublicKey, RandomnessMismatch,
@@ -93,17 +92,17 @@ def decrypt_all(sk: SecretKey, pairs) -> list[int]:
 
 def plaintext_equations(sk: SecretKey, h: int, pairs, values):
     """The equations stating that g^sk = h and that `values` is what
-    decrypt_all(sk, pairs) returns, as (equations, seed) for
-    `groups.products_equal`; None when `values` has the wrong length or
-    a value outside the candidate range, or marks REJECTED_PLAINTEXT a
-    ciphertext that decrypts to a candidate.  Each value m in the
-    candidate range states c1^sk * g^m = c2 for its ciphertext, and the
-    key states the same for (g, h) and m = 0.  h and every c1 and c2 must
-    be in the order-q subgroup, as an accepted shuffle proof establishes.
+    decrypt_all(sk, pairs) returns, for `groups.products_equal`; None
+    when `values` has the wrong length or a value outside the candidate
+    range, or marks REJECTED_PLAINTEXT a ciphertext that decrypts to a
+    candidate.  Each value m in the candidate range states
+    c1^sk * g^m = c2 for its ciphertext, and the key states the same for
+    (g, h) and m = 0.  h and every c1 and c2 must be in the order-q
+    subgroup, as an accepted shuffle proof establishes.
 
-    In a large group the equations are stated as one, with 128-bit
-    weights w_0 for the key and w_i for the values (`batch_weights` over
-    the seed): X^sk * g^(sum w_i m_i) * h^-w_0 * prod c2_i^-w_i = 1, where
+    In a large group the equations are stated as one, weighted as
+    `products_equal` would weigh them, w_0 for the key and w_i for the
+    values: X^sk * g^(sum w_i m_i) * h^-w_0 * prod c2_i^-w_i = 1, where
     X = g^w_0 * prod c1_i^w_i is one product over the weights.  Its one
     full-size exponent, sk on X, shares the squaring chain of whatever
     product checks it, and g, h and the c2_i are bases a shuffle's
@@ -123,22 +122,21 @@ def plaintext_equations(sk: SecretKey, h: int, pairs, values):
             stated.append((c1, c2, m))
         else:
             return None
-    seed = b"plaintexts|" + b"|".join(
-        b"%d" % x for x in (key, h, *chain.from_iterable(pairs), *values))
+    each = [((c1, g), (key, m), c2) for c1, c2, m in stated]
     if not params.large:
-        return [((c1, g), (key, m), c2) for c1, c2, m in stated], seed
-    weights = batch_weights(seed, len(stated))
+        return each
+    weights = batch_weights(params, each)
     x = multi_exp(params, [c1 for c1, _, _ in stated], weights)
     bases = (x, g, *[c2 for _, c2, _ in stated])
     exponents = (key, sum(w * m for w, (_, _, m) in zip(weights, stated)), *[-w for w in weights])
-    return [(bases, exponents, 1)], seed
+    return [(bases, exponents, 1)]
 
 
 def plaintexts_match(sk: SecretKey, h: int, pairs, values) -> bool:
     """Whether g^sk = h and `values` is what decrypt_all(sk, pairs)
     returns: `plaintext_equations` checked by `groups.products_equal`."""
-    stated = plaintext_equations(sk, h, pairs, values)
-    return stated is not None and products_equal(sk.params, *stated)
+    equations = plaintext_equations(sk, h, pairs, values)
+    return equations is not None and products_equal(sk.params, equations)
 
 
 class BulletinBoard:
@@ -324,8 +322,7 @@ class AuditDevice:
     actually recorded for the token's submission (never trusting the
     casting device) and opens it with the token's randomness."""
 
-    def __init__(self, sid, board: BulletinBoard, pk: PublicKey):
-        self.sid = sid
+    def __init__(self, board: BulletinBoard, pk: PublicKey):
         self.board = board
         self.pk = pk
 

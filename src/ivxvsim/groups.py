@@ -21,7 +21,7 @@ import hashlib
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 # RFC 3526, 2048-bit MODP group. p is a safe prime, q = (p-1)/2 is prime,
 # and 2 has order exactly q (2^q = 1 mod p, checked in the test suite).
@@ -57,7 +57,7 @@ _COMB_ROWS = 8
 _WINDOW_LIMITS = (6, 24, 80, 240, 672, 1792)
 
 # Domain tag of the SHAKE-256 stream that products_equal cuts its weights from.
-_BATCH_DOMAIN = b"ivxvsim/batch-v1"
+_BATCH_DOMAIN = b"ivxvsim/batch-v2"
 
 
 class UnknownPreset(ValueError):
@@ -313,14 +313,23 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
     return _square_and_multiply(p, slots)
 
 
-def batch_weights(seed: bytes, count: int) -> list[int]:
-    """The 128-bit weights `products_equal` gives `count` equations in a
-    large group, cut from a SHAKE-256 stream over `seed`."""
-    stream = hashlib.shake_256(_BATCH_DOMAIN + b"|" + seed).digest(16 * count)
-    return [int.from_bytes(stream[i : i + 16], "big") for i in range(0, 16 * count, 16)]
+def batch_weights(params: GroupParams, equations) -> list[int]:
+    """The 128-bit weights `products_equal` gives a list of equations in a
+    large group: a SHAKE-256 stream over each equation's pair count, its
+    (base mod p, exponent mod q) pairs as zip yields them and its target
+    mod p, each integer big-endian at the byte length of p."""
+    p, q = params.p, params.q
+    width = (p.bit_length() + 7) // 8
+    stream = hashlib.shake_256(_BATCH_DOMAIN + b"|")
+    for bases, exponents, target in equations:
+        pairs = [(b % p, e % q) for b, e in zip(bases, exponents)]
+        values = (len(pairs), *chain.from_iterable(pairs), target % p)
+        stream.update(b"".join([x.to_bytes(width, "big") for x in values]))
+    digest = stream.digest(16 * len(equations))
+    return [int.from_bytes(digest[i : i + 16], "big") for i in range(0, len(digest), 16)]
 
 
-def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
+def products_equal(params: GroupParams, equations) -> bool:
     """Whether every equation (bases, exponents, target) holds, that is
     prod base_i^e_i = target mod p with each e_i taken mod q; True for no
     equations.  `equations` may be any iterable, read once; each bases
@@ -340,9 +349,9 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
     is folded into the left, and a target of 1 adds nothing, so an
     equation may be stated as a product equal to 1.  If an equation
     fails, at most one value of its weight makes the sums agree, so a
-    false set passes with probability at most 2^-128; the seed must cover
-    everything the equations are built from, so that none can be chosen
-    after the weights.
+    false set passes with probability at most 2^-128.  The weights are
+    hashed from the equations themselves, so none can be chosen after
+    them.
 
     In a small group each equation is checked in turn, up to the first
     that fails: with q = 11 a weighted check would pass a false set one
@@ -365,7 +374,7 @@ def products_equal(params: GroupParams, equations, seed: bytes) -> bool:
         return True
     equations = list(equations)
     left, right = {}, {}        # base -> summed weighted exponent on that side
-    for w, (bases, exponents, target) in zip(batch_weights(seed, len(equations)), equations):
+    for w, (bases, exponents, target) in zip(batch_weights(params, equations), equations):
         for b, e in zip(bases, exponents):
             if e < 0:
                 right[b] = right.get(b, 0) - w * e

@@ -219,14 +219,13 @@ def _chain_and_t_hat(params: GroupParams, base: int, u_tld, rho_hat, w_hat, w_pr
     return chain, t_hat, a
 
 
-def _check_witness(statement: ShuffleStatement, witness: ShuffleWitness, seed: bytes) -> None:
+def _check_witness(statement: ShuffleStatement, witness: ShuffleWitness) -> None:
     """Raise BadWitness, naming the first output that is not a
     re-randomization of its input, unless g^r_i * c1 = c1' and
     h^r_i * c2 = c2' for every output (c1', c2') and its input (c1, c2).
     Once each distinct element of the statement is found in the order-q
-    subgroup, the 2n equations are one `groups.products_equal`, whose
-    weights `seed` must cover; if that fails, each output is checked in
-    turn."""
+    subgroup, the 2n equations are one `groups.products_equal`; if that
+    fails, each output is checked in turn."""
     pk = statement.pk
     params = pk.params
     q, g = params.q, params.g
@@ -235,9 +234,8 @@ def _check_witness(statement: ShuffleStatement, witness: ShuffleWitness, seed: b
     equations = chain.from_iterable(
         (((g, x.c1), (r, 1), y.c1), ((pk.h, x.c2), (r, 1), y.c2))
         for x, y, r in zip(ins, statement.outputs, rands))
-    seed += _encode(rands, _width(params.p)) + _encode(witness.perm, 4)
     elements = {x for ct in statement.inputs + statement.outputs for x in ct}
-    if all(map(params.is_element, elements)) and products_equal(params, equations, seed):
+    if all(map(params.is_element, elements)) and products_equal(params, equations):
         return
     for i, (x, y, r) in enumerate(zip(ins, statement.outputs, rands)):
         if rerandomize(pk, x, r) != y:
@@ -259,7 +257,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     # table built here, as g's, multi_exp reads it inside a short chain
     fixed_base(params, pk.h)
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
-    _check_witness(statement, witness, b"witness|" + stmt_digest)
+    _check_witness(statement, witness)
 
     base, gens, _ = _generators(p, q, params.g, n)
     out_a = [ct.c1 for ct in statement.outputs]
@@ -362,22 +360,18 @@ def _round_equations(stmt_digest: bytes, rnd: int, pr: ProofRound, params: Group
 
 
 def shuffle_equations(statement: ShuffleStatement, proof):
-    """The equations a proof must satisfy, as (equations, seed) for
-    `groups.products_equal`; None for a proof that is malformed, has the
-    wrong shape or a scalar out of range, or holds a value outside the
-    group.  Accepts either a ShuffleProof or its byte serialization.  The
-    equations are produced lazily; every element of the statement,
-    h included, has been found in the order-q subgroup, and the seed
-    covers the statement and every response, not only what the
-    challenges cover."""
+    """The equations a proof must satisfy, for `groups.products_equal`;
+    None for a proof that is malformed, has the wrong shape or a scalar
+    out of range, or holds a value outside the group.  Accepts either a
+    ShuffleProof or its byte serialization.  The equations are produced
+    lazily, and every element of the statement, h included, has been
+    found in the order-q subgroup."""
     pk = statement.pk
     params = pk.params
     q = params.q
-    blob = None
     if isinstance(proof, (bytes, bytearray)):
-        blob = bytes(proof)
         try:
-            proof = deserialize_proof(blob, params)
+            proof = deserialize_proof(bytes(proof), params)
         except ValueError:
             return None
     n = len(statement.inputs)
@@ -397,24 +391,21 @@ def shuffle_equations(statement: ShuffleStatement, proof):
         elements.update(values[: 3 * n + 5])   # commitments, t1..t4b, t_hat
     if not all(map(params.is_element, elements)):
         return None
-    if blob is None:
-        blob = serialize_proof(proof, params)
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
     base, gens, gens_inverse = _generators(params.p, q, params.g, n)
     parts = tuple((key, [ct[k] for ct in statement.outputs + statement.inputs])
                   for k, key in enumerate((params.g, pk.h)))
-    equations = chain.from_iterable(
+    return chain.from_iterable(
         _round_equations(stmt_digest, rnd, pr, params, gens, gens_inverse, base, parts)
         for rnd, pr in enumerate(proof.rounds))
-    return equations, stmt_digest + blob
 
 
 def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
     """Check a proof against a statement: `shuffle_equations` checked by
     `groups.products_equal`.  Anything malformed is a reject, not an
     error."""
-    stated = shuffle_equations(statement, proof)
-    return stated is not None and products_equal(statement.pk.params, *stated)
+    equations = shuffle_equations(statement, proof)
+    return equations is not None and products_equal(statement.pk.params, equations)
 
 
 def serialize_proof(proof: ShuffleProof, params: GroupParams) -> bytes:

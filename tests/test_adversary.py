@@ -59,6 +59,11 @@ def test_policy_from_csv(tmp_path):
     bad.write_text("history,decision\n,Q\n")
     with pytest.raises(ValueError):
         ManipulationPolicy.from_csv(str(bad))
+    # a repeated history is rejected, not overwritten by its last row
+    dup = tmp_path / "dup.csv"
+    dup.write_text("history,decision\n,M\nV,M\nVV,M\n,H\n")
+    with pytest.raises(ValueError, match=r"dup\.csv:5: duplicate history ''$"):
+        ManipulationPolicy.from_csv(str(dup))
 
 
 def test_policy_from_spec(tmp_path):

@@ -398,9 +398,9 @@ def test_a_valid_replay_is_one_product_and_no_power(three_voter_run, monkeypatch
     # the shuffle's and the plaintexts' equations are checked together
     calls = []
 
-    def counting(params, equations, seed):
-        calls.append(seed)
-        return groups.products_equal(params, equations, seed)
+    def counting(params, equations):
+        calls.append(params)
+        return groups.products_equal(params, equations)
 
     def no_power(*args):
         raise AssertionError("a valid replay makes no power of its own")
@@ -412,6 +412,31 @@ def test_a_valid_replay_is_one_product_and_no_power(three_voter_run, monkeypatch
     stored = ElectionTranscript.from_jsonl(three_voter_run.transcript.to_jsonl())
     assert audit_transcript(stored)[0] == AuditVerdict(True, None)
     assert len(calls) == 1
+
+
+def test_the_toy_group_never_weighs_its_equations(monkeypatch):
+    # q = 11 checks each equation alone: a run, its replay and each check
+    # stand without batch weights, and so does a rejection
+    def no_weights(*args):
+        raise AssertionError("the toy group hashes no batch weights")
+
+    for module in (groups, functionalities):
+        monkeypatch.setattr(module, "batch_weights", no_weights)
+    result = run_election(honest_config(n_voters=3, seed=4, group_preset="toy"))
+    assert result.verdict == AuditVerdict(True, None)
+    stored = ElectionTranscript.from_jsonl(result.transcript.to_jsonl())
+    assert audit_transcript(stored)[0] == AuditVerdict(True, None)
+    assert _replay_with(result, forge_proof=True) == AuditVerdict(False, "shuffle-proof")
+
+    params = setup("toy", 3)
+    shuffled = _posted(result, "shuffle")
+    pk = elgamal.PublicKey(params, _posted(result, "pubkey")["h"])
+    statement = shuffle.ShuffleStatement(pk=pk, inputs=shuffled["inputs"],
+                                         outputs=shuffled["outputs"])
+    assert shuffle.verify_shuffle(statement, bytes.fromhex(shuffled["proof"]))
+    sk = SecretKey(params, result.transcript.events_of("election-key")[-1]["payload"]["sk"])
+    values = _posted(result, "plaintexts")["values"]
+    assert functionalities.plaintexts_match(sk, pk.h, shuffled["outputs"], values)
 
 
 def _posted(result, kind) -> dict:

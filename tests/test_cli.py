@@ -132,6 +132,28 @@ def test_policy_table_missing_a_reached_history_exits_one(tmp_path, capsys):
     assert err == "error: history 'V' exceeds the policy table\n"
 
 
+def _duplicate_history_policy(tmp_path) -> str:
+    table = tmp_path / "dup.csv"
+    table.write_text("history,decision\n,M\nV,M\nVV,M\n,H\n")   # '' again on line 5
+    return str(table)
+
+
+def test_analyze_policy_with_a_repeated_history_exits_one(tmp_path, capsys):
+    table = _duplicate_history_policy(tmp_path)
+    assert main(["analyze", "--policy", table]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {table}:5: duplicate history ''\n"
+
+
+def test_run_policy_with_a_repeated_history_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, corrupted=[1], policy=_duplicate_history_policy(tmp_path))
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.endswith(":5: duplicate history ''\n")
+
+
 def test_readme_lists_every_optional_config_field():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     listed = re.findall(r"^- `(\w+)`", readme.split("Optional fields:\n\n", 1)[1]

@@ -363,7 +363,7 @@ def make_voting_world(seed=0, policy=None):
     kg = ready_keygen(seed=seed)
     pk = kg.pubkey()
     dev = VotingDevice(SID, 1, reg, random.Random(seed + 100), policy=policy)
-    asd = AuditDevice(SID, board, pk)
+    asd = AuditDevice(board, pk)
     return board, reg, pk, dev, asd
 
 

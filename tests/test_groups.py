@@ -10,6 +10,7 @@ from ivxvsim.groups import (
     MAX_CANDIDATE_BOUND,
     GroupParams,
     UnknownPreset,
+    batch_weights,
     fixed_base,
     hash_to_element,
     multi_exp,
@@ -208,15 +209,15 @@ def test_products_equal_equals_checking_each_equation(preset):
     params = setup(preset, 2)
     rng = random.Random(f"products-equal/{preset}")
     each = lambda eqs: all(multi_exp(params, b, e) == t for b, e, t in eqs)
-    assert products_equal(params, [], b"seed") is True
+    assert products_equal(params, []) is True
     equations = _true_equations(params, rng, 40)
-    assert products_equal(params, equations, b"seed") == each(equations) is True
-    assert products_equal(params, iter(equations), b"other seed")   # read once, lazily
+    assert products_equal(params, equations) == each(equations) is True
+    assert products_equal(params, iter(equations))   # read once, lazily
     for wrong in (1, 2, 17):
         bases, exponents, target = equations[wrong]
         changed = equations[:]
         changed[wrong] = (bases, exponents, target * params.g % params.p)
-        assert not products_equal(params, changed, b"seed"), wrong
+        assert not products_equal(params, changed), wrong
 
 
 def test_products_equal_in_the_toy_group_rejects_every_wrong_target():
@@ -229,7 +230,7 @@ def test_products_equal_in_the_toy_group_rejects_every_wrong_target():
         off = target * pow(params.g, k, params.p) % params.p
         changed = equations[:2] + [(bases, exponents, off)] + equations[3:]
         for seed in range(50):
-            assert not products_equal(params, changed, b"%d" % seed), (k, seed)
+            assert not products_equal(params, changed), (k, seed)
 
 
 # ------------------------------------------- mid-size preset, sliding windows
@@ -298,7 +299,7 @@ def test_products_equal_with_negative_exponents_equals_checking_each(preset):
     equations = _signed_equations(params, random.Random(f"signed/{preset}"))
     each = lambda eqs: all(multi_exp(params, b, e) == t for b, e, t in eqs)
     assert each(equations)
-    assert products_equal(params, equations, b"seed")
+    assert products_equal(params, equations)
     # a changed short-side exponent is rejected, as is a changed target
     for k, (bases, exponents, target) in enumerate(equations):
         for i, e in enumerate(exponents):
@@ -306,10 +307,10 @@ def test_products_equal_with_negative_exponents_equals_checking_each(preset):
                 changed = equations[:]
                 changed[k] = (bases, (*exponents[:i], e - 1, *exponents[i + 1 :]), target)
                 assert not each(changed)
-                assert not products_equal(params, changed, b"seed"), (k, i)
+                assert not products_equal(params, changed), (k, i)
         changed = equations[:]
         changed[k] = (bases, exponents, target * params.g % params.p)
-        assert not products_equal(params, changed, b"seed"), k
+        assert not products_equal(params, changed), k
 
 
 @pytest.mark.parametrize("preset", EVERY_PRESET)
@@ -330,11 +331,49 @@ def test_products_equal_with_target_one_equals_checking_each(preset, monkeypatch
         return original(params, bases, exponents)
 
     monkeypatch.setattr(groups, "multi_exp", recording)
-    assert products_equal(params, equations, b"seed")
+    assert products_equal(params, equations)
     assert 1 not in bases_seen
     for changed in (((x, y, t), (a + 1, b, -1), 1), ((x, y, t), (a, b, -2), 1),
                     ((x, y, t), (a, b, -1), params.g)):
-        assert not products_equal(params, equations[:-1] + [changed], b"seed"), changed
+        assert not products_equal(params, equations[:-1] + [changed]), changed
+
+
+@pytest.mark.parametrize("preset", ["mid", "standard"])
+def test_batch_weights_follow_every_base_exponent_and_target(preset):
+    # the weights are hashed from the equations, whether or not they hold
+    params = setup(preset, 2)
+    p, q, g = params.p, params.q, params.g
+    rng = random.Random(f"batch-weights/{preset}")
+    x, y, z, t = _random_subgroup_elements(params, rng, 4)
+    equations = [((x, y), (rng.randrange(q), -rng.getrandbits(128)), z),
+                 ((z, t), (rng.randrange(q), rng.getrandbits(384)), x)]
+    weights = batch_weights(params, equations)
+    assert len(weights) == 2 and weights[0] != weights[1]
+    assert all(0 <= w < 2**128 for w in weights)
+
+    def edited(k, bases=None, exponents=None, target=None):
+        old = equations[k]
+        new = (bases or old[0], exponents or old[1], target or old[2])
+        return equations[:k] + [new] + equations[k + 1 :]
+
+    changed = []
+    for k, (bases, exponents, target) in enumerate(equations):
+        for i in range(len(bases)):
+            changed.append(edited(k, bases=(*bases[:i], bases[i] * g % p, *bases[i + 1 :])))
+            changed.append(edited(k, exponents=(*exponents[:i], exponents[i] + 1,
+                                                *exponents[i + 1 :])))
+        changed.append(edited(k, target=target * g % p))
+    # y's pair moves from the first equation to the head of the second
+    (a, b), (c, d) = equations[0][1], equations[1][1]
+    changed.append([((x,), (a,), z), ((y, z, t), (b, c, d), x)])
+    # the same integers, in the same order, cut into other equations
+    assert batch_weights(params, [((x, y), (a, d), 1), ((z,), (c,), t)]) != \
+        batch_weights(params, [((x,), (a,), y), ((d, z), (1, c), t)])
+    for other in changed:
+        assert batch_weights(params, other) != weights, other
+    # an exponent moved by q is the same equation
+    assert batch_weights(params, edited(0, exponents=(a - q, b + q))) == weights
+    assert batch_weights(params, edited(1, exponents=(c + 2 * q, d))) == weights
 
 
 # ------------------------------------------------- the two-block comb
