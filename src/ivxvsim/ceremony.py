@@ -33,7 +33,7 @@ TAMPER_MODES = ("forge-signature", "mix-non-last", "tamper-shuffle-output",
                 "tamper-plaintext")
 
 AUDIT_REASONS = ("bad-signature", "last-ballot-mismatch", "shuffle-proof",
-                 "decryption", "complaint", "tally")
+                 "decryption", "complaint", "tally", "key")
 
 
 class CeremonyError(Exception):
@@ -359,7 +359,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     mix_rng = rng_for(seed, "ea.mix")
     perm = list(range(n))
     mix_rng.shuffle(perm)
-    rands = tuple(params.random_scalar(mix_rng) for _ in range(n))
+    rands = tuple(params.random_scalars(mix_rng, n))
     outputs = tuple(rerandomize(pk, inputs[perm[i]], rands[i]) for i in range(n))
     statement = ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
     proof = prove_shuffle(statement, ShuffleWitness(perm=tuple(perm), rands=rands),
@@ -443,6 +443,9 @@ def _check_fields(obj: dict, fields: dict, where: str) -> None:
 
 
 def _replay_board(transcript: ElectionTranscript, which: str):
+    """The entries of one board as (event seq, entry) pairs: positions are
+    the events' seq, which `from_jsonl` checks, not the board_seq a post
+    states."""
     entries = []
     for e in transcript.events_of(f"{which}-post"):
         payload = e["payload"]
@@ -450,7 +453,7 @@ def _replay_board(transcript: ElectionTranscript, which: str):
         entry = payload["entry"]
         _check_fields(entry, _ENTRY_FIELDS.get(entry["kind"], {}),
                       f"event {e['seq']} {entry['kind']} entry")
-        entries.append((payload["board_seq"], entry))
+        entries.append((e["seq"], entry))
     return entries
 
 
@@ -479,12 +482,17 @@ def _audit(transcript: ElectionTranscript) -> AuditVerdict:
 
     pub_entries = _replay_board(transcript, "pub")
     priv_entries = _replay_board(transcript, "priv")
-    pubkey = latest_entry(pub_entries, "pubkey")
-    if pubkey is None:
+    keys = [(seq, e) for seq, e in pub_entries if e["kind"] == "pubkey"]
+    if not keys:
         raise ReplayError("no public key on the recorded board")
-    pk = PublicKey(params, pubkey["h"])
     registry = CertRegistry.from_dump(sid, _material(transcript, "registry-dump")["rows"])
     sk_value = _material(transcript, "election-key")["sk"]
+
+    # the ballots are cast under one key, posted before the first of them
+    first_ballot = next((seq for seq, e in priv_entries if e["kind"] == "ballot"), None)
+    if len(keys) > 1 or first_ballot is not None and keys[0][0] > first_ballot:
+        return AuditVerdict(False, "key")
+    pk = PublicKey(params, keys[0][1]["h"])
 
     ballots = [e for _seq, e in priv_entries if e["kind"] == "ballot"]
     for e in ballots:

@@ -10,9 +10,11 @@ A group is large when q has more than 3 * 128 + 1 bits
 128-bit batch weights and shuffle challenges are sound, a shuffle
 response over a 384-bit randomizer is shorter than q and fits an
 element's width, and this module's Python loops (comb tables, Straus
-products) beat the builtin pow, which a small group keeps.  Every path
-computes what the builtin pow would, so no transcript depends on which
-one runs.
+products) beat the builtin pow.  A group that is not large must have
+p < 2^16: its arithmetic runs on exponents, through a table of discrete
+logarithms over all of Z_p*, built on first use, so a product of powers
+is one sum mod p - 1 and one lookup.  Every path computes what the
+builtin pow would, so no transcript depends on which one runs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ import hashlib
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain
+from operator import mul
+from struct import iter_unpack
 
 # RFC 3526, 2048-bit MODP group. p is a safe prime, q = (p-1)/2 is prime,
 # and 2 has order exactly q (2^q = 1 mod p, checked in the test suite).
@@ -69,7 +74,9 @@ class GroupParams:
     """Ambient modulus p, a safe prime 2q + 1, prime subgroup order q,
     generator g, and the exclusive upper bound on encodable candidate
     indices.  `large`, derived from q, says whether q has more than
-    3 * SHORT_BITS + 1 bits; every size-dependent choice reads it."""
+    3 * SHORT_BITS + 1 bits; every size-dependent choice reads it.  A
+    group that is not large must have p < 2^16, so that its log table
+    stays small."""
 
     p: int
     q: int
@@ -80,7 +87,10 @@ class GroupParams:
     def __post_init__(self):
         if self.p != 2 * self.q + 1:
             raise ValueError("p must be the safe prime 2q + 1")
-        object.__setattr__(self, "large", self.q.bit_length() > 3 * SHORT_BITS + 1)
+        large = self.q.bit_length() > 3 * SHORT_BITS + 1
+        if not large and self.p >= 1 << 16:     # its log table has p entries
+            raise ValueError("a group with q of at most 385 bits must have p < 2^16")
+        object.__setattr__(self, "large", large)
 
     def is_element(self, x: int) -> bool:
         """Membership test for the order-q subgroup, the quadratic residues:
@@ -89,6 +99,41 @@ class GroupParams:
 
     def random_scalar(self, rng) -> int:
         return rng.randrange(self.q)
+
+    def random_scalars(self, rng, count: int) -> list[int]:
+        """[rng.randrange(q) for _ in range(count)], leaving rng in the
+        state that loop leaves it in.
+
+        For 0 < q < 2^32 this relies on the layout of CPython's Mersenne
+        Twister: randrange(q) takes the top k = |q| bits of one 32-bit
+        word, again while the result is q or more, and getrandbits(32 m)
+        returns the next m words, lowest first.  So each pass draws one
+        word per value still missing and keeps the results below q; with
+        no more words than values missing, the generator never runs ahead
+        of the loop.  For |q| <= 8 a value is its word's top byte shifted,
+        which `bytes.translate` maps and filters in one step.  The pinned
+        transcript digests catch a break.  Any other q takes the loop."""
+        q = self.q
+        if not 0 < q < 1 << 32:
+            return [rng.randrange(q) for _ in range(count)]
+        shift = 32 - q.bit_length()
+        out = []
+        while len(out) < count:
+            m = count - len(out)
+            words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+            if shift >= 24:
+                out += words[3::4].translate(*_top_byte_tables(q))
+            else:
+                out += [x for (w,) in iter_unpack("<I", words) if (x := w >> shift) < q]
+        return out
+
+
+@lru_cache(maxsize=4)
+def _top_byte_tables(q: int) -> tuple[bytes, bytes]:
+    """bytes.translate's table and deletions for 0 < q < 2^8: a word's top
+    byte shifted right by 8 - |q|, dropped if that is q or more."""
+    shift = 8 - q.bit_length()
+    return bytes(b >> shift for b in range(256)), bytes(range(q << shift, 256))
 
 
 _PRESETS = {
@@ -229,15 +274,54 @@ def _comb(p: int, q: int, base: int, build: bool = False):
     return comb
 
 
+@lru_cache(maxsize=4)
+def _log_tables(p: int):
+    """(log, exp) for a prime p < 2^16 and its least primitive root r:
+    exp[k] = r^k mod p for 0 <= k < p - 1, and log[x] = k for each x =
+    r^k.  As r has order p - 1, prod b_i^e_i = exp[sum e_i * log b_i mod
+    p - 1] for every b_i of Z_p* and every integer e_i, negative ones
+    too: what the builtin pow returns.  log[0] is None, so that a base of
+    0 fails in arithmetic; indexed, log also takes the bases -p < b < 0,
+    as b + p.  Built on first use, one pair per modulus."""
+    if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise ValueError("p must be an odd prime")
+    for root in range(2, p):
+        exp, x = [1], root
+        while x != 1:
+            exp.append(x)
+            x = x * root % p
+        if len(exp) == p - 1:
+            break
+    log = [None] * p
+    for k, x in enumerate(exp):
+        log[x] = k
+    return tuple(log), tuple(exp)
+
+
+def _pow_product(p: int, bases, exponents) -> int:
+    """The product of base_i^e_i mod p by the builtin pow: in a small
+    group, for the bases its log table does not hold, those outside
+    -p < b < p and those of 0 mod p."""
+    acc = 1
+    for b, e in zip(bases, exponents):
+        acc = acc * pow(b, e, p) % p
+    return acc
+
+
 def fixed_base(params: GroupParams, base: int):
     """The function e -> base^e mod p for a base of order q, e taken mod q:
     in a large group the base's comb table, built on first use and kept
     in a bounded cache, where `multi_exp` finds it too; in a small group
-    the builtin pow.  Look it up once per batch of exponentiations."""
-    if params.large:
-        return _comb(params.p, params.q, base, build=True).pow
+    one lookup, exp[e * log base mod p - 1], or the builtin pow for a base
+    of 0 mod p.  Look it up once per batch of exponentiations."""
     p = params.p
-    return lambda e: pow(base, e, p)   # half the call cost of a keyword partial
+    if params.large:
+        return _comb(p, params.q, base, build=True).pow
+    log, exp = _log_tables(p)
+    log_base, order = log[base % p], p - 1
+    if log_base is None:
+        return lambda e: pow(base, e, p)
+    return lambda e: exp[e * log_base % order]
 
 
 def power(params: GroupParams, base: int, e: int) -> int:
@@ -260,7 +344,9 @@ def _square_and_multiply(p: int, slots) -> int:
 
 def multi_exp(params: GroupParams, bases, exponents) -> int:
     """The product of base_i^e_i mod p for bases of order q, each e_i taken
-    mod q; 1 for no bases.
+    mod q; 1 for no bases.  A small group takes one sum of exponents and
+    one lookup, exp[sum e_i * log base_i mod p - 1], exact for any integer
+    e_i and any base of Z_p*, as the builtin pow is (`_log_tables`).
 
     In a large group Straus' method shares one chain of squarings among
     all the bases.  Each exponent is cut, from its low end, into windows
@@ -273,10 +359,11 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
     then as long as the longest exponent of a base without a table."""
     p = params.p
     if not params.large:
-        acc = 1
-        for b, e in zip(bases, exponents):
-            acc = acc * pow(b, e, p) % p
-        return acc
+        log, exp = _log_tables(p)
+        try:
+            return exp[sum(map(mul, exponents, map(log.__getitem__, bases))) % (p - 1)]
+        except (IndexError, TypeError):     # a base the table does not hold
+            return _pow_product(p, bases, exponents)
     q = params.q
     terms, length = [], 0       # terms: (comb or None, base, e)
     for b, e in zip(bases, exponents):
@@ -355,21 +442,18 @@ def products_equal(params: GroupParams, equations) -> bool:
 
     In a small group each equation is checked in turn, up to the first
     that fails: with q = 11 a weighted check would pass a false set one
-    time in eleven.  An equation over more than q bases repeats some, so
-    their exponents are summed first."""
+    time in eleven.  Each is one sum of exponents, sum e_i * log base_i
+    mod p - 1, looked up and compared with its target, as in `multi_exp`."""
     p = params.p
     if not params.large:
-        q, rp = params.q, repeat(p)
+        log, exp = _log_tables(p)
+        logs, order = log.__getitem__, p - 1
         for bases, exponents, target in equations:
-            if len(bases) > q:
-                merged = {}
-                for b, e in zip(bases, exponents):
-                    merged[b] = merged.get(b, 0) + e
-                bases, exponents = merged, merged.values()
-            acc = 1
-            for x in map(pow, bases, exponents, rp):
-                acc = acc * x % p
-            if acc != target:
+            try:
+                product = exp[sum(map(mul, exponents, map(logs, bases))) % order]
+            except (IndexError, TypeError):     # a base the table does not hold
+                product = _pow_product(p, bases, exponents)
+            if product != target:
                 return False
         return True
     equations = list(equations)

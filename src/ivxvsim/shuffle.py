@@ -244,7 +244,13 @@ def _check_witness(statement: ShuffleStatement, witness: ShuffleWitness) -> None
 
 def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> ShuffleProof:
     """Produce a proof accepted by verify_shuffle; O(n) exponentiations
-    per repetition, each a fixed-base power or a multi-exponentiation."""
+    per repetition, each a fixed-base power or a multi-exponentiation.
+
+    Each repetition draws its scalars from rng in one order: rho, rho_hat,
+    w_bar, w_dot, w_tld, w_r, w_hat, then w'.  A small group takes all
+    repetitions' scalars in one `GroupParams.random_scalars` call, which
+    draws what the per-call loop would; a large group draws each by
+    randrange, and each w' as a 384-bit integer."""
     pk = statement.pk
     params = pk.params
     p, q = params.p, params.q
@@ -263,9 +269,17 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     out_a = [ct.c1 for ct in statement.outputs]
     out_b = [ct.c2 for ct in statement.outputs]
     width = _width(p)
+    n_rounds = security_rounds(q)
+    if params.large:
+        draw = lambda count: [rng.randrange(q) for _ in range(count)]
+    else:
+        # every round's 4n + 4 scalars in one bulk draw, cut in the order
+        # of the loop below
+        scalars = iter(params.random_scalars(rng, n_rounds * (4 * n + 4)))
+        draw = lambda count: list(islice(scalars, count))
     rounds = []
-    for rnd in range(security_rounds(q)):
-        rho = [rng.randrange(q) for _ in range(n)]
+    for rnd in range(n_rounds):
+        rho = draw(n)
         commits = [0] * n
         for i in range(n):
             commits[perm[i]] = g_pow(rho[perm[i]]) * gens[i] % p
@@ -273,17 +287,17 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, params)
         u_tld = [u[perm[i]] for i in range(n)]
 
-        rho_hat = [rng.randrange(q) for _ in range(n)]
+        rho_hat = draw(n)
         rho_bar = sum(rho) % q
         rho_tld = sum(map(mul, rho, u)) % q
         r_tld = sum(map(mul, rands, u_tld)) % q
 
-        w_bar, w_dot, w_tld, w_r = [rng.randrange(q) for _ in range(4)]
-        w_hat = [rng.randrange(q) for _ in range(n)]
+        w_bar, w_dot, w_tld, w_r = draw(4)
+        w_hat = draw(n)
         if params.large:
             w_prm = [rng.getrandbits(_RANDOMIZER_BITS) for _ in range(n)]
         else:
-            w_prm = [rng.randrange(q) for _ in range(n)]
+            w_prm = draw(n)
 
         chain, t_hat, rho_dot = _chain_and_t_hat(params, base, u_tld, rho_hat, w_hat, w_prm)
         t1 = g_pow(w_bar)
@@ -328,11 +342,10 @@ def _round_equations(stmt_digest: bytes, rnd: int, pr: ProofRound, params: Group
                          (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat),
                          width, params)
     # a 128-bit challenge's powers stay short as negative exponents, which
-    # products_equal moves to its short side; mod-q challenges are reduced,
-    # as the builtin pow of a small group wants them
-    short = params.large
-    neg_gamma = -gamma if short else -gamma % q
-    neg_u_gamma = [u_j * neg_gamma for u_j in u] if short else [u_j * neg_gamma % q for u_j in u]
+    # products_equal moves to its short side; a small group sums them as
+    # they are, over its log table
+    neg_gamma = -gamma
+    neg_u_gamma = [u_j * neg_gamma for u_j in u]
 
     prod_u = 1
     for u_j in u:

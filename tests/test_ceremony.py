@@ -499,6 +499,83 @@ def test_false_plaintexts_or_key_under_a_valid_proof_are_decryption(three_voter_
         AuditVerdict(False, "decryption")
 
 
+# ------------------------------------------------- one key, before the ballots
+
+def _replayed(events) -> AuditVerdict:
+    """The recomputed verdict of a transcript's events, renumbered in
+    their list order: seq counts the events, board_seq the board posts."""
+    posts = 0
+    for seq, event in enumerate(events[1:], start=1):
+        event["seq"] = seq
+        if event["kind"] in ("pub-post", "priv-post"):
+            posts += 1
+            event["payload"]["board_seq"] = posts
+    text = "".join(json.dumps(event) + "\n" for event in events)
+    return audit_transcript(ElectionTranscript.from_jsonl(text))[0]
+
+
+def _post(kind, entry) -> dict:
+    return {"seq": 0, "phase": "tally", "actor": f"{kind.split('-')[0]}-board", "kind": kind,
+            "payload": {"board_seq": 0, "entry": entry}}
+
+
+@pytest.mark.parametrize("preset", ["toy", "mid"])
+def test_a_second_key_posted_after_voting_is_invalid(preset):
+    # the authority posts h' = g^sk' after the ballots, re-mixes them under
+    # h' with a valid proof, and posts what sk' opens them to, its tally
+    # and sk'; every other check passes, and the tally is not the run's
+    result = run_election(honest_config(n_voters=5, seed=3, group_preset=preset))
+    assert result.verdict.valid
+    params = setup(preset, 3)
+    sk = result.transcript.events_of("election-key")[-1]["payload"]["sk"]
+    pk2, sk2 = elgamal.make_keypair(params, sk % (params.q - 1) + 1)
+    rng = random.Random(f"rekey/{preset}")
+    inputs = [elgamal.Ciphertext(*c) for c in _posted(result, "shuffle")["inputs"]]
+    perm = list(range(len(inputs)))
+    rng.shuffle(perm)
+    rands = [params.random_scalar(rng) for _ in inputs]
+    outputs = [elgamal.rerandomize(pk2, inputs[j], r) for j, r in zip(perm, rands)]
+    statement = shuffle.ShuffleStatement(pk=pk2, inputs=inputs, outputs=outputs)
+    proof = shuffle.serialize_proof(
+        shuffle.prove_shuffle(statement, shuffle.ShuffleWitness(perm, rands), rng), params)
+    assert shuffle.verify_shuffle(statement, proof)
+    values = decrypt_all(sk2, outputs)
+    assert functionalities.plaintexts_match(sk2, pk2.h, outputs, values)
+    counts = {str(c): v for c, v in tally_alg(values, 3).items()}
+    assert counts != _posted(result, "tally")["counts"]
+
+    events = [json.loads(line) for line in result.transcript.to_jsonl().splitlines()]
+    for event in events:
+        if board_entry(event, "shuffle") is not None:
+            event["payload"]["entry"].update(outputs=[list(c) for c in outputs],
+                                             proof=proof.hex())
+        if board_entry(event, "plaintexts") is not None:
+            event["payload"]["entry"]["values"] = values
+        if board_entry(event, "tally") is not None:
+            event["payload"]["entry"]["counts"] = counts
+        if event.get("kind") == "election-key":
+            event["payload"]["sk"] = sk2.sk
+    mix = next(i for i, e in enumerate(events) if board_entry(e, "shuffle") is not None)
+    events.insert(mix, _post("pub-post", {"kind": "pubkey", "h": pk2.h}))
+    assert _replayed(events) == AuditVerdict(False, "key")
+
+
+def test_the_one_key_must_come_before_the_first_ballot():
+    result = run_election(honest_config(n_voters=5, seed=3))
+    fresh = lambda: [json.loads(line) for line in result.transcript.to_jsonl().splitlines()]
+    events = fresh()
+    key = next(i for i, e in enumerate(events) if board_entry(e, "pubkey") is not None)
+    ballot = next(i for i, e in enumerate(events) if board_entry(e, "ballot") is not None)
+    assert key < ballot and _replayed(events) == AuditVerdict(True, None)
+    # the same key posted twice, or moved past the first ballot
+    events = fresh()
+    twice = events[: key + 1] + fresh()[key : key + 1] + events[key + 1 :]
+    assert _replayed(twice) == AuditVerdict(False, "key")
+    events = fresh()
+    moved = events[:key] + events[key + 1 : ballot + 1] + [events[key]] + events[ballot + 1 :]
+    assert _replayed(moved) == AuditVerdict(False, "key")
+
+
 def test_transcript_jsonl_roundtrip():
     result = run_election(honest_config())
     text = result.transcript.to_jsonl()

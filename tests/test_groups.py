@@ -1,6 +1,7 @@
 """Group presets, membership checks, and hash-to-group derivation."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -224,13 +225,98 @@ def test_products_equal_in_the_toy_group_rejects_every_wrong_target():
     # q = 11: a weighted check would pass a false set one time in eleven,
     # so the toy group checks each equation and no factor slips through
     params = setup("toy", 2)
-    equations = _true_equations(params, random.Random("toy-factors"), 5)
-    bases, exponents, target = equations[2]
-    for k in range(1, params.q):
-        off = target * pow(params.g, k, params.p) % params.p
-        changed = equations[:2] + [(bases, exponents, off)] + equations[3:]
-        for seed in range(50):
-            assert not products_equal(params, changed), (k, seed)
+    for i in range(50):
+        equations = _true_equations(params, random.Random(f"toy-factors/{i}"), 5)
+        assert products_equal(params, equations), i
+        bases, exponents, target = equations[2]
+        for k in range(1, params.q):
+            off = target * pow(params.g, k, params.p) % params.p
+            changed = equations[:2] + [(bases, exponents, off)] + equations[3:]
+            assert not products_equal(params, changed), (i, k)
+
+
+# ----------------------------------------- small groups: tabled logarithms
+
+SMALL_GROUPS = [setup("toy", 2), GroupParams(p=47, q=23, g=2, candidate_bound=2)]
+
+
+@pytest.mark.parametrize("params", SMALL_GROUPS, ids=["toy", "p47"])
+def test_tabled_arithmetic_equals_builtin_pow(params):
+    # every residue b and b + p, non-residues and 0 included, under every
+    # exponent from -30 to 30: the builtin pow's result, which for b = 0
+    # and e < 0 is a ValueError
+    p = params.p
+    bases = [*range(p), *range(p, 2 * p)]
+    exponents = range(-30, 31)
+    pairs = [(b, e) for b in bases for e in exponents if b % p or e >= 0]
+    for b in bases:
+        power = fixed_base(params, b)
+        for e in exponents:
+            if b % p or e >= 0:
+                assert power(e) == pow(b, e, p), (b, e)
+            else:
+                with pytest.raises(ValueError):
+                    power(e)
+    for b in (0, p):
+        with pytest.raises(ValueError):
+            multi_exp(params, (b,), (-1,))
+    rng = random.Random(f"tabled/{p}")
+    for k in (1, 3, 50):
+        for _ in range(200 if k < 50 else 40):
+            chosen = rng.choices(pairs, k=k)
+            bases_k, exponents_k = zip(*chosen)
+            expected = _product_of_pows(params, bases_k, exponents_k)
+            assert multi_exp(params, bases_k, exponents_k) == expected, chosen
+            assert products_equal(params, [(bases_k, exponents_k, expected)]), chosen
+            wrong = (expected + rng.randrange(1, p)) % p
+            assert not products_equal(params, [(bases_k, exponents_k, wrong)]), chosen
+
+
+def test_a_small_group_must_have_p_below_2_16():
+    with pytest.raises(ValueError, match="2\\^16"):
+        GroupParams(p=2**16 + 1, q=2**15, g=4, candidate_bound=2)
+    # the largest safe prime below 2^16 is tabled, exactly
+    params = GroupParams(p=65267, q=32633, g=4, candidate_bound=2)
+    assert sympy.isprime(params.p) and sympy.isprime(params.q)
+    rng = random.Random("tabled/65267")
+    bases = [rng.randrange(1, params.p) for _ in range(20)]
+    exponents = [rng.randrange(-params.p, params.p) for _ in bases]
+    assert multi_exp(params, bases, exponents) == _product_of_pows(params, bases, exponents)
+
+
+# --------------------------------------------- bulk draws of small scalars
+
+@pytest.mark.parametrize("q", [3, 11, 257, 2**31 - 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 1000])
+def test_random_scalars_equal_the_per_call_loop(q, count):
+    # random_scalars relies on the word layout of CPython's Mersenne
+    # Twister; the pinned transcript digests catch a break there too.
+    # q = 257 rejects about half its words outside the top-byte path.  No
+    # small group has q = 2^31 - 1 (p would be 2^32 - 1), so the method
+    # runs on a stand-in that has only q.
+    params = SimpleNamespace(q=q)
+    bulk, loop = random.Random(f"scalars/{q}/{count}"), random.Random(f"scalars/{q}/{count}")
+    drawn = GroupParams.random_scalars(params, bulk, count)
+    assert drawn == [loop.randrange(q) for _ in range(count)]
+    assert bulk.getstate() == loop.getstate()
+
+
+class _RecordingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+def test_random_scalars_of_a_large_q_take_the_per_call_loop():
+    params = setup("mid", 2)
+    bulk, loop = _RecordingRandom("scalars/mid"), random.Random("scalars/mid")
+    assert params.random_scalars(bulk, 20) == [loop.randrange(params.q) for _ in range(20)]
+    assert bulk.getstate() == loop.getstate()
+    assert set(bulk.widths) == {params.q.bit_length()}
 
 
 # ------------------------------------------- mid-size preset, sliding windows

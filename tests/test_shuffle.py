@@ -898,3 +898,42 @@ def test_witness_recheck_names_the_first_output_that_does_not_match(preset, monk
     # per-output re-check
     monkeypatch.setattr(shuffle, "rerandomize", None)
     assert verify_shuffle(stmt, prove_shuffle(stmt, wit, rng))
+
+
+def test_toy_prover_draws_its_scalars_in_the_per_round_order():
+    # the toy prover takes every round's 4n + 4 scalars in one bulk draw;
+    # restated here as the per-call loop it replaced, rho, rho_hat, w_bar,
+    # w_dot, w_tld, w_r, w_hat, w', each proof value is what that loop's
+    # scalars give, and the generator ends where the loop leaves it
+    rng = random.Random(35)
+    pk, _ = keygen(TOY, rng)
+    n = 5
+    stmt, wit = make_instance(rng, pk, n)
+    prover, loop = random.Random("draw-order"), random.Random("draw-order")
+    proof = prove_shuffle(stmt, wit, prover)
+    p, q, g = TOY.p, TOY.q, TOY.g
+    draw = lambda count: [loop.randrange(q) for _ in range(count)]
+    stmt_digest = hashlib.sha256(stmt.to_bytes()).digest()
+    _, gens, _ = shuffle._generators(p, q, g, n)
+    width = shuffle._width(p)
+    for rnd, pr in enumerate(proof.rounds):
+        rho, rho_hat = draw(n), draw(n)
+        w_bar, w_dot, w_tld, w_r = draw(4)
+        w_hat, w_prm = draw(n), draw(n)
+        assert pr.perm_commits == tuple(
+            pow(g, rho[j], p) * gens[wit.perm.index(j)] % p for j in range(n))
+        assert (pr.t1, pr.t2) == (pow(g, w_bar, p), pow(g, w_dot, p))
+        perm_bytes = _encode(pr.perm_commits, width)
+        u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, TOY)
+        u_tld = [u[j] for j in wit.perm]
+        gamma = shuffle._round_gamma(
+            stmt_digest, rnd, perm_bytes,
+            (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat), width, TOY)
+        rho_tld = sum(r * u_j for r, u_j in zip(rho, u))
+        r_tld = sum(r * u_j for r, u_j in zip(wit.rands, u_tld))
+        assert pr.s_tld == (w_tld + gamma * rho_tld) % q
+        assert pr.s_r == (w_r + gamma * r_tld) % q
+        assert pr.s_hat == tuple((w + gamma * r) % q for w, r in zip(w_hat, rho_hat))
+        assert pr.s_prm == tuple((w + gamma * u_j) % q for w, u_j in zip(w_prm, u_tld))
+    assert len(proof.rounds) == security_rounds(q)
+    assert prover.getstate() == loop.getstate()
