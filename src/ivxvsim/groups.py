@@ -11,10 +11,11 @@ A group is large when q has more than 3 * 128 + 1 bits
 response over a 384-bit randomizer is shorter than q and fits an
 element's width, and this module's Python loops (comb tables, Straus
 products) beat the builtin pow.  A group that is not large must have
-p < 2^16: its arithmetic runs on exponents, through a table of discrete
+q < 2^8: its arithmetic runs on exponents, through a table of discrete
 logarithms over all of Z_p*, built on first use, so a product of powers
-is one sum mod p - 1 and one lookup.  Every path computes what the
-builtin pow would, so no transcript depends on which one runs.
+is one sum mod p - 1 and one lookup, and its scalars are drawn a byte at
+a time.  Every path computes what the builtin pow would, and draws what
+randrange would, so no transcript depends on which one runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import mul
-from struct import iter_unpack
 
 # RFC 3526, 2048-bit MODP group. p is a safe prime, q = (p-1)/2 is prime,
 # and 2 has order exactly q (2^q = 1 mod p, checked in the test suite).
@@ -75,8 +75,8 @@ class GroupParams:
     generator g, and the exclusive upper bound on encodable candidate
     indices.  `large`, derived from q, says whether q has more than
     3 * SHORT_BITS + 1 bits; every size-dependent choice reads it.  A
-    group that is not large must have p < 2^16, so that its log table
-    stays small."""
+    group that is not large must have 0 < q < 2^8, so that its log table
+    stays small and a scalar fits one byte."""
 
     p: int
     q: int
@@ -88,8 +88,8 @@ class GroupParams:
         if self.p != 2 * self.q + 1:
             raise ValueError("p must be the safe prime 2q + 1")
         large = self.q.bit_length() > 3 * SHORT_BITS + 1
-        if not large and self.p >= 1 << 16:     # its log table has p entries
-            raise ValueError("a group with q of at most 385 bits must have p < 2^16")
+        if not large and not 0 < self.q < 1 << 8:
+            raise ValueError("a group with q of at most 385 bits must have 0 < q < 2^8")
         object.__setattr__(self, "large", large)
 
     def is_element(self, x: int) -> bool:
@@ -102,29 +102,25 @@ class GroupParams:
 
     def random_scalars(self, rng, count: int) -> list[int]:
         """[rng.randrange(q) for _ in range(count)], leaving rng in the
-        state that loop leaves it in.
+        state that loop leaves it in.  A large group takes that loop.
 
-        For 0 < q < 2^32 this relies on the layout of CPython's Mersenne
-        Twister: randrange(q) takes the top k = |q| bits of one 32-bit
-        word, again while the result is q or more, and getrandbits(32 m)
-        returns the next m words, lowest first.  So each pass draws one
-        word per value still missing and keeps the results below q; with
-        no more words than values missing, the generator never runs ahead
-        of the loop.  For |q| <= 8 a value is its word's top byte shifted,
-        which `bytes.translate` maps and filters in one step.  The pinned
-        transcript digests catch a break.  Any other q takes the loop."""
+        A small group relies on the layout of CPython's Mersenne Twister:
+        randrange(q) takes the top k = |q| <= 8 bits of one 32-bit word,
+        again while the result is q or more, and getrandbits(32 m) returns
+        the next m words, lowest first.  So each pass draws one word per
+        value still missing, and `bytes.translate` shifts each word's top
+        byte and drops the results of q or more; with no more words than
+        values missing, the generator never runs ahead of the loop.  The
+        pinned transcript digests catch a break."""
         q = self.q
-        if not 0 < q < 1 << 32:
+        if self.large:
             return [rng.randrange(q) for _ in range(count)]
-        shift = 32 - q.bit_length()
+        table, dropped = _top_byte_tables(q)
         out = []
         while len(out) < count:
             m = count - len(out)
             words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-            if shift >= 24:
-                out += words[3::4].translate(*_top_byte_tables(q))
-            else:
-                out += [x for (w,) in iter_unpack("<I", words) if (x := w >> shift) < q]
+            out += words[3::4].translate(table, dropped)
         return out
 
 
@@ -276,7 +272,7 @@ def _comb(p: int, q: int, base: int, build: bool = False):
 
 @lru_cache(maxsize=4)
 def _log_tables(p: int):
-    """(log, exp) for a prime p < 2^16 and its least primitive root r:
+    """(log, exp) for a prime p < 2^9 and its least primitive root r:
     exp[k] = r^k mod p for 0 <= k < p - 1, and log[x] = k for each x =
     r^k.  As r has order p - 1, prod b_i^e_i = exp[sum e_i * log b_i mod
     p - 1] for every b_i of Z_p* and every integer e_i, negative ones

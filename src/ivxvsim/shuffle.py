@@ -203,8 +203,8 @@ def _chain_and_t_hat(params: GroupParams, base: int, u_tld, rho_hat, w_hat, w_pr
     then t_hat_i = g^(w_hat_i + w'_i a) * base^(w'_i b) and chain_i =
     g^(rho_hat_i + u~_i a) * base^(u~_i b).  In a large group each t_hat_i
     is one product over the two tabled bases and each chain element the
-    recurrence itself, one product too; in a small group, where the
-    builtin pow does the work, each is two fixed-base powers."""
+    recurrence itself, one product too; in a small group each is two
+    fixed-base powers, two lookups in its log table."""
     p, q, g, large = params.p, params.q, params.g, params.large
     g_pow, base_pow = fixed_base(params, g), fixed_base(params, base)   # builds both tables
     chain, t_hat = [], []
@@ -271,7 +271,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     width = _width(p)
     n_rounds = security_rounds(q)
     if params.large:
-        draw = lambda count: [rng.randrange(q) for _ in range(count)]
+        draw = lambda count: params.random_scalars(rng, count)
     else:
         # every round's 4n + 4 scalars in one bulk draw, cut in the order
         # of the loop below

@@ -1,7 +1,6 @@
 """Group presets, membership checks, and hash-to-group derivation."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -272,13 +271,14 @@ def test_tabled_arithmetic_equals_builtin_pow(params):
             assert not products_equal(params, [(bases_k, exponents_k, wrong)]), chosen
 
 
-def test_a_small_group_must_have_p_below_2_16():
-    with pytest.raises(ValueError, match="2\\^16"):
-        GroupParams(p=2**16 + 1, q=2**15, g=4, candidate_bound=2)
-    # the largest safe prime below 2^16 is tabled, exactly
-    params = GroupParams(p=65267, q=32633, g=4, candidate_bound=2)
+def test_a_small_group_must_have_q_below_2_8():
+    for q in (0, 257, 2**15):
+        with pytest.raises(ValueError, match="0 < q < 2\\^8"):
+            GroupParams(p=2 * q + 1, q=q, g=4, candidate_bound=2)
+    # the largest safe prime with q below 2^8 is tabled, exactly
+    params = GroupParams(p=503, q=251, g=4, candidate_bound=2)
     assert sympy.isprime(params.p) and sympy.isprime(params.q)
-    rng = random.Random("tabled/65267")
+    rng = random.Random("tabled/503")
     bases = [rng.randrange(1, params.p) for _ in range(20)]
     exponents = [rng.randrange(-params.p, params.p) for _ in bases]
     assert multi_exp(params, bases, exponents) == _product_of_pows(params, bases, exponents)
@@ -286,17 +286,17 @@ def test_a_small_group_must_have_p_below_2_16():
 
 # --------------------------------------------- bulk draws of small scalars
 
-@pytest.mark.parametrize("q", [3, 11, 257, 2**31 - 1])
+@pytest.mark.parametrize("q", [3, 11, 131, 251])
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 1000])
 def test_random_scalars_equal_the_per_call_loop(q, count):
     # random_scalars relies on the word layout of CPython's Mersenne
     # Twister; the pinned transcript digests catch a break there too.
-    # q = 257 rejects about half its words outside the top-byte path.  No
-    # small group has q = 2^31 - 1 (p would be 2^32 - 1), so the method
-    # runs on a stand-in that has only q.
-    params = SimpleNamespace(q=q)
+    # Each q is that of a safe-prime group; q = 131 drops about half its
+    # words, q = 251 the fewest that any 8-bit q drops.
+    params = GroupParams(p=2 * q + 1, q=q, g=4, candidate_bound=2)
+    assert sympy.isprime(params.p) and sympy.isprime(q)
     bulk, loop = random.Random(f"scalars/{q}/{count}"), random.Random(f"scalars/{q}/{count}")
-    drawn = GroupParams.random_scalars(params, bulk, count)
+    drawn = params.random_scalars(bulk, count)
     assert drawn == [loop.randrange(q) for _ in range(count)]
     assert bulk.getstate() == loop.getstate()
 
