@@ -204,17 +204,21 @@ def _chain_and_t_hat(params: GroupParams, base: int, u_tld, rho_hat, w_hat, w_pr
     g^(rho_hat_i + u~_i a) * base^(u~_i b).  In a large group each t_hat_i
     is one product over the two tabled bases and each chain element the
     recurrence itself, one product too; in a small group each is two
-    fixed-base powers, two lookups in its log table."""
+    fixed-base powers, read from lists of all q powers of g and of base,
+    as every exponent here is reduced mod q."""
     p, q, g, large = params.p, params.q, params.g, params.large
     g_pow, base_pow = fixed_base(params, g), fixed_base(params, base)   # builds both tables
+    if not large:
+        g_powers, base_powers = [g_pow(e) for e in range(q)], [base_pow(e) for e in range(q)]
     chain, t_hat = [], []
     a, b, prev = 0, 1, base
     for u_i, r_i, w_i, w_prm_i in zip(u_tld, rho_hat, w_hat, w_prm):
         x, y = (w_i + w_prm_i * a) % q, w_prm_i * b % q
         t_hat.append(multi_exp(params, (g, base), (x, y)) if large
-                     else g_pow(x) * base_pow(y) % p)
+                     else g_powers[x] * base_powers[y] % p)
         a, b = (r_i + u_i * a) % q, u_i * b % q
-        prev = multi_exp(params, (g, prev), (r_i, u_i)) if large else g_pow(a) * base_pow(b) % p
+        prev = (multi_exp(params, (g, prev), (r_i, u_i)) if large
+                else g_powers[a] * base_powers[b] % p)
         chain.append(prev)
     return chain, t_hat, a
 
