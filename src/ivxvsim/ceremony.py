@@ -282,20 +282,14 @@ def run_election(config: ElectionConfig) -> ElectionResult:
         scripts={str(v): s for v, s in (config.scripts or {}).items()},
     )
     transcript = ElectionTranscript(manifest)
-    phase_box = ["preparation"]
+    phase = "preparation"
 
     board = BulletinBoard(sid)
-    board.observer = lambda name, bseq, entry: transcript.record(
-        phase_box[0], f"{name}-board", f"{name}-post",
-        {"board_seq": bseq, "entry": entry})
+    board.observer = lambda name, entry: transcript.record(
+        phase, f"{name}-board", f"{name}-post", {"entry": entry})
     registry = CertRegistry()
     kg = KeyGenService(sid, params, t, k, rng_for(seed, "keygen"))
-
-    corrupt_fn = None
-    if config.tamper == "tamper-plaintext":
-        bound = config.candidate_bound
-        corrupt_fn = lambda values: [(values[0] + 1) % bound] + list(values[1:])
-    dec = DecryptionService(sid, board, kg, t, corrupt_output_fn=corrupt_fn)
+    dec = DecryptionService(sid, board, kg, t)
 
     # Preparation: trustees report in, the key comes up, the authority
     # publishes it.
@@ -316,7 +310,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
                                 transform=forge if forged else None)
 
     # Voting: each voter runs their script to completion, in id order.
-    phase_box[0] = "voting"
+    phase = "voting"
     transcript.record("voting", "EA", "phase-open", {})
     checker = AuditDevice(board, pk)
     for i in range(1, n + 1):
@@ -336,8 +330,8 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     # Tally: close, mix each voter's last ballot on the private board with
     # proof, threshold-decrypt, count.  Every voter has a ballot there: each
     # script opens with a V, and every device certifies what it submits.
-    phase_box[0] = "tally"
-    ballots = [e for _seq, e in board.snapshot()[1] if e["kind"] == "ballot"]
+    phase = "tally"
+    ballots = [e for e in board.snapshot()[1] if e["kind"] == "ballot"]
     mix_inputs = [Ciphertext(*c) for c in last_ballots(ballots, n)]
     if config.tamper == "mix-non-last":
         # a device numbers its voter's casts from 1, and every cast is on the board
@@ -385,12 +379,17 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     for trustee_id in range(1, k + 1):
         dec.submit_key(trustee_id)
         transcript.record("tally", f"trustee-{trustee_id}", "key-submit", {})
-    tally = tally_alg(dec.decrypt_and_post(), config.candidate_bound)
+    values = dec.decrypt_and_post()
+    if config.tamper == "tamper-plaintext":
+        # the authority re-posts the list with its first value moved
+        values = [(values[0] + 1) % config.candidate_bound, *values[1:]]
+        board.pub_post(sid, {"kind": "plaintexts", "values": values})
+    tally = tally_alg(values, config.candidate_bound)
     board.pub_post(sid, {"kind": "tally", "counts": {str(c): v for c, v in tally.items()}})
 
     # Audit: publish the audit material, then judge the run by the same
     # checks a replay of its transcript makes.
-    phase_box[0] = "audit"
+    phase = "audit"
     transcript.record("audit", "simulator", "registry-dump", {"rows": registry.dump()})
     transcript.record("audit", "simulator", "election-key", {"sk": dec.secret_key.sk})
     verdict = _audit(transcript)
@@ -418,8 +417,7 @@ def _is_registry_row(row) -> bool:
 # kind of audit material.
 _MANIFEST_FIELDS = {"sid": _is_str, "n_voters": lambda v: _is_int(v) and v >= 1,
                     "candidate_bound": _is_int, "group_preset": _is_str}
-_BOARD_POST_FIELDS = {"board_seq": _is_int,
-                      "entry": lambda v: isinstance(v, dict) and _is_str(v.get("kind"))}
+_BOARD_POST_FIELDS = {"entry": lambda v: isinstance(v, dict) and _is_str(v.get("kind"))}
 _ENTRY_FIELDS = {
     "pubkey": {"h": _is_int},
     "ballot": {"ssid": _is_pair, "c": _is_pair, "sigma": _is_str},
@@ -442,19 +440,20 @@ def _check_fields(obj: dict, fields: dict, where: str) -> None:
             raise ReplayError(f"{where}: missing or malformed {key!r}")
 
 
-def _replay_board(transcript: ElectionTranscript, which: str):
-    """The entries of one board as (event seq, entry) pairs: positions are
-    the events' seq, which `from_jsonl` checks, not the board_seq a post
-    states."""
-    entries = []
-    for e in transcript.events_of(f"{which}-post"):
-        payload = e["payload"]
-        _check_fields(payload, _BOARD_POST_FIELDS, f"event {e['seq']}")
-        entry = payload["entry"]
+def _replay_board(transcript: ElectionTranscript):
+    """Every board post as (board, entry), board "pub" or "priv", in event
+    order: a post's position is its event's seq, which `from_jsonl`
+    checks.  Any other field of a post is ignored."""
+    posts = []
+    for e in transcript.events:
+        if e["kind"] not in ("pub-post", "priv-post"):
+            continue
+        _check_fields(e["payload"], _BOARD_POST_FIELDS, f"event {e['seq']}")
+        entry = e["payload"]["entry"]
         _check_fields(entry, _ENTRY_FIELDS.get(entry["kind"], {}),
                       f"event {e['seq']} {entry['kind']} entry")
-        entries.append((e["seq"], entry))
-    return entries
+        posts.append((e["kind"].removesuffix("-post"), entry))
+    return posts
 
 
 def _material(transcript: ElectionTranscript, kind: str) -> dict:
@@ -480,21 +479,23 @@ def _audit(transcript: ElectionTranscript) -> AuditVerdict:
         raise ReplayError(f"manifest group_preset/candidate_bound: {exc}") from None
     sid, n_voters = man["sid"], man["n_voters"]
 
-    pub_entries = _replay_board(transcript, "pub")
-    priv_entries = _replay_board(transcript, "priv")
-    keys = [(seq, e) for seq, e in pub_entries if e["kind"] == "pubkey"]
+    posts = _replay_board(transcript)
+    pub_entries = [e for board, e in posts if board == "pub"]
+    priv_entries = [e for board, e in posts if board == "priv"]
+    keys = [e for e in pub_entries if e["kind"] == "pubkey"]
     if not keys:
         raise ReplayError("no public key on the recorded board")
     registry = CertRegistry.from_dump(sid, _material(transcript, "registry-dump")["rows"])
     sk_value = _material(transcript, "election-key")["sk"]
 
     # the ballots are cast under one key, posted before the first of them
-    first_ballot = next((seq for seq, e in priv_entries if e["kind"] == "ballot"), None)
-    if len(keys) > 1 or first_ballot is not None and keys[0][0] > first_ballot:
+    first = next(e["kind"] for board, e in posts
+                 if (board, e["kind"]) in (("pub", "pubkey"), ("priv", "ballot")))
+    if len(keys) > 1 or first != "pubkey":
         return AuditVerdict(False, "key")
-    pk = PublicKey(params, keys[0][1]["h"])
+    pk = PublicKey(params, keys[0]["h"])
 
-    ballots = [e for _seq, e in priv_entries if e["kind"] == "ballot"]
+    ballots = [e for e in priv_entries if e["kind"] == "ballot"]
     for e in ballots:
         ct = Ciphertext(*e["c"])
         if not registry.verify(sid, tuple(e["ssid"]), cipher_bytes(ct), e["sigma"]):

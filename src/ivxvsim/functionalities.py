@@ -58,10 +58,10 @@ class VerificationToken(NamedTuple):
 
 
 def latest_entry(entries, kind: str, ssid=None):
-    """The last board entry of the given kind among (seq, entry) pairs,
-    restricted to one submission when ssid is given; None if there is
-    none.  Entries that are not objects are skipped."""
-    for _seq, entry in reversed(entries):
+    """The last board entry of the given kind among entries in board
+    order, restricted to one submission when ssid is given; None if there
+    is none.  Entries that are not objects are skipped."""
+    for entry in reversed(entries):
         if (isinstance(entry, dict) and entry.get("kind") == kind
                 and (ssid is None or tuple(entry["ssid"]) == tuple(ssid))):
             return entry
@@ -141,39 +141,36 @@ def plaintexts_match(sk: SecretKey, h: int, pairs, values) -> bool:
 
 class BulletinBoard:
     """Append-only two-part board: a public part, and a private part meant
-    for the authority and the auditor.  Sequence numbers are global across
-    both parts."""
+    for the authority and the auditor.  The board keeps no numbering of
+    its own: the transcript the observer writes orders its posts."""
 
     def __init__(self, sid):
         self.sid = sid
         self._pub: list = []
         self._priv: list = []
-        self._seq = 0
-        # optional callback(board, seq, entry) for transcript recording
+        # optional callback(board, entry) for transcript recording
         self.observer: Optional[Callable] = None
 
     def _check_sid(self, sid):
         if sid != self.sid:
             raise ValueError(f"unknown sid {sid!r}")
 
-    def _append(self, store: list, name: str, entry) -> int:
-        self._seq += 1
-        store.append((self._seq, entry))
+    def _append(self, store: list, name: str, entry) -> None:
+        store.append(entry)
         if self.observer is not None:
-            self.observer(name, self._seq, entry)
-        return self._seq
+            self.observer(name, entry)
 
-    def pub_post(self, sid, entry) -> int:
+    def pub_post(self, sid, entry) -> None:
         self._check_sid(sid)
-        return self._append(self._pub, "pub", entry)
+        self._append(self._pub, "pub", entry)
 
-    def priv_post(self, sid, entry) -> int:
+    def priv_post(self, sid, entry) -> None:
         self._check_sid(sid)
-        return self._append(self._priv, "priv", entry)
+        self._append(self._priv, "priv", entry)
 
     def snapshot(self):
-        """(pub, priv), each a tuple of (seq, entry): how the trusted
-        components read the board."""
+        """(pub, priv), each a tuple of entries in posting order: how the
+        trusted components read the board."""
         return tuple(self._pub), tuple(self._priv)
 
 
@@ -254,14 +251,11 @@ class DecryptionService:
     reconstructs the secret from the first t submitted, decrypts the
     posted shuffled ciphertexts, and publishes the plaintexts."""
 
-    def __init__(self, sid, board: BulletinBoard, keygen_service: KeyGenService,
-                 t: int, corrupt_output_fn=None):
+    def __init__(self, sid, board: BulletinBoard, keygen_service: KeyGenService, t: int):
         self.sid = sid
         self.board = board
         self.keygen_service = keygen_service
         self.t = t
-        # test/tamper hook applied to the plaintext list before posting
-        self.corrupt_output_fn = corrupt_output_fn
         self._submitted: dict[int, SecretShare] = {}
         self.secret_key: Optional[SecretKey] = None   # set by decrypt_and_post
 
@@ -280,8 +274,6 @@ class DecryptionService:
         params = self.keygen_service.params
         self.secret_key = SecretKey(params, reconstruct(shares, self.t, params.q))
         values = decrypt_all(self.secret_key, entry["outputs"])
-        if self.corrupt_output_fn is not None:
-            values = list(self.corrupt_output_fn(values))
         self.board.pub_post(self.sid, {"kind": "plaintexts", "values": values})
         return values
 

@@ -251,10 +251,10 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     per repetition, each a fixed-base power or a multi-exponentiation.
 
     Each repetition draws its scalars from rng in one order: rho, rho_hat,
-    w_bar, w_dot, w_tld, w_r, w_hat, then w'.  A small group takes all
-    repetitions' scalars in one `GroupParams.random_scalars` call, which
-    draws what the per-call loop would; a large group draws each by
-    randrange, and each w' as a 384-bit integer."""
+    w_bar, w_dot, w_tld, w_r, w_hat, then w'.  All repetitions' scalars
+    come from one `GroupParams.random_scalars` call, which draws what the
+    per-call loop would.  A large group runs one repetition, and draws
+    each w' after that call, as a 384-bit integer."""
     pk = statement.pk
     params = pk.params
     p, q = params.p, params.q
@@ -274,13 +274,10 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     out_b = [ct.c2 for ct in statement.outputs]
     width = _width(p)
     n_rounds = security_rounds(q)
-    if params.large:
-        draw = lambda count: params.random_scalars(rng, count)
-    else:
-        # every round's 4n + 4 scalars in one bulk draw, cut in the order
-        # of the loop below
-        scalars = iter(params.random_scalars(rng, n_rounds * (4 * n + 4)))
-        draw = lambda count: list(islice(scalars, count))
+    # every round's scalars in one draw, cut in the order of the loop
+    # below; a large group's w' are not scalars mod q
+    scalars = iter(params.random_scalars(rng, n_rounds * ((3 if params.large else 4) * n + 4)))
+    draw = lambda count: list(islice(scalars, count))
     rounds = []
     for rnd in range(n_rounds):
         rho = draw(n)
@@ -332,8 +329,8 @@ def _round_equations(stmt_digest: bytes, rnd: int, pr: ProofRound, params: Group
                      gens, gens_inverse: int, base: int, parts):
     """One repetition's equations as (bases, exponents, target), each
     asserting prod base^e = target: t1, t2, t3, t4a, t4b, then the n t_hat.
-    verify_shuffle has checked the shapes, the scalar ranges and that
-    every element of the statement and the proof is in the group.
+    `shuffle_equations` has checked the shapes, the scalar ranges and
+    that every element of the statement and the proof is in the group.
     `gens`, `gens_inverse` and `base` come from `_generators`, and
     `parts` holds, for c1 and then c2, its key (g, h) and that component
     of every output and then of every input."""

@@ -206,7 +206,7 @@ def test_ea_accept_ballot_records_and_overwrites():
     b2, _ = dev.cast(pk, 2)
     assert ea_accept_ballot(SID, reg, board, b1)
     assert ea_accept_ballot(SID, reg, board, b2)
-    entries = [e for _, e in board.snapshot()[1]]
+    entries = list(board.snapshot()[1])
     assert len(entries) == 2
     assert last_ballots(entries, 1) == [list(b2.c)]  # the re-vote is the one counted
 
@@ -267,6 +267,22 @@ def test_mid_group_election():
     assert result.tally == dict(Counter(result.transcript.manifest["intents"]))
     stored = ElectionTranscript.from_jsonl(result.transcript.to_jsonl())
     assert audit_transcript(stored)[0] == result.verdict
+
+
+def test_tamper_plaintext_reposts_the_decrypted_list():
+    # the decryption service posts what it decrypts; the authority then
+    # posts the list again with its first value moved, and tallies that
+    result = run_election(tamper_config("tamper-plaintext"))
+    posted = [board_entry(e, "plaintexts")["values"] for e in result.transcript.events
+              if board_entry(e, "plaintexts") is not None]
+    assert len(posted) == 2
+    decrypted, moved = posted
+    params = setup("toy", 3)
+    sk = SecretKey(params, result.transcript.events_of("election-key")[-1]["payload"]["sk"])
+    assert decrypted == decrypt_all(sk, _posted(result, "shuffle")["outputs"])
+    assert moved == [(decrypted[0] + 1) % 3, *decrypted[1:]]
+    assert result.tally == tally_alg(moved, 3)
+    assert result.verdict == AuditVerdict(False, "decryption")
 
 
 def test_mix_non_last_needs_a_revoter():
@@ -503,20 +519,32 @@ def test_false_plaintexts_or_key_under_a_valid_proof_are_decryption(three_voter_
 
 def _replayed(events) -> AuditVerdict:
     """The recomputed verdict of a transcript's events, renumbered in
-    their list order: seq counts the events, board_seq the board posts."""
-    posts = 0
+    their list order."""
     for seq, event in enumerate(events[1:], start=1):
         event["seq"] = seq
-        if event["kind"] in ("pub-post", "priv-post"):
-            posts += 1
-            event["payload"]["board_seq"] = posts
     text = "".join(json.dumps(event) + "\n" for event in events)
     return audit_transcript(ElectionTranscript.from_jsonl(text))[0]
 
 
+def _remix(result, pk, rng):
+    """The run's mix inputs shuffled again under pk: the outputs and the
+    serialized proof, which verifies."""
+    params = pk.params
+    inputs = [elgamal.Ciphertext(*c) for c in _posted(result, "shuffle")["inputs"]]
+    perm = list(range(len(inputs)))
+    rng.shuffle(perm)
+    rands = [params.random_scalar(rng) for _ in inputs]
+    outputs = [elgamal.rerandomize(pk, inputs[j], r) for j, r in zip(perm, rands)]
+    statement = shuffle.ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
+    proof = shuffle.serialize_proof(
+        shuffle.prove_shuffle(statement, shuffle.ShuffleWitness(perm, rands), rng), params)
+    assert shuffle.verify_shuffle(statement, proof)
+    return outputs, proof
+
+
 def _post(kind, entry) -> dict:
     return {"seq": 0, "phase": "tally", "actor": f"{kind.split('-')[0]}-board", "kind": kind,
-            "payload": {"board_seq": 0, "entry": entry}}
+            "payload": {"entry": entry}}
 
 
 @pytest.mark.parametrize("preset", ["toy", "mid"])
@@ -529,16 +557,7 @@ def test_a_second_key_posted_after_voting_is_invalid(preset):
     params = setup(preset, 3)
     sk = result.transcript.events_of("election-key")[-1]["payload"]["sk"]
     pk2, sk2 = elgamal.make_keypair(params, sk % (params.q - 1) + 1)
-    rng = random.Random(f"rekey/{preset}")
-    inputs = [elgamal.Ciphertext(*c) for c in _posted(result, "shuffle")["inputs"]]
-    perm = list(range(len(inputs)))
-    rng.shuffle(perm)
-    rands = [params.random_scalar(rng) for _ in inputs]
-    outputs = [elgamal.rerandomize(pk2, inputs[j], r) for j, r in zip(perm, rands)]
-    statement = shuffle.ShuffleStatement(pk=pk2, inputs=inputs, outputs=outputs)
-    proof = shuffle.serialize_proof(
-        shuffle.prove_shuffle(statement, shuffle.ShuffleWitness(perm, rands), rng), params)
-    assert shuffle.verify_shuffle(statement, proof)
+    outputs, proof = _remix(result, pk2, random.Random(f"rekey/{preset}"))
     values = decrypt_all(sk2, outputs)
     assert functionalities.plaintexts_match(sk2, pk2.h, outputs, values)
     counts = {str(c): v for c, v in tally_alg(values, 3).items()}
@@ -574,6 +593,78 @@ def test_the_one_key_must_come_before_the_first_ballot():
     events = fresh()
     moved = events[:key] + events[key + 1 : ballot + 1] + [events[key]] + events[ballot + 1 :]
     assert _replayed(moved) == AuditVerdict(False, "key")
+
+
+@pytest.mark.parametrize("preset", ["toy", "mid"])
+def test_a_shuffle_posted_twice_is_judged_by_the_last(preset):
+    # the authority mixes the same inputs again under the run's key, with
+    # a valid proof, and posts that shuffle after the first: the audit
+    # reads the latest one, so the plaintexts must open it
+    result = run_election(honest_config(n_voters=5, seed=3, group_preset=preset))
+    assert result.verdict.valid
+    params = setup(preset, 3)
+    pk = elgamal.PublicKey(params, _posted(result, "pubkey")["h"])
+    sk = SecretKey(params, result.transcript.events_of("election-key")[-1]["payload"]["sk"])
+    for attempt in range(10):   # a re-mix that the posted plaintexts do not open
+        outputs, proof = _remix(result, pk, random.Random(f"remix/{preset}/{attempt}"))
+        values = decrypt_all(sk, outputs)
+        if values != _posted(result, "plaintexts")["values"]:
+            break
+    assert values != _posted(result, "plaintexts")["values"]
+    counts = {str(c): v for c, v in tally_alg(values, 3).items()}
+    assert counts == {str(c): v for c, v in result.tally.items()}
+
+    events = [json.loads(line) for line in result.transcript.to_jsonl().splitlines()]
+    mix = next(i for i, e in enumerate(events) if board_entry(e, "shuffle") is not None)
+    events.insert(mix + 1, _post("priv-post", {**_posted(result, "shuffle"), "proof": proof.hex(),
+                                               "outputs": [list(c) for c in outputs]}))
+    # the old plaintexts do not open the second shuffle
+    assert _replayed(events) == AuditVerdict(False, "decryption")
+    # its own plaintexts and tally, posted after the old ones, do
+    tally = next(i for i, e in enumerate(events) if board_entry(e, "tally") is not None)
+    events[tally + 1 : tally + 1] = [
+        _post("pub-post", {"kind": "plaintexts", "values": values}),
+        _post("pub-post", {"kind": "tally", "counts": counts})]
+    assert _replayed(events) == AuditVerdict(True, None)
+
+
+BOARD_SEQ_FORMS = {
+    "counted 1..k": lambda k: range(1, k + 1),
+    "rewritten in reverse": lambda k: range(k, 0, -1),
+    "duplicated": lambda k: [1] * k,
+    "not a number": lambda k: ["x"] * k,
+}
+
+
+@pytest.mark.parametrize("preset", ["toy", "mid"])
+def test_a_board_seq_in_a_post_is_ignored(preset):
+    # transcripts written before posts dropped board_seq state it as the
+    # board's own count 1..k; a post's position is its event's seq alone,
+    # so a board_seq in any form leaves the verdict as it is
+    configs = {"honest": honest_config(n_voters=4, seed=2, group_preset=preset),
+               "plaintext": tamper_config("tamper-plaintext", n_voters=4, group_preset=preset),
+               "complaint": corrupted_config(n_voters=4, scripts={1: "VC"}, group_preset=preset)}
+    texts = {name: run_election(config).transcript.to_jsonl() for name, config in configs.items()}
+    transcripts = {name: [json.loads(line) for line in text.splitlines()]
+                   for name, text in texts.items()}
+    # the key moved past the first ballot, where a count in reverse would
+    # put it first
+    events = [json.loads(line) for line in texts["honest"].splitlines()]
+    key = next(i for i, e in enumerate(events) if board_entry(e, "pubkey") is not None)
+    ballot = next(i for i, e in enumerate(events) if board_entry(e, "ballot") is not None)
+    transcripts["key after a ballot"] = (events[:key] + events[key + 1 : ballot + 1]
+                                         + [events[key]] + events[ballot + 1 :])
+    expected = {"honest": AuditVerdict(True, None),
+                "plaintext": AuditVerdict(False, "decryption"),
+                "complaint": AuditVerdict(False, "complaint"),
+                "key after a ballot": AuditVerdict(False, "key")}
+    for name, events in transcripts.items():
+        assert _replayed(events) == expected[name], name
+        posts = [e for e in events[1:] if e["kind"] in ("pub-post", "priv-post")]
+        for form, numbers in BOARD_SEQ_FORMS.items():
+            for post, number in zip(posts, numbers(len(posts))):
+                post["payload"]["board_seq"] = number
+            assert _replayed(events) == expected[name], (name, form)
 
 
 def test_transcript_jsonl_roundtrip():

@@ -52,19 +52,11 @@ def post_shuffle(board, cts):
 
 def test_board_append_and_snapshot():
     board = BulletinBoard(SID)
-    s1 = board.pub_post(SID, {"kind": "notice", "n": 1})
-    s2 = board.priv_post(SID, {"kind": "ballot", "n": 2})
+    board.pub_post(SID, {"kind": "notice", "n": 1})
+    board.priv_post(SID, {"kind": "ballot", "n": 2})
     pub, priv = board.snapshot()
-    assert pub == ((s1, {"kind": "notice", "n": 1}),)
-    assert priv == ((s2, {"kind": "ballot", "n": 2}),)
-
-
-def test_board_sequence_is_global_and_increasing():
-    board = BulletinBoard(SID)
-    s1 = board.pub_post(SID, {"a": 1})
-    s2 = board.priv_post(SID, {"a": 2})
-    s3 = board.pub_post(SID, {"a": 3})
-    assert s1 < s2 < s3
+    assert pub == ({"kind": "notice", "n": 1},)
+    assert priv == ({"kind": "ballot", "n": 2},)
 
 
 def test_board_rejects_unknown_sid():
@@ -90,18 +82,19 @@ def test_board_is_append_only():
 def test_board_observer_sees_every_post():
     board = BulletinBoard(SID)
     seen = []
-    board.observer = lambda name, seq, entry: seen.append((name, seq))
+    board.observer = lambda name, entry: seen.append((name, entry))
     board.pub_post(SID, {"a": 1})
     board.priv_post(SID, {"a": 2})
-    assert seen == [("pub", 1), ("priv", 2)]
+    board.pub_post(SID, {"a": 3})
+    assert seen == [("pub", {"a": 1}), ("priv", {"a": 2}), ("pub", {"a": 3})]
 
 
 def test_latest_entry_picks_the_last_match():
-    entries = [(1, {"kind": "ballot", "ssid": [1, 1], "c": "a"}),
-               (2, "not an entry"),
-               (3, {"kind": "ballot", "ssid": [2, 1], "c": "b"}),
-               (4, {"kind": "shuffle"}),
-               (5, ["ballot"])]
+    entries = [{"kind": "ballot", "ssid": [1, 1], "c": "a"},
+               "not an entry",
+               {"kind": "ballot", "ssid": [2, 1], "c": "b"},
+               {"kind": "shuffle"},
+               ["ballot"]]
     assert latest_entry(entries, "ballot")["c"] == "b"
     assert latest_entry(entries, "ballot", ssid=(1, 1))["c"] == "a"
     assert latest_entry(entries, "ballot", ssid=(3, 1)) is None
@@ -229,7 +222,7 @@ def test_decryption_happy_path():
     assert dec.decrypt_and_post() == [0, 1, 2, 1]
     assert pow(TOY.g, dec.secret_key.sk, TOY.p) == pk.h  # the key it decrypted with
     pub, _ = board.snapshot()
-    posted = [e for _, e in pub if e.get("kind") == "plaintexts"]
+    posted = [e for e in pub if e.get("kind") == "plaintexts"]
     assert posted[-1]["values"] == [0, 1, 2, 1]
 
 
@@ -269,7 +262,7 @@ def test_decryption_marks_non_candidate_outputs():
     dec.submit_key(2)
     dec.decrypt_and_post()
     pub, _ = board.snapshot()
-    values = [e for _, e in pub if e.get("kind") == "plaintexts"][-1]["values"]
+    values = [e for e in pub if e.get("kind") == "plaintexts"][-1]["values"]
     assert values == [2, REJECTED_PLAINTEXT]
 
 

@@ -146,7 +146,7 @@ def test_single_field_mutations_of_a_mid_group_transcript(mid_lines):
 
 
 def posted_tally(transcript: ElectionTranscript) -> dict:
-    entries = [(0, e["payload"]["entry"]) for e in transcript.events_of("pub-post")]
+    entries = [e["payload"]["entry"] for e in transcript.events_of("pub-post")]
     return latest_entry(entries, "tally")["counts"]
 
 

@@ -2,9 +2,9 @@
 
 A change that should compute the same numbers faster (cheaper
 membership tests, exponentiation tables, multi-exponentiation) must
-leave every transcript byte-identical.  The digests below were recorded
-before the group arithmetic was first optimised; a change that moves one
-of them changed a value, and must say why.
+leave every transcript byte-identical.  The digests below were first recorded
+before the group arithmetic was optimised; a change that moves one of
+them changed a value, and must say why beside it.
 """
 
 import hashlib
@@ -14,20 +14,24 @@ import pytest
 from ivxvsim.ceremony import ElectionConfig, run_election
 
 PINNED = {
-    # toy group, 8 voters, re-votes and checks
+    # toy group, 8 voters, re-votes and checks (re-pinned when board posts
+    # dropped their board_seq field, so a post's position is its event's
+    # seq alone; every other byte is unchanged)
     "toy": (dict(n_voters=8, n_trustees=3, threshold=2, candidate_bound=3, seed=11,
                  scripts={1: "VVC", 2: "VC", 3: "VV", 4: "VCV"}),
-            "af87d1bab5df88f385805b8a166dce590acb94f36045ddb7ba58976cbbca0a17"),
+            "7adbd9a12a94ccb75cb6a78fa63ef07375e61a1a2acc683fdbc469f459a9fbce"),
     # 387-bit group, 6 voters: the smallest large group, on the standard
     # group's code with integer s' responses (re-pinned when mid moved
-    # from a 256-bit prime to this one)
+    # from a 256-bit prime to this one, and again when board posts
+    # dropped their board_seq field)
     "mid": (dict(n_voters=6, n_trustees=3, threshold=2, candidate_bound=3, seed=5,
                  group_preset="mid", scripts={1: "VVC", 2: "VC", 3: "VCV"}),
-            "d0a10032179fcf310a9bdfc23bc987c8fcec3bfb309360887a070482c4af2a62"),
-    # 2048-bit group, 2 voters, one of whom re-votes
+            "4ace32b77d387c6bd90b03205b972ab5520e1e2d5d46bf1828dcfd940e7749cc"),
+    # 2048-bit group, 2 voters, one of whom re-votes (re-pinned when board
+    # posts dropped their board_seq field; every other byte is unchanged)
     "standard": (dict(n_voters=2, n_trustees=3, threshold=2, candidate_bound=3, seed=7,
                       group_preset="standard", scripts={1: "VVC", 2: "VC"}),
-                 "2df7e6f7571faa02ddbf5b3cfc6fc16e802c1d27d66b6544c7960c207f99ea36"),
+                 "5546f1e3c2294b9c3a28c6dda67a4b8ab9662241f0b384ec566891b5ca89fe9f"),
 }
 
 
