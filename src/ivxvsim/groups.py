@@ -108,26 +108,31 @@ class GroupParams:
         randrange(q) takes the top k = |q| <= 8 bits of one 32-bit word,
         again while the result is q or more, and getrandbits(32 m) returns
         the next m words, lowest first.  So each pass draws one word per
-        value still missing, and `bytes.translate` shifts each word's top
-        byte and drops the results of q or more; with no more words than
-        values missing, the generator never runs ahead of the loop.  The
-        pinned transcript digests catch a break."""
+        value still missing, and `small_scalars` cuts each word's top byte;
+        with no more words than values missing, the generator never runs
+        ahead of the loop.  The pinned transcript digests catch a break."""
         q = self.q
         if self.large:
             return [rng.randrange(q) for _ in range(count)]
-        table, dropped = _top_byte_tables(q)
         out = []
         while len(out) < count:
             m = count - len(out)
             words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-            out += words[3::4].translate(table, dropped)
+            out += small_scalars(q, words[3::4])
         return out
+
+
+def small_scalars(q: int, data: bytes) -> bytes:
+    """For 0 < q < 2^8, the top |q| bits of each byte of data, in order,
+    with the values of q or more dropped: uniform scalars mod q by exact
+    rejection sampling from uniform bytes, one byte each (`bytes.translate`)."""
+    return data.translate(*_top_byte_tables(q))
 
 
 @lru_cache(maxsize=4)
 def _top_byte_tables(q: int) -> tuple[bytes, bytes]:
-    """bytes.translate's table and deletions for 0 < q < 2^8: a word's top
-    byte shifted right by 8 - |q|, dropped if that is q or more."""
+    """bytes.translate's table and deletions for 0 < q < 2^8: a byte
+    shifted right by 8 - |q|, dropped if that is q or more."""
     shift = 8 - q.bit_length()
     return bytes(b >> shift for b in range(256)), bytes(range(q << shift, 256))
 

@@ -6,9 +6,19 @@ hash-derived challenge vector u, that the committed matrix maps u to a
 hidden vector u~ with the same product (a chain of Pedersen-style
 commitments carries the running product), and that the same hidden u~
 links the aggregated input and output ciphertexts.  Every challenge is
-hashed from a canonical transcript serialization (`fs_challenge`), and
-the commitment generators are hashed into the group, so no trusted
-setup is involved.
+hashed from a canonical transcript serialization, and the commitment
+generators are hashed into the group, so no trusted setup is involved.
+
+A small group repeats the argument (`security_rounds`), and each
+challenge phase is hashed once for all repetitions together: every u
+from one stream over every repetition's permutation commitments, every
+gamma from one stream over every repetition's messages.  Hashed one
+repetition at a time, a prover could re-try each repetition alone until
+its gamma matched a guess, about q hashes per repetition: a forgery of a
+false toy statement took under 500.  Toy soundness stays weak anyway:
+the u check alone lets a false statement through with probability up
+to n/q per repetition, and a prover may split its luck between the two
+phases, so the soundness tests run on the `mid` group.
 
 The verifier states what it checks as equations (`shuffle_equations`),
 so that an auditor can check them in one weighted product together with
@@ -26,12 +36,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import mul
 
 from .elgamal import Ciphertext, PublicKey, rerandomize
 from .groups import (SHORT_BITS, GroupParams, fixed_base, hash_to_element, multi_exp,
-                     products_equal)
+                     products_equal, small_scalars)
 
 FS_DOMAIN = b"ivxvsim/shuffle-v4"
 PROOF_MAGIC = b"IVXVSHF4"
@@ -58,19 +68,30 @@ def security_rounds(q: int) -> int:
     """Number of parallel repetitions for the challenge space of order q:
     ceil(80 / min(|q|, 128)), with |q| the bit length of q.  A challenge
     mod q carries log2(q) bits, fewer than |q|, so the toy group's 20
-    repetitions of log2(11) ~ 3.46 bits reach about 69 bits, not 80."""
+    repetitions of log2(11) ~ 3.46 bits give each challenge phase about
+    69 bits, hashed over all repetitions at once; the u check's n/q per
+    repetition leaves the toy argument weaker than that (module docstring)."""
     return max(1, -(-_ROUND_TARGET_BITS // min(q.bit_length(), SHORT_BITS)))
 
 
 def _fs_scalars(transcript: bytes, params: GroupParams, count: int,
                 tag: bytes = FS_DOMAIN) -> list[int]:
-    q = params.q
-    need = SHORT_BITS // 8 if params.large else (q.bit_length() + SHORT_BITS + 7) // 8
-    stream = hashlib.shake_256(tag + b"|" + transcript).digest(count * need)
-    cuts = range(0, count * need, need)
+    """`count` challenges cut in order from one SHAKE-256 stream over tag,
+    "|" and the transcript: 128-bit integers in a large group, uniform
+    scalars mod q in a small one (`groups.small_scalars`, one byte each,
+    the stream read further until enough are kept)."""
+    shake = hashlib.shake_256(tag + b"|" + transcript)
     if params.large:
-        return [int.from_bytes(stream[i : i + need], "big") for i in cuts]
-    return [int.from_bytes(stream[i : i + need], "big") % q for i in cuts]
+        need = SHORT_BITS // 8
+        stream = shake.digest(count * need)
+        return [int.from_bytes(stream[i : i + need], "big") for i in range(0, count * need, need)]
+    q = params.q
+    size = (count << q.bit_length()) // q + 8   # the expected length, and a little
+    kept = small_scalars(q, shake.digest(size))
+    while len(kept) < count:
+        size *= 2
+        kept = small_scalars(q, shake.digest(size))
+    return list(kept[:count])
 
 
 def fs_challenge(transcript: bytes, params: GroupParams, tag: bytes = FS_DOMAIN) -> int:
@@ -79,9 +100,10 @@ def fs_challenge(transcript: bytes, params: GroupParams, tag: bytes = FS_DOMAIN)
     In a large group the challenge is the first 128 bits of a SHAKE-256
     stream, an integer below q, as in Terelius and Wikstroem, "Proofs of
     Restricted Shuffles" (AFRICACRYPT 2010).  Otherwise it is a scalar
-    mod q, the stream read to 128 bits beyond the order to keep the
-    reduction bias negligible, and `security_rounds` repeats the argument
-    to make up for the small challenge space.
+    mod q, cut from the stream by exact rejection sampling, and
+    `security_rounds` repeats the argument to make up for the small
+    challenge space.  The shuffle cuts all of one phase's challenges from
+    one such stream.
     """
     return _fs_scalars(transcript, params, 1, tag)[0]
 
@@ -97,10 +119,10 @@ def _encode(values, width: int) -> bytes:
     return b"".join([x.to_bytes(width, "big") for x in values])
 
 
-def _decode(data: bytes, width: int) -> list[int]:
+def _decode(data: bytes, width: int) -> tuple[int, ...]:
     if width == 1:
-        return list(data)   # a bytes object iterates as its byte values
-    return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
+        return tuple(data)   # a bytes object iterates as its byte values
+    return tuple([int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)])
 
 
 @dataclass(frozen=True)
@@ -159,6 +181,12 @@ class ProofRound:
                 self.t4a, self.t4b, *self.t_hat, self.s_bar, self.s_dot, self.s_tld,
                 self.s_r, *self.s_hat, *self.s_prm)
 
+    @classmethod
+    def from_values(cls, v: tuple[int, ...], n: int) -> ProofRound:
+        """Inverse of `values` for a repetition of n ciphertexts."""
+        return cls(v[:n], v[n : 2 * n], *v[2 * n : 2 * n + 5], v[2 * n + 5 : 3 * n + 5],
+                   *v[3 * n + 5 : 3 * n + 9], v[3 * n + 9 : 4 * n + 9], v[4 * n + 9 :])
+
 
 @dataclass(frozen=True)
 class ShuffleProof:
@@ -179,18 +207,35 @@ def _generators(p: int, q: int, g: int, n: int) -> tuple[int, tuple[int, ...], i
     return base, gens, pow(gens_product, -1, p)
 
 
-def _challenge_vector(stmt_digest: bytes, rnd: int, perm_bytes: bytes, n: int,
-                      params: GroupParams) -> list[int]:
-    """The n entries of u, cut from one SHAKE-256 stream over the encoded
+def _by_round(parts) -> bytes:
+    """Each repetition's encoded messages after its index, 4 bytes."""
+    return b"".join([rnd.to_bytes(4, "big") + part for rnd, part in enumerate(parts)])
+
+
+def _u_vectors(stmt_digest: bytes, perm_bytes: list[bytes], n: int,
+               params: GroupParams) -> list[list[int]]:
+    """Every repetition's n entries of u, cut in order from one SHAKE-256
+    stream over the statement digest and each repetition's encoded
     permutation commitments, so hashing is linear in n."""
-    return _fs_scalars(b"u|" + stmt_digest + rnd.to_bytes(4, "big") + perm_bytes, params, n)
+    u = _fs_scalars(b"u|" + stmt_digest + _by_round(perm_bytes), params, n * len(perm_bytes))
+    return [u[i : i + n] for i in range(0, len(u), n)]
 
 
-def _round_gamma(stmt_digest: bytes, rnd: int, perm_bytes: bytes, rest, width: int,
-                 params: GroupParams) -> int:
-    """gamma over perm_commits (as encoded for u), then `rest`: chain, t1..t4b, t_hat."""
-    return fs_challenge(b"gamma|" + stmt_digest + rnd.to_bytes(4, "big") + perm_bytes
-                        + _encode(rest, width), params)
+def _gammas(stmt_digest: bytes, messages: list[bytes], params: GroupParams) -> list[int]:
+    """Every repetition's gamma, cut in order from one SHAKE-256 stream
+    over the statement digest and each repetition's encoded messages:
+    permutation commitments (as encoded for u), chain, t1..t4b, t_hat."""
+    return _fs_scalars(b"gamma|" + stmt_digest + _by_round(messages), params, len(messages))
+
+
+@lru_cache(maxsize=4)
+def _small_powers(p: int, q: int, base: int) -> tuple[int, ...]:
+    """base^e mod p for e = 0 .. q - 1, for a base of order q in a small
+    group; cached, keyed by the integers alone."""
+    powers = [1] * q
+    for e in range(1, q):
+        powers[e] = powers[e - 1] * base % p
+    return tuple(powers)
 
 
 def _chain_and_t_hat(params: GroupParams, base: int, u_tld, rho_hat, w_hat, w_prm):
@@ -204,12 +249,14 @@ def _chain_and_t_hat(params: GroupParams, base: int, u_tld, rho_hat, w_hat, w_pr
     g^(rho_hat_i + u~_i a) * base^(u~_i b).  In a large group each t_hat_i
     is one product over the two tabled bases and each chain element the
     recurrence itself, one product too; in a small group each is two
-    fixed-base powers, read from lists of all q powers of g and of base,
-    as every exponent here is reduced mod q."""
+    fixed-base powers, read from cached tuples of all q powers of g and
+    of base, as every exponent here is reduced mod q."""
     p, q, g, large = params.p, params.q, params.g, params.large
-    g_pow, base_pow = fixed_base(params, g), fixed_base(params, base)   # builds both tables
-    if not large:
-        g_powers, base_powers = [g_pow(e) for e in range(q)], [base_pow(e) for e in range(q)]
+    if large:   # builds both tables, where multi_exp finds them
+        fixed_base(params, g)
+        fixed_base(params, base)
+    else:
+        g_powers, base_powers = _small_powers(p, q, g), _small_powers(p, q, base)
     chain, t_hat = [], []
     a, b, prev = 0, 1, base
     for u_i, r_i, w_i, w_prm_i in zip(u_tld, rho_hat, w_hat, w_prm):
@@ -250,74 +297,79 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     """Produce a proof accepted by verify_shuffle; O(n) exponentiations
     per repetition, each a fixed-base power or a multi-exponentiation.
 
-    Each repetition draws its scalars from rng in one order: rho, rho_hat,
-    w_bar, w_dot, w_tld, w_r, w_hat, then w'.  All repetitions' scalars
-    come from one `GroupParams.random_scalars` call, which draws what the
-    per-call loop would.  A large group runs one repetition, and draws
-    each w' after that call, as a 384-bit integer."""
+    The repetitions run in three passes, as each challenge phase is
+    hashed once for all of them: every first message, then every second
+    message, then every response.  Each repetition draws its scalars from
+    rng in one order: rho, rho_hat, w_bar, w_dot, w_tld, w_r, w_hat, then
+    w'.  All repetitions' scalars come from one
+    `GroupParams.random_scalars` call, which draws what the per-call loop
+    would.  A large group runs one repetition, and draws each w' after
+    that call, as a 384-bit integer."""
     pk = statement.pk
     params = pk.params
-    p, q = params.p, params.q
+    p, q, g = params.p, params.q, params.g
     n = len(statement.inputs)
     perm, rands = witness.perm, witness.rands
     if len(perm) != n:
         raise ValueError("witness length does not match statement")
-    g_pow = fixed_base(params, params.g)
+    g_pow = fixed_base(params, g)
     # h carries full-size exponents in t4b and the witness check: with its
     # table built here, as g's, multi_exp reads it inside a short chain
     fixed_base(params, pk.h)
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
     _check_witness(statement, witness)
 
-    base, gens, _ = _generators(p, q, params.g, n)
+    base, gens, _ = _generators(p, q, g, n)
     out_a = [ct.c1 for ct in statement.outputs]
     out_b = [ct.c2 for ct in statement.outputs]
     width = _width(p)
     n_rounds = security_rounds(q)
-    # every round's scalars in one draw, cut in the order of the loop
-    # below; a large group's w' are not scalars mod q
-    scalars = iter(params.random_scalars(rng, n_rounds * ((3 if params.large else 4) * n + 4)))
-    draw = lambda count: list(islice(scalars, count))
-    rounds = []
-    for rnd in range(n_rounds):
-        rho = draw(n)
-        commits = [0] * n
+    # every round's scalars in one draw, cut in the per-round order: rho,
+    # rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat and, in a small group, w'
+    block = (3 if params.large else 4) * n + 4
+    scalars = params.random_scalars(rng, n_rounds * block)
+    ends = (n, 2 * n, 2 * n + 4, 3 * n + 4, block)
+    draws = [[scalars[i + a : i + b] for a, b in zip((0, *ends), ends)]
+             for i in range(0, n_rounds * block, block)]
+    if params.large:   # w' are not scalars mod q
+        for d in draws:
+            d[4] = [rng.getrandbits(_RANDOMIZER_BITS) for _ in range(n)]
+
+    commits = []
+    for rho, *_ in draws:
+        c = [0] * n
         for i in range(n):
-            commits[perm[i]] = g_pow(rho[perm[i]]) * gens[i] % p
-        perm_bytes = _encode(commits, width)
-        u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, params)
-        u_tld = [u[perm[i]] for i in range(n)]
+            c[perm[i]] = g_pow(rho[perm[i]]) * gens[i] % p
+        commits.append(c)
+    perm_bytes = [_encode(c, width) for c in commits]
+    us = _u_vectors(stmt_digest, perm_bytes, n, params)
+    u_tlds = [[u[j] for j in perm] for u in us]
 
-        rho_hat = draw(n)
-        rho_bar = sum(rho) % q
-        rho_tld = sum(map(mul, rho, u)) % q
-        r_tld = sum(map(mul, rands, u_tld)) % q
-
-        w_bar, w_dot, w_tld, w_r = draw(4)
-        w_hat = draw(n)
-        if params.large:
-            w_prm = [rng.getrandbits(_RANDOMIZER_BITS) for _ in range(n)]
-        else:
-            w_prm = draw(n)
-
+    seconds, rho_dots = [], []   # each round's chain, t1, t2, t3, t4a, t4b, t_hat
+    for (_, rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat, w_prm), u_tld in zip(draws, u_tlds):
         chain, t_hat, rho_dot = _chain_and_t_hat(params, base, u_tld, rho_hat, w_hat, w_prm)
-        t1 = g_pow(w_bar)
-        t2 = g_pow(w_dot)
-        t3 = multi_exp(params, (params.g, *gens), (w_tld, *w_prm))
-        t4a = multi_exp(params, (params.g, *out_a), (-w_r % q, *w_prm))
-        t4b = multi_exp(params, (pk.h, *out_b), (-w_r % q, *w_prm))
+        seconds.append((chain, g_pow(w_bar), g_pow(w_dot),
+                        multi_exp(params, (g, *gens), (w_tld, *w_prm)),
+                        multi_exp(params, (g, *out_a), (-w_r % q, *w_prm)),
+                        multi_exp(params, (pk.h, *out_b), (-w_r % q, *w_prm)), t_hat))
+        rho_dots.append(rho_dot)
+    gammas = _gammas(stmt_digest, [pb + _encode((*chain, *ts, *t_hat), width)
+                                   for pb, (chain, *ts, t_hat) in zip(perm_bytes, seconds)],
+                     params)
 
-        gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
-                             (*chain, t1, t2, t3, t4a, t4b, *t_hat), width, params)
-
+    rounds = []
+    for k, gamma in enumerate(gammas):
+        rho, rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat, w_prm = draws[k]
+        chain, t1, t2, t3, t4a, t4b, t_hat = seconds[k]
+        u_tld = u_tlds[k]
         rounds.append(ProofRound(
-            perm_commits=tuple(commits),
+            perm_commits=tuple(commits[k]),
             chain_commits=tuple(chain),
             t1=t1, t2=t2, t3=t3, t4a=t4a, t4b=t4b, t_hat=tuple(t_hat),
-            s_bar=(w_bar + gamma * rho_bar) % q,
-            s_dot=(w_dot + gamma * rho_dot) % q,
-            s_tld=(w_tld + gamma * rho_tld) % q,
-            s_r=(w_r + gamma * r_tld) % q,
+            s_bar=(w_bar + gamma * sum(rho)) % q,
+            s_dot=(w_dot + gamma * rho_dots[k]) % q,
+            s_tld=(w_tld + gamma * sum(map(mul, rho, us[k]))) % q,
+            s_r=(w_r + gamma * sum(map(mul, rands, u_tld))) % q,
             s_hat=tuple([(w + gamma * r) % q for w, r in zip(w_hat, rho_hat)]),
             # an integer s'_i is below 2^385 < q, so this leaves it unreduced
             s_prm=tuple([(w + gamma * u_i) % q for w, u_i in zip(w_prm, u_tld)]),
@@ -325,23 +377,17 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     return ShuffleProof(n=n, rounds=tuple(rounds))
 
 
-def _round_equations(stmt_digest: bytes, rnd: int, pr: ProofRound, params: GroupParams,
+def _round_equations(pr: ProofRound, u, gamma: int, params: GroupParams,
                      gens, gens_inverse: int, base: int, parts):
     """One repetition's equations as (bases, exponents, target), each
     asserting prod base^e = target: t1, t2, t3, t4a, t4b, then the n t_hat.
     `shuffle_equations` has checked the shapes, the scalar ranges and
-    that every element of the statement and the proof is in the group.
-    `gens`, `gens_inverse` and `base` come from `_generators`, and
-    `parts` holds, for c1 and then c2, its key (g, h) and that component
-    of every output and then of every input."""
+    that every element of the statement and the proof is in the group,
+    and derived the repetition's challenges u and gamma.  `gens`,
+    `gens_inverse` and `base` come from `_generators`, and `parts` holds,
+    for c1 and then c2, its key (g, h) and that component of every output
+    and then of every input."""
     p, q, g = params.p, params.q, params.g
-    n = len(pr.perm_commits)
-    width = _width(p)
-    perm_bytes = _encode(pr.perm_commits, width)
-    u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, params)
-    gamma = _round_gamma(stmt_digest, rnd, perm_bytes,
-                         (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat),
-                         width, params)
     # a 128-bit challenge's powers stay short as negative exponents, which
     # products_equal moves to its short side; a small group sums them as
     # they are, over its log table
@@ -377,9 +423,9 @@ def shuffle_equations(statement: ShuffleStatement, proof):
     """The equations a proof must satisfy, for `groups.products_equal`;
     None for a proof that is malformed, has the wrong shape or a scalar
     out of range, or holds a value outside the group.  Accepts either a
-    ShuffleProof or its byte serialization.  The equations are produced
-    lazily, and every element of the statement, h included, has been
-    found in the order-q subgroup."""
+    ShuffleProof or its byte serialization.  Every challenge is derived,
+    and every element of the statement, h included, found in the order-q
+    subgroup, before the equations are produced, lazily."""
     pk = statement.pk
     params = pk.params
     q = params.q
@@ -394,6 +440,8 @@ def shuffle_equations(statement: ShuffleStatement, proof):
     # each distinct element of the statement and of every round is tested once
     elements = {pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct)}
     s_prm_bound = 1 << _RESPONSE_BITS if params.large else q
+    width = _width(params.p)
+    messages = []
     for pr in proof.rounds:
         if not (len(pr.perm_commits) == len(pr.chain_commits) == len(pr.t_hat)
                 == len(pr.s_hat) == len(pr.s_prm) == n):
@@ -403,15 +451,18 @@ def shuffle_equations(statement: ShuffleStatement, proof):
         if min(scalars) < 0 or max(scalars[: n + 4]) >= q or max(pr.s_prm) >= s_prm_bound:
             return None
         elements.update(values[: 3 * n + 5])   # commitments, t1..t4b, t_hat
+        messages.append(_encode(values[: 3 * n + 5], width))
     if not all(map(params.is_element, elements)):
         return None
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
+    us = _u_vectors(stmt_digest, [m[: n * width] for m in messages], n, params)
+    gammas = _gammas(stmt_digest, messages, params)
     base, gens, gens_inverse = _generators(params.p, q, params.g, n)
     parts = tuple((key, [ct[k] for ct in statement.outputs + statement.inputs])
                   for k, key in enumerate((params.g, pk.h)))
     return chain.from_iterable(
-        _round_equations(stmt_digest, rnd, pr, params, gens, gens_inverse, base, parts)
-        for rnd, pr in enumerate(proof.rounds))
+        _round_equations(pr, u, gamma, params, gens, gens_inverse, base, parts)
+        for pr, u, gamma in zip(proof.rounds, us, gammas))
 
 
 def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
@@ -442,8 +493,8 @@ def deserialize_proof(blob: bytes, params: GroupParams) -> ShuffleProof:
     if len(blob) != _HEADER_LEN + n_rounds * (5 * n + 9) * width:
         raise ValueError("proof length does not match its header")
 
-    values = iter(_decode(blob[_HEADER_LEN:], width))
-    take = lambda count: tuple(islice(values, count))
-    rounds = tuple(ProofRound(take(n), take(n), *take(5), take(n), *take(4), take(n), take(n))
-                   for _ in range(n_rounds))
+    values = _decode(blob[_HEADER_LEN:], width)
+    size = 5 * n + 9
+    rounds = tuple(ProofRound.from_values(values[i : i + size], n)
+                   for i in range(0, n_rounds * size, size))
     return ShuffleProof(n=n, rounds=rounds)

@@ -16,10 +16,14 @@ from ivxvsim.ceremony import ElectionConfig, run_election
 PINNED = {
     # toy group, 8 voters, re-votes and checks (re-pinned when board posts
     # dropped their board_seq field, so a post's position is its event's
-    # seq alone; every other byte is unchanged)
+    # seq alone; and again when the shuffle hashed each challenge phase
+    # once over all 20 repetitions, with toy challenges cut from the
+    # stream by exact rejection sampling, which changes every toy
+    # challenge and so the proof's responses and later commitments, but
+    # not its length)
     "toy": (dict(n_voters=8, n_trustees=3, threshold=2, candidate_bound=3, seed=11,
                  scripts={1: "VVC", 2: "VC", 3: "VV", 4: "VCV"}),
-            "7adbd9a12a94ccb75cb6a78fa63ef07375e61a1a2acc683fdbc469f459a9fbce"),
+            "6e4fa741b039551e7da6cf1a7d485b65808fc40528a47b00d2cf3894853ea758"),
     # 387-bit group, 6 voters: the smallest large group, on the standard
     # group's code with integer s' responses (re-pinned when mid moved
     # from a 256-bit prime to this one, and again when board posts

@@ -9,8 +9,9 @@ import pytest
 
 from ivxvsim import groups, shuffle
 from ivxvsim.elgamal import Ciphertext, decrypt, encrypt, keygen, rerandomize
-from ivxvsim.groups import setup
+from ivxvsim.groups import GroupParams, products_equal, setup
 from ivxvsim.shuffle import (
+    FS_DOMAIN,
     PROOF_MAGIC,
     BadWitness,
     ProofRound,
@@ -19,11 +20,11 @@ from ivxvsim.shuffle import (
     ShuffleWitness,
     deserialize_proof,
     fs_challenge,
-    _challenge_vector,
     _encode,
     prove_shuffle,
     security_rounds,
     serialize_proof,
+    shuffle_equations,
     verify_shuffle,
 )
 
@@ -488,26 +489,185 @@ def test_v1_magic_rejected_without_exception():
 
 # ------------------------------------------------------ challenge vector
 
+def second_messages(proof):
+    """Each repetition's chain, t1..t4b and t_hat, as gamma hashes them."""
+    return [[*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat]
+            for pr in proof.rounds]
+
+
 def test_challenge_vector_binds_commitments_round_and_statement():
+    # every repetition's u is cut from one stream over all repetitions'
+    # permutation commitments: one changed commitment of any repetition
+    # changes every repetition's u (nine entries mod 11 each, so a u kept
+    # by chance has odds 11^-9)
     rng = random.Random(26)
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 9)
     other, _ = make_instance(rng, pk, 9)
     assert other.to_bytes() != stmt.to_bytes()
-    commits = list(prove_shuffle(stmt, wit, rng).rounds[0].perm_commits)
+    commits = [list(pr.perm_commits) for pr in prove_shuffle(stmt, wit, rng).rounds]
     digest = hashlib.sha256(stmt.to_bytes()).digest()
 
-    def vector(commits, rnd=0, digest=digest):
-        return _challenge_vector(digest, rnd, _encode(commits, 1), len(commits), TOY)
+    def vectors(commits, digest=digest):
+        return shuffle._u_vectors(digest, [_encode(c, 1) for c in commits], 9, TOY)
 
-    base = vector(commits)
-    assert len(base) == 9 and all(0 <= u < TOY.q for u in base)
-    for i in (0, 4, 8):
-        changed = commits[:]
-        changed[i] = changed[i] * TOY.g % TOY.p
-        assert vector(changed) != base, f"commitment {i}"
-    assert vector(commits, rnd=1) != base
-    assert vector(commits, digest=hashlib.sha256(other.to_bytes()).digest()) != base
+    base = vectors(commits)
+    assert len(base) == security_rounds(TOY.q) == len(commits)
+    assert all(len(u) == 9 and all(0 <= x < TOY.q for x in u) for u in base)
+    for rnd in range(len(commits)):
+        for i in (0, 4, 8):
+            changed = [c[:] for c in commits]
+            changed[rnd][i] = changed[rnd][i] * TOY.g % TOY.p
+            assert all(map(list.__ne__, vectors(changed), base)), f"round {rnd}, commitment {i}"
+    # the rounds' order: two repetitions swapped change every u
+    swapped = [commits[1], commits[0], *commits[2:]]
+    assert all(map(list.__ne__, vectors(swapped), base))
+    assert all(map(list.__ne__, vectors(commits, hashlib.sha256(other.to_bytes()).digest()), base))
+
+
+def test_gammas_bind_every_repetitions_messages():
+    # every gamma is cut from one stream over all repetitions' messages.
+    # A toy gamma takes 11 values, so one change keeps each other gamma
+    # with odds 1/11: each change must move the gamma list, and for every
+    # repetition changed, each gamma must move under one of its eight
+    # changes (kept by all eight with odds 11^-8).  Hashed one repetition
+    # at a time, no change would move another repetition's gamma.
+    rng = random.Random(36)
+    pk, _ = keygen(TOY, rng)
+    n = 9
+    stmt, wit = make_instance(rng, pk, n)
+    proof = prove_shuffle(stmt, wit, rng)
+    digest = hashlib.sha256(stmt.to_bytes()).digest()
+    perm = [list(pr.perm_commits) for pr in proof.rounds]
+    rest = second_messages(proof)
+
+    def gammas(perm, rest):
+        return shuffle._gammas(digest, [_encode(c + r, 1) for c, r in zip(perm, rest)], TOY)
+
+    base = gammas(perm, rest)
+    assert base == [-eq[1][1] for eq in list(shuffle_equations(stmt, proof))[:: 5 + n]]
+    g, p = TOY.g, TOY.p
+    # chain, t1 .. t4b and t_hat positions of the second message
+    positions = (0, n - 1, n, n + 1, n + 2, n + 3, n + 4, 2 * n + 4)
+    for rnd in range(len(rest)):
+        moved = set()
+        for i in positions:
+            changed = [r[:] for r in rest]
+            changed[rnd][i] = changed[rnd][i] * g % p
+            new = gammas(perm, changed)
+            assert new != base, f"round {rnd}, value {i}"
+            moved.update(k for k, (a, b) in enumerate(zip(new, base)) if a != b)
+        assert moved == set(range(len(rest))), f"round {rnd}"
+        # gamma hashes the permutation commitments too
+        changed = [c[:] for c in perm]
+        changed[rnd][0] = changed[rnd][0] * g % p
+        assert gammas(changed, rest) != base
+
+
+def verifier_reading(stmt, rounds):
+    """Each repetition's u, gamma and equations as the verifier derives
+    them: -gamma is t1's second exponent and -u_j * gamma t3's last n
+    exponents, so u is None where gamma is 0."""
+    n = len(stmt.inputs)
+    equations = list(shuffle_equations(stmt, ShuffleProof(n=n, rounds=tuple(rounds))))
+    reading = []
+    for i in range(0, len(equations), 5 + n):
+        eqs = equations[i : i + 5 + n]
+        gamma = -eqs[0][1][1]
+        reading.append(([e // -gamma for e in eqs[2][1][-n:]] if gamma else None, gamma, eqs))
+    return reading
+
+
+def forge_by_repetition(stmt, rng, budget):
+    """A forger that grinds one repetition at a time: for each repetition
+    it guesses gamma, draws random responses, solves every verification
+    equation for its commitment, and reads the challenges again until its
+    gamma matches the guess; then it moves on.  Each reading hashes each
+    challenge phase once.  Returns the first proof the verifier accepts
+    within `budget` readings, or None, and how many readings matched a
+    guess with every equation of that repetition holding, and without."""
+    pk = stmt.pk
+    params = pk.params
+    p, q, g = params.p, params.q, params.g
+    n = len(stmt.inputs)
+    base, gens, gens_inverse = shuffle._generators(p, q, g, n)
+    element = lambda: pow(g, rng.randrange(1, q), p)
+    scalars = lambda count: [rng.randrange(q) for _ in range(count)]
+
+    def product(pairs):
+        acc = 1
+        for b, e in pairs:
+            acc = acc * pow(b, e % q, p) % p
+        return acc
+
+    def solve(perm_commits, u, gamma):
+        """A repetition whose every equation holds for this u and gamma."""
+        chain = [element() for _ in range(n)]
+        s_bar, s_dot, s_tld, s_r = scalars(4)
+        s_hat, s_prm = scalars(n), scalars(n)
+        c_bar = product([(gens_inverse, 1), *((c, 1) for c in perm_commits)])
+        neg_u = [-u_j * gamma for u_j in u]
+        prod_u = 1
+        for u_j in u:
+            prod_u = prod_u * u_j % q
+        outs_ins = lambda k: zip([ct[k] for ct in stmt.outputs + stmt.inputs], s_prm + neg_u)
+        return ProofRound(
+            perm_commits=tuple(perm_commits), chain_commits=tuple(chain),
+            t1=product([(g, s_bar), (c_bar, -gamma)]),
+            t2=product([(g, s_dot), (chain[-1], -gamma), (base, prod_u * gamma)]),
+            t3=product([(g, s_tld), *zip(gens, s_prm), *zip(perm_commits, neg_u)]),
+            t4a=product([(g, -s_r), *outs_ins(0)]),
+            t4b=product([(pk.h, -s_r), *outs_ins(1)]),
+            t_hat=tuple(product([(g, s_hat[i]), ((base, *chain)[i], s_prm[i]),
+                                 (chain[i], -gamma)]) for i in range(n)),
+            s_bar=s_bar, s_dot=s_dot, s_tld=s_tld, s_r=s_r, s_hat=tuple(s_hat),
+            s_prm=tuple(s_prm))
+
+    n_rounds = security_rounds(q)
+    perm_commits = [[element() for _ in range(n)] for _ in range(n_rounds)]
+    rounds = [solve(c, [0] * n, 0) for c in perm_commits]
+    # u depends on the permutation commitments alone, which stay fixed; a
+    # reading shows the u of every repetition whose gamma is not 0
+    known, readings, sound, unsound = [None] * n_rounds, 0, 0, 0
+    while None in known:
+        readings += 1
+        for r, (u, _, _) in enumerate(verifier_reading(stmt, rounds)):
+            known[r] = known[r] or u
+            rounds[r] = solve(perm_commits[r], [0] * n, 0)
+    while readings < budget:
+        for r in range(n_rounds):
+            while readings < budget:
+                guess = rng.randrange(q)
+                rounds[r] = solve(perm_commits[r], known[r], guess)
+                readings += 1
+                _, gamma, equations = verifier_reading(stmt, rounds)[r]
+                if gamma == guess:
+                    if products_equal(params, equations):
+                        sound += 1
+                    else:
+                        unsound += 1
+                    break
+        proof = ShuffleProof(n=n, rounds=tuple(rounds))
+        if verify_shuffle(stmt, proof):
+            return proof, sound, unsound
+    return None, sound, unsound
+
+
+def test_a_repetition_by_repetition_forger_gets_no_proof_accepted():
+    # a false toy statement: every input encrypts 0 and every output 1.
+    # Were each repetition hashed alone, each gamma could be ground alone,
+    # about q readings per repetition: 600 readings would do for 20
+    # repetitions of q = 11 (mean 220, standard deviation 47).  Hashed over
+    # all repetitions, each one ground moves every gamma matched before it.
+    rng = random.Random("forger")
+    pk, _ = keygen(TOY, rng)
+    encrypt_all = lambda m: tuple(encrypt(pk, m, TOY.random_scalar(rng)) for _ in range(2))
+    stmt = ShuffleStatement(pk=pk, inputs=encrypt_all(0), outputs=encrypt_all(1))
+    forged, sound, unsound = forge_by_repetition(stmt, rng, budget=600)
+    assert forged is None
+    # the forger is not what fails: each repetition whose gamma matched its
+    # guess satisfied every one of its own equations
+    assert sound > 0 and unsound == 0
 
 
 class CountingHashlib:
@@ -553,17 +713,79 @@ def test_challenges_are_128_bit_integers_when_q_is_longer(preset):
     assert params.q.bit_length() > 128 and security_rounds(params.q) == 1
     rng = random.Random(f"short/{preset}")
     challenges = [fs_challenge(rng.randbytes(16), params) for _ in range(200)]
-    challenges += _challenge_vector(b"digest", 0, b"commits", 200, params)
+    u = shuffle._u_vectors(b"digest", [b"commits"], 200, params)
+    gammas = shuffle._gammas(b"digest", [b"commitsrest"], params)
+    challenges += u[0] + gammas
+    assert len(u) == len(gammas) == 1 and len(u[0]) == 200
     assert all(0 <= c < 2**128 for c in challenges)
     assert max(challenges).bit_length() == 128   # the whole 16 bytes, not reduced
+    # one repetition hashes exactly the bytes it did when each repetition
+    # was hashed alone: the round index 0 before its messages
+    stream = hashlib.shake_256(FS_DOMAIN + b"|u|digest" + bytes(4) + b"commits").digest(3200)
+    assert u[0] == [int.from_bytes(stream[i : i + 16], "big") for i in range(0, 3200, 16)]
+    stream = hashlib.shake_256(FS_DOMAIN + b"|gamma|digest" + bytes(4) + b"commitsrest").digest(16)
+    assert gammas == [int.from_bytes(stream, "big")]
 
 
 def test_challenges_are_scalars_mod_q_in_the_toy_group():
-    challenges = _challenge_vector(b"digest", 0, b"commits", 500, TOY)
-    challenges += [fs_challenge(b"%d" % i, TOY) for i in range(200)]
+    rounds = security_rounds(TOY.q)
+    u = shuffle._u_vectors(b"digest", [b"commits"] * rounds, 25, TOY)
+    assert len(u) == rounds and all(len(u_r) == 25 for u_r in u)
+    challenges = [x for u_r in u for x in u_r]
+    gammas = shuffle._gammas(b"digest", [b"commitsrest"] * 200, TOY)
+    assert len(gammas) == 200
+    challenges += gammas + [fs_challenge(b"%d" % i, TOY) for i in range(200)]
     assert set(challenges) == set(range(TOY.q))
     # min(|q|, 128) bits per repetition: a 128-bit q needs one, a 64-bit q two
     assert security_rounds((1 << 127) + 1) == 1 and security_rounds((1 << 63) + 1) == 2
+
+
+def top_bits_below_q(transcript, q, count):
+    """The reference cut: read the SHAKE-256 stream byte by byte, take each
+    byte's top |q| bits, keep the values below q."""
+    shift = 8 - q.bit_length()
+    kept, length = [], 64
+    while len(kept) < count:
+        kept = [b >> shift for b in hashlib.shake_256(FS_DOMAIN + b"|" + transcript).digest(length)
+                if b >> shift < q]
+        length *= 2
+    return kept[:count]
+
+
+class RecordingShake:
+    """Stands in for hashlib inside the shuffle module, recording the
+    lengths each SHAKE-256 stream is read to."""
+
+    def __init__(self):
+        self.reads = []
+
+    def shake_256(self, data=b""):
+        reads, shake = [], hashlib.shake_256(data)
+        self.reads.append(reads)
+
+        class Stream:
+            def digest(self, length):
+                reads.append(length)
+                return shake.digest(length)
+        return Stream()
+
+
+@pytest.mark.parametrize("q", [3, 11, 131, 251])
+def test_toy_challenges_are_cut_by_rejection_sampling(q, monkeypatch):
+    # q = 131 keeps about half its bytes, so the first read often runs
+    # short and the stream is read further; 251 keeps the most of any
+    # 8-bit q, and 3 and 11 (the toy group) keep 3/4 and 11/16
+    params = GroupParams(p=2 * q + 1, q=q, g=4, candidate_bound=2)
+    recorder = RecordingShake()
+    monkeypatch.setattr(shuffle, "hashlib", recorder)
+    for count in (0, 1, 2, 5, 20, 100, 1000):
+        for i in range(10):
+            transcript = b"cut/%d/%d" % (count, i)
+            assert shuffle._fs_scalars(transcript, params, count) == \
+                top_bits_below_q(transcript, q, count), (count, i)
+    assert all(reads for reads in recorder.reads)
+    if q == 131:
+        assert any(len(reads) > 1 for reads in recorder.reads)
 
 
 OLD_MAGICS = (b"IVXVSHF2", b"IVXVSHF3")
@@ -904,7 +1126,8 @@ def test_toy_prover_draws_its_scalars_in_the_per_round_order():
     # the toy prover takes every round's 4n + 4 scalars in one bulk draw;
     # restated here as the per-call loop it replaced, rho, rho_hat, w_bar,
     # w_dot, w_tld, w_r, w_hat, w', each proof value is what that loop's
-    # scalars give, and the generator ends where the loop leaves it
+    # scalars give, with u and gamma derived once for all rounds, and the
+    # generator ends where the loop leaves it
     rng = random.Random(35)
     pk, _ = keygen(TOY, rng)
     n = 5
@@ -916,19 +1139,20 @@ def test_toy_prover_draws_its_scalars_in_the_per_round_order():
     stmt_digest = hashlib.sha256(stmt.to_bytes()).digest()
     _, gens, _ = shuffle._generators(p, q, g, n)
     width = shuffle._width(p)
-    for rnd, pr in enumerate(proof.rounds):
+    perm_bytes = [_encode(pr.perm_commits, width) for pr in proof.rounds]
+    us = shuffle._u_vectors(stmt_digest, perm_bytes, n, TOY)
+    gammas = shuffle._gammas(stmt_digest, [pb + _encode(r, width)
+                                           for pb, r in zip(perm_bytes, second_messages(proof))],
+                             TOY)
+    for pr, u, gamma in zip(proof.rounds, us, gammas):
         rho, rho_hat = draw(n), draw(n)
         w_bar, w_dot, w_tld, w_r = draw(4)
         w_hat, w_prm = draw(n), draw(n)
         assert pr.perm_commits == tuple(
             pow(g, rho[j], p) * gens[wit.perm.index(j)] % p for j in range(n))
         assert (pr.t1, pr.t2) == (pow(g, w_bar, p), pow(g, w_dot, p))
-        perm_bytes = _encode(pr.perm_commits, width)
-        u = _challenge_vector(stmt_digest, rnd, perm_bytes, n, TOY)
         u_tld = [u[j] for j in wit.perm]
-        gamma = shuffle._round_gamma(
-            stmt_digest, rnd, perm_bytes,
-            (*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat), width, TOY)
+        assert pr.s_bar == (w_bar + gamma * sum(rho)) % q
         rho_tld = sum(r * u_j for r, u_j in zip(rho, u))
         r_tld = sum(r * u_j for r, u_j in zip(wit.rands, u_tld))
         assert pr.s_tld == (w_tld + gamma * rho_tld) % q
