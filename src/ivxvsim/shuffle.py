@@ -14,8 +14,8 @@ challenge phase is hashed once for all repetitions together: every u
 from one stream over every repetition's permutation commitments, every
 gamma from one stream over every repetition's messages.  Hashed one
 repetition at a time, a prover could re-try each repetition alone until
-its gamma matched a guess, about q hashes per repetition: a forgery of a
-false toy statement took under 500.  Toy soundness stays weak anyway:
+its gamma matched a guess, about q tries per repetition: a forgery of a
+false toy statement took under 200.  Toy soundness stays weak anyway:
 the u check alone lets a false statement through with probability up
 to n/q per repetition, and a prover may split its luck between the two
 phases, so the soundness tests run on the `mid` group.
