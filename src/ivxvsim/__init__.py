@@ -13,8 +13,7 @@ from .elgamal import (Ciphertext, PublicKey, SecretKey, NotACandidate,  # noqa: 
 from .shamir import SecretShare, InsufficientShares, deal, reconstruct  # noqa: F401
 from .shuffle import (ShuffleStatement, ShuffleWitness, ShuffleProof,  # noqa: F401
                       BadWitness, prove_shuffle, verify_shuffle,
-                      serialize_proof, deserialize_proof, fs_challenge,
-                      security_rounds)
+                      serialize_proof, deserialize_proof, security_rounds)
 from .behavior import (BehaviorDistribution, BadDistribution,  # noqa: F401
                        default_distribution, load_distribution)
 from .functionalities import (BulletinBoard, CertRegistry, KeyGenService,  # noqa: F401

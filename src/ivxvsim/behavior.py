@@ -89,7 +89,7 @@ class BehaviorDistribution:
         return max(len(p) for p in self._table)
 
     def sample(self, rng) -> str:
-        x = rng.random()
+        x = rng.unit()
         acc = 0.0
         last = None
         for pattern, prob in self._table.items():

@@ -11,6 +11,7 @@ authority-side modification that exactly one audit check must catch.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -24,7 +25,7 @@ from .functionalities import (AuditDevice, BulletinBoard, CertRegistry,
                               VotingDevice, cipher_bytes, last_ballots, latest_entry,
                               plaintext_equations)
 from .seeding import rng_for
-from .shuffle import (ShuffleStatement, ShuffleWitness, prove_shuffle,
+from .shuffle import (MAX_PROOF_N, ShuffleStatement, ShuffleWitness, prove_shuffle,
                       serialize_proof, shuffle_equations, verify_shuffle)
 
 TOOL_VERSION = "0.1.0"
@@ -105,10 +106,15 @@ class ElectionConfig:
             value = getattr(self, name)
             if not check(value):
                 raise ValueError(f"{name} has the wrong type: {value!r}")
-        if self.n_voters < 1:
-            raise ValueError("need at least one voter")
+        if not 1 <= self.n_voters <= MAX_PROOF_N:
+            raise ValueError(f"n_voters must be in [1, {MAX_PROOF_N}], the most ciphertexts "
+                             "the mix's proof verifier reads")
         if not 1 <= self.threshold <= self.n_trustees:
             raise ValueError("need 1 <= threshold <= n_trustees")
+        q = setup(self.group_preset, self.candidate_bound).q
+        if self.n_trustees >= q:
+            raise ValueError(f"n_trustees must be below the group order q = {q}: "
+                             "trustee i holds the key share at x = i mod q")
         corrupted = tuple(sorted(set(self.corrupted)))
         if any(not 1 <= v <= self.n_voters for v in corrupted):
             raise ValueError("corrupted ids must be voter ids")
@@ -254,6 +260,21 @@ def ea_accept_ballot(sid, registry: CertRegistry, board: BulletinBoard,
     return True
 
 
+def proof_to_text(blob: bytes) -> str:
+    """A serialized proof as the transcript carries it: base64."""
+    return base64.b64encode(blob).decode()
+
+
+def proof_from_text(text: str) -> Optional[bytes]:
+    """Inverse of `proof_to_text`; None for any text it does not return,
+    so that each proof has exactly one transcript encoding."""
+    try:
+        blob = base64.b64decode(text, validate=True)
+    except ValueError:      # not base64, or not ASCII
+        return None
+    return blob if proof_to_text(blob) == text else None
+
+
 def run_election(config: ElectionConfig) -> ElectionResult:
     params = setup(config.group_preset, config.candidate_bound)
     dist = config.distribution if config.distribution is not None else default_distribution()
@@ -264,8 +285,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     if config.intents is not None:
         intents = config.intents
     else:
-        intent_rng = rng_for(seed, "intents")
-        intents = tuple(intent_rng.randrange(config.candidate_bound) for _ in range(n))
+        intents = tuple(rng_for(seed, "intents").scalars(config.candidate_bound, n))
 
     policy = config.policy
     policy_desc = None
@@ -353,7 +373,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     mix_rng = rng_for(seed, "ea.mix")
     perm = list(range(n))
     mix_rng.shuffle(perm)
-    rands = tuple(params.random_scalars(mix_rng, n))
+    rands = tuple(mix_rng.scalars(params.q, n))
     outputs = tuple(rerandomize(pk, inputs[perm[i]], rands[i]) for i in range(n))
     statement = ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
     proof = prove_shuffle(statement, ShuffleWitness(perm=tuple(perm), rands=rands),
@@ -363,8 +383,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     if config.tamper == "tamper-shuffle-output":
         trng = rng_for(seed, "tamper")
         while True:
-            fake = encrypt(pk, trng.randrange(config.candidate_bound),
-                           params.random_scalar(trng))
+            fake = encrypt(pk, trng.below(config.candidate_bound), trng.below(params.q))
             if fake != outputs[0]:
                 break
         posted_outputs[0] = fake
@@ -372,7 +391,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
         "kind": "shuffle",
         "inputs": [[c.c1, c.c2] for c in inputs],
         "outputs": [[c.c1, c.c2] for c in posted_outputs],
-        "proof": serialize_proof(proof, params).hex(),
+        "proof": proof_to_text(serialize_proof(proof, params)),
     })
     transcript.record("tally", "EA", "mix", {"ballots": n})
 
@@ -512,9 +531,8 @@ def _audit(transcript: ElectionTranscript) -> AuditVerdict:
     if len(outputs) != n_voters:
         return AuditVerdict(False, "shuffle-proof")
     statement = ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
-    try:
-        proof_blob = bytes.fromhex(shuffle_entry["proof"])
-    except ValueError:
+    proof_blob = proof_from_text(shuffle_entry["proof"])
+    if proof_blob is None:
         return AuditVerdict(False, "shuffle-proof")
     equations = shuffle_equations(statement, proof_blob)
     if equations is None:

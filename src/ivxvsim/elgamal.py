@@ -38,8 +38,9 @@ class Ciphertext(NamedTuple):
 
 
 def keygen(params: GroupParams, rng) -> tuple[PublicKey, SecretKey]:
-    """Sample sk uniform in [1, q) and return (pk, sk) with h = g^sk."""
-    sk = rng.randrange(1, params.q)
+    """Draw sk uniform in [1, q) from a `seeding.Stream`, as 1 plus one
+    draw below q - 1, and return (pk, sk) with h = g^sk."""
+    sk = 1 + rng.below(params.q - 1)
     return make_keypair(params, sk)
 
 

@@ -185,7 +185,7 @@ class CertRegistry:
     def sign(self, sid, ssid, message: bytes, rng, issuer) -> str:
         if issuer != ssid[0]:
             raise PermissionError(f"{issuer!r} cannot certify for {ssid[0]!r}")
-        sigma = f"{rng.getrandbits(128):032x}"
+        sigma = f"{rng.bits(128):032x}"
         self._issued.setdefault((sid, tuple(ssid), bytes(message)), set()).add(sigma)
         return sigma
 
@@ -301,7 +301,7 @@ class VotingDevice:
         ssid = (self.voter_id, self._nonce)
         manipulate = self.policy is not None and self.policy.decide(history)
         value = (intent + self.offset) % pk.params.candidate_bound if manipulate else intent
-        r = pk.params.random_scalar(self.rng)
+        r = self.rng.below(pk.params.q)
         c = encrypt(pk, value, r)
         sigma = self.registry.sign(self.sid, ssid, cipher_bytes(c), self.rng,
                                    issuer=self.voter_id)

@@ -13,9 +13,9 @@ element's width, and this module's Python loops (comb tables, Straus
 products) beat the builtin pow.  A group that is not large must have
 q < 2^8: its arithmetic runs on exponents, through a table of discrete
 logarithms over all of Z_p*, built on first use, so a product of powers
-is one sum mod p - 1 and one lookup, and its scalars are drawn a byte at
-a time.  Every path computes what the builtin pow would, and draws what
-randrange would, so no transcript depends on which one runs.
+is one sum mod p - 1 and one lookup, and its scalars are cut a byte at a
+time (`small_scalars`).  Every path computes what the builtin pow would,
+so no transcript depends on which one runs.
 """
 
 from __future__ import annotations
@@ -97,30 +97,6 @@ class GroupParams:
         the Legendre symbol (x|p) = 1, computed as a Jacobi symbol."""
         return 0 < x < self.p and _jacobi(x, self.p) == 1
 
-    def random_scalar(self, rng) -> int:
-        return rng.randrange(self.q)
-
-    def random_scalars(self, rng, count: int) -> list[int]:
-        """[rng.randrange(q) for _ in range(count)], leaving rng in the
-        state that loop leaves it in.  A large group takes that loop.
-
-        A small group relies on the layout of CPython's Mersenne Twister:
-        randrange(q) takes the top k = |q| <= 8 bits of one 32-bit word,
-        again while the result is q or more, and getrandbits(32 m) returns
-        the next m words, lowest first.  So each pass draws one word per
-        value still missing, and `small_scalars` cuts each word's top byte;
-        with no more words than values missing, the generator never runs
-        ahead of the loop.  The pinned transcript digests catch a break."""
-        q = self.q
-        if self.large:
-            return [rng.randrange(q) for _ in range(count)]
-        out = []
-        while len(out) < count:
-            m = count - len(out)
-            words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-            out += small_scalars(q, words[3::4])
-        return out
-
 
 def small_scalars(q: int, data: bytes) -> bytes:
     """For 0 < q < 2^8, the top |q| bits of each byte of data, in order,
@@ -129,7 +105,7 @@ def small_scalars(q: int, data: bytes) -> bytes:
     return data.translate(*_top_byte_tables(q))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=None)        # at most one entry for each q < 2^8
 def _top_byte_tables(q: int) -> tuple[bytes, bytes]:
     """bytes.translate's table and deletions for 0 < q < 2^8: a byte
     shifted right by 8 - |q|, dropped if that is q or more."""

@@ -24,12 +24,16 @@ def _poly_eval(coeffs, x, q):
 def deal(secret: int, t: int, k: int, q: int, rng) -> list[SecretShare]:
     """Split secret into k shares with reconstruction threshold t.
 
-    The sharing polynomial has degree t-1 and constant term secret; share i
-    is (i, poly(i)) for i = 1..k.
+    The sharing polynomial has degree t-1, constant term secret and the
+    other coefficients drawn from a `seeding.Stream`; share i is
+    (i, poly(i)) for i = 1..k.  Each index must be a distinct nonzero
+    point of Z_q, so k < q: share q would be the secret itself.
     """
     if not 1 <= t <= k:
         raise ValueError(f"threshold t={t} must satisfy 1 <= t <= k={k}")
-    coeffs = [secret % q] + [rng.randrange(q) for _ in range(t - 1)]
+    if k >= q:
+        raise ValueError(f"share count k={k} must be below q={q}")
+    coeffs = [secret % q] + rng.scalars(q, t - 1)
     return [SecretShare(i, _poly_eval(coeffs, i, q)) for i in range(1, k + 1)]
 
 

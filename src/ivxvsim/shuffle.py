@@ -48,6 +48,10 @@ PROOF_MAGIC = b"IVXVSHF4"
 
 _HEADER_LEN = len(PROOF_MAGIC) + 8   # magic, n, repetitions
 
+# The largest n, and repetition count, that `deserialize_proof` reads.
+MAX_PROOF_N = 2**20
+_MAX_PROOF_ROUNDS = 2**10
+
 # Soundness target across repetitions, in bits (see `security_rounds`).
 _ROUND_TARGET_BITS = 80
 
@@ -77,9 +81,12 @@ def security_rounds(q: int) -> int:
 def _fs_scalars(transcript: bytes, params: GroupParams, count: int,
                 tag: bytes = FS_DOMAIN) -> list[int]:
     """`count` challenges cut in order from one SHAKE-256 stream over tag,
-    "|" and the transcript: 128-bit integers in a large group, uniform
-    scalars mod q in a small one (`groups.small_scalars`, one byte each,
-    the stream read further until enough are kept)."""
+    "|" and the transcript.  In a large group each is a 128-bit integer,
+    below q, as in Terelius and Wikstroem, "Proofs of Restricted
+    Shuffles" (AFRICACRYPT 2010).  In a small group each is a uniform
+    scalar mod q (`groups.small_scalars`, one byte each, the stream read
+    further until enough are kept), and `security_rounds` repeats the
+    argument to make up for the small challenge space."""
     shake = hashlib.shake_256(tag + b"|" + transcript)
     if params.large:
         need = SHORT_BITS // 8
@@ -92,20 +99,6 @@ def _fs_scalars(transcript: bytes, params: GroupParams, count: int,
         size *= 2
         kept = small_scalars(q, shake.digest(size))
     return list(kept[:count])
-
-
-def fs_challenge(transcript: bytes, params: GroupParams, tag: bytes = FS_DOMAIN) -> int:
-    """Deterministic, domain-separated hash of a transcript to a challenge.
-
-    In a large group the challenge is the first 128 bits of a SHAKE-256
-    stream, an integer below q, as in Terelius and Wikstroem, "Proofs of
-    Restricted Shuffles" (AFRICACRYPT 2010).  Otherwise it is a scalar
-    mod q, cut from the stream by exact rejection sampling, and
-    `security_rounds` repeats the argument to make up for the small
-    challenge space.  The shuffle cuts all of one phase's challenges from
-    one such stream.
-    """
-    return _fs_scalars(transcript, params, 1, tag)[0]
 
 
 def _width(p: int) -> int:
@@ -300,11 +293,10 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     The repetitions run in three passes, as each challenge phase is
     hashed once for all of them: every first message, then every second
     message, then every response.  Each repetition draws its scalars from
-    rng in one order: rho, rho_hat, w_bar, w_dot, w_tld, w_r, w_hat, then
-    w'.  All repetitions' scalars come from one
-    `GroupParams.random_scalars` call, which draws what the per-call loop
-    would.  A large group runs one repetition, and draws each w' after
-    that call, as a 384-bit integer."""
+    rng, a `seeding.Stream`, in one order: rho, rho_hat, w_bar, w_dot,
+    w_tld, w_r, w_hat, then w'.  All repetitions' scalars come from one
+    `scalars` call.  A large group runs one repetition, and draws each w'
+    after that call, as a 384-bit integer."""
     pk = statement.pk
     params = pk.params
     p, q, g = params.p, params.q, params.g
@@ -327,13 +319,13 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     # every round's scalars in one draw, cut in the per-round order: rho,
     # rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat and, in a small group, w'
     block = (3 if params.large else 4) * n + 4
-    scalars = params.random_scalars(rng, n_rounds * block)
+    scalars = rng.scalars(q, n_rounds * block)
     ends = (n, 2 * n, 2 * n + 4, 3 * n + 4, block)
     draws = [[scalars[i + a : i + b] for a, b in zip((0, *ends), ends)]
              for i in range(0, n_rounds * block, block)]
     if params.large:   # w' are not scalars mod q
         for d in draws:
-            d[4] = [rng.getrandbits(_RANDOMIZER_BITS) for _ in range(n)]
+            d[4] = [rng.bits(_RANDOMIZER_BITS) for _ in range(n)]
 
     commits = []
     for rho, *_ in draws:
@@ -487,7 +479,7 @@ def deserialize_proof(blob: bytes, params: GroupParams) -> ShuffleProof:
     pos = len(PROOF_MAGIC)
     n = int.from_bytes(blob[pos : pos + 4], "big")
     n_rounds = int.from_bytes(blob[pos + 4 : pos + 8], "big")
-    if not (0 < n <= 2**20 and 0 < n_rounds <= 2**10):
+    if not (0 < n <= MAX_PROOF_N and 0 < n_rounds <= _MAX_PROOF_ROUNDS):
         raise ValueError("implausible proof dimensions")
     width = _width(params.p)
     if len(blob) != _HEADER_LEN + n_rounds * (5 * n + 9) * width:

@@ -1,7 +1,5 @@
 """Voter behavior patterns and their distributions."""
 
-import random
-
 import pytest
 
 from ivxvsim.behavior import (
@@ -11,6 +9,7 @@ from ivxvsim.behavior import (
     load_distribution,
     validate_pattern,
 )
+from ivxvsim.seeding import Stream
 
 
 def test_default_distribution_contents():
@@ -55,26 +54,26 @@ def test_distribution_rejects_bad_entries():
 
 def test_point_mass_always_sampled():
     d = BehaviorDistribution({"VVC": 1.0})
-    rng = random.Random(0)
+    rng = Stream(0, "behavior")
     assert all(d.sample(rng) == "VVC" for _ in range(50))
 
 
 def test_sampling_is_seed_deterministic():
     d = default_distribution()
-    a = [d.sample(random.Random(99)) for _ in range(1)]
+    a = [d.sample(Stream(99, "behavior")) for _ in range(1)]
     seq1 = []
-    rng = random.Random(42)
+    rng = Stream(42, "behavior")
     for _ in range(100):
         seq1.append(d.sample(rng))
-    rng = random.Random(42)
+    rng = Stream(42, "behavior")
     seq2 = [d.sample(rng) for _ in range(100)]
     assert seq1 == seq2
-    assert a == [d.sample(random.Random(99))]
+    assert a == [d.sample(Stream(99, "behavior"))]
 
 
 def test_sampling_frequencies_match_weights():
     d = default_distribution()
-    rng = random.Random(7)
+    rng = Stream(7, "behavior")
     n = 100_000
     counts = {}
     for _ in range(n):

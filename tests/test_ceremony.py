@@ -18,6 +18,8 @@ from ivxvsim.ceremony import (
     ReplayError,
     audit_transcript,
     ea_accept_ballot,
+    proof_from_text,
+    proof_to_text,
     run_election,
     tally_alg,
 )
@@ -32,7 +34,8 @@ from ivxvsim.functionalities import (
     decrypt_all,
     last_ballots,
 )
-from ivxvsim.groups import setup
+from ivxvsim.groups import UnknownPreset, setup
+from ivxvsim.seeding import Stream
 
 SID = "election-1"
 
@@ -197,11 +200,11 @@ def test_ea_accept_ballot_records_and_overwrites():
     params = setup("toy", 3)
     board = BulletinBoard(SID)
     reg = CertRegistry()
-    kg = KeyGenService(SID, params, 2, 3, random.Random(0))
+    kg = KeyGenService(SID, params, 2, 3, Stream(0, "keygen"))
     for j in (1, 2, 3):
         kg.ready(j)
     pk = kg.pubkey()
-    dev = VotingDevice(SID, 1, reg, random.Random(1))
+    dev = VotingDevice(SID, 1, reg, Stream(1, "vsd"))
     b1, _ = dev.cast(pk, 0)
     b2, _ = dev.cast(pk, 2)
     assert ea_accept_ballot(SID, reg, board, b1)
@@ -215,11 +218,11 @@ def test_ea_accept_ballot_rejects_forged_signature():
     params = setup("toy", 3)
     board = BulletinBoard(SID)
     reg = CertRegistry()
-    kg = KeyGenService(SID, params, 2, 3, random.Random(0))
+    kg = KeyGenService(SID, params, 2, 3, Stream(0, "keygen"))
     for j in (1, 2, 3):
         kg.ready(j)
     pk = kg.pubkey()
-    dev = VotingDevice(SID, 1, reg, random.Random(1))
+    dev = VotingDevice(SID, 1, reg, Stream(1, "vsd"))
     ballot, _ = dev.cast(pk, 0)
     forged = Ballot(ballot.ssid, ballot.c, "f" * 32)
     assert not ea_accept_ballot(SID, reg, board, forged)
@@ -358,7 +361,7 @@ def board_entry(event, kind):
 
 def test_a_rewritten_tally_is_invalid():
     result = run_election(honest_config(n_voters=5, seed=1))
-    assert result.tally == {0: 1, 1: 2, 2: 2} and result.verdict.valid
+    assert result.tally == {0: 2, 1: 1, 2: 2} and result.verdict.valid
 
     def rewrite(counts):
         def edit(event):
@@ -368,7 +371,7 @@ def test_a_rewritten_tally_is_invalid():
         return edit
 
     assert replay_edited(result, rewrite({"0": 5})) == AuditVerdict(False, "tally")
-    assert replay_edited(result, rewrite({"0": 1, "1": 2})) == AuditVerdict(False, "tally")
+    assert replay_edited(result, rewrite({"0": 2, "1": 1})) == AuditVerdict(False, "tally")
 
     def drop(event):
         entry = board_entry(event, "tally")
@@ -377,26 +380,37 @@ def test_a_rewritten_tally_is_invalid():
 
     assert replay_edited(result, drop) == AuditVerdict(False, "tally")
     # JSON true is not a count of 1, and a malformed tally names its field
-    for counts in ({"0": True, "1": 2, "2": 2}, {"0": "1"}, [1, 2, 2]):
+    for counts in ({"0": 2, "1": True, "2": 2}, {"0": "1"}, [2, 1, 2]):
         with pytest.raises(ReplayError, match="counts"):
             replay_edited(result, rewrite(counts))
 
 
 def test_a_key_that_does_not_match_h_is_invalid():
-    # in the toy group sk = 5 opens the outputs to other candidates; a
-    # transcript that posts them, and their tally, still fails on the key
-    result = run_election(honest_config(n_voters=3, seed=2))
-    assert result.verdict.valid
+    # in the toy group another sk may open the outputs to other candidates;
+    # a transcript that posts them, and their tally, still fails on the key
+    params = setup("toy", 3)
+
+    def other_openings(seed):
+        result = run_election(honest_config(n_voters=3, seed=seed))
+        assert result.verdict.valid
+        sk = result.transcript.events_of("election-key")[-1]["payload"]["sk"]
+        outputs = _posted(result, "shuffle")["outputs"]
+        posted = _posted(result, "plaintexts")["values"]
+        for x in range(1, params.q):
+            values = decrypt_all(SecretKey(params, x), outputs)
+            if x != sk and REJECTED_PLAINTEXT not in values and values != posted:
+                yield result, x, values
+
+    result, other, values = next(found for seed in range(2, 50) for found in other_openings(seed))
+    counts = {str(c): v for c, v in tally_alg(values, 3).items()}
 
     def edit(event):
         if event.get("kind") == "election-key":
-            assert event["payload"]["sk"] == 1
-            event["payload"]["sk"] = 5
+            event["payload"]["sk"] = other
         if board_entry(event, "plaintexts") is not None:
-            assert event["payload"]["entry"]["values"] == [0, 1, 2]
-            event["payload"]["entry"]["values"] = [1, 0, 0]
+            event["payload"]["entry"]["values"] = values
         if board_entry(event, "tally") is not None:
-            event["payload"]["entry"]["counts"] = {"0": 2, "1": 1}
+            event["payload"]["entry"]["counts"] = counts
 
     assert replay_edited(result, edit) == AuditVerdict(False, "decryption")
 
@@ -449,7 +463,7 @@ def test_the_toy_group_never_weighs_its_equations(monkeypatch):
     pk = elgamal.PublicKey(params, _posted(result, "pubkey")["h"])
     statement = shuffle.ShuffleStatement(pk=pk, inputs=shuffled["inputs"],
                                          outputs=shuffled["outputs"])
-    assert shuffle.verify_shuffle(statement, bytes.fromhex(shuffled["proof"]))
+    assert shuffle.verify_shuffle(statement, proof_from_text(shuffled["proof"]))
     sk = SecretKey(params, result.transcript.events_of("election-key")[-1]["payload"]["sk"])
     values = _posted(result, "plaintexts")["values"]
     assert functionalities.plaintexts_match(sk, pk.h, shuffled["outputs"], values)
@@ -471,11 +485,11 @@ def _replay_with(result, forge_proof=False, values=None, sk=None) -> AuditVerdic
     def edit(event):
         shuffled = board_entry(event, "shuffle")
         if forge_proof and shuffled is not None:
-            proof = shuffle.deserialize_proof(bytes.fromhex(shuffled["proof"]), params)
+            proof = shuffle.deserialize_proof(proof_from_text(shuffled["proof"]), params)
             first = dataclasses.replace(proof.rounds[0],
                                         s_bar=(proof.rounds[0].s_bar + 1) % params.q)
             forged = dataclasses.replace(proof, rounds=(first, *proof.rounds[1:]))
-            shuffled["proof"] = shuffle.serialize_proof(forged, params).hex()
+            shuffled["proof"] = proof_to_text(shuffle.serialize_proof(forged, params))
         if values is not None and board_entry(event, "plaintexts") is not None:
             event["payload"]["entry"]["values"] = values
         if values is not None and board_entry(event, "tally") is not None:
@@ -533,7 +547,7 @@ def _remix(result, pk, rng):
     inputs = [elgamal.Ciphertext(*c) for c in _posted(result, "shuffle")["inputs"]]
     perm = list(range(len(inputs)))
     rng.shuffle(perm)
-    rands = [params.random_scalar(rng) for _ in inputs]
+    rands = rng.scalars(params.q, len(inputs))
     outputs = [elgamal.rerandomize(pk, inputs[j], r) for j, r in zip(perm, rands)]
     statement = shuffle.ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
     proof = shuffle.serialize_proof(
@@ -557,7 +571,7 @@ def test_a_second_key_posted_after_voting_is_invalid(preset):
     params = setup(preset, 3)
     sk = result.transcript.events_of("election-key")[-1]["payload"]["sk"]
     pk2, sk2 = elgamal.make_keypair(params, sk % (params.q - 1) + 1)
-    outputs, proof = _remix(result, pk2, random.Random(f"rekey/{preset}"))
+    outputs, proof = _remix(result, pk2, Stream(0, f"rekey/{preset}"))
     values = decrypt_all(sk2, outputs)
     assert functionalities.plaintexts_match(sk2, pk2.h, outputs, values)
     counts = {str(c): v for c, v in tally_alg(values, 3).items()}
@@ -567,7 +581,7 @@ def test_a_second_key_posted_after_voting_is_invalid(preset):
     for event in events:
         if board_entry(event, "shuffle") is not None:
             event["payload"]["entry"].update(outputs=[list(c) for c in outputs],
-                                             proof=proof.hex())
+                                             proof=proof_to_text(proof))
         if board_entry(event, "plaintexts") is not None:
             event["payload"]["entry"]["values"] = values
         if board_entry(event, "tally") is not None:
@@ -606,7 +620,7 @@ def test_a_shuffle_posted_twice_is_judged_by_the_last(preset):
     pk = elgamal.PublicKey(params, _posted(result, "pubkey")["h"])
     sk = SecretKey(params, result.transcript.events_of("election-key")[-1]["payload"]["sk"])
     for attempt in range(10):   # a re-mix that the posted plaintexts do not open
-        outputs, proof = _remix(result, pk, random.Random(f"remix/{preset}/{attempt}"))
+        outputs, proof = _remix(result, pk, Stream(attempt, f"remix/{preset}"))
         values = decrypt_all(sk, outputs)
         if values != _posted(result, "plaintexts")["values"]:
             break
@@ -616,7 +630,7 @@ def test_a_shuffle_posted_twice_is_judged_by_the_last(preset):
 
     events = [json.loads(line) for line in result.transcript.to_jsonl().splitlines()]
     mix = next(i for i, e in enumerate(events) if board_entry(e, "shuffle") is not None)
-    events.insert(mix + 1, _post("priv-post", {**_posted(result, "shuffle"), "proof": proof.hex(),
+    events.insert(mix + 1, _post("priv-post", {**_posted(result, "shuffle"), "proof": proof_to_text(proof),
                                                "outputs": [list(c) for c in outputs]}))
     # the old plaintexts do not open the second shuffle
     assert _replayed(events) == AuditVerdict(False, "decryption")
@@ -736,3 +750,26 @@ def test_config_validation_errors():
                        dict(intents=["0"] * 6), dict(scripts=["V"])):
         with pytest.raises(ValueError):
             honest_config(**wrong_type)
+
+
+def test_config_keeps_every_trustee_index_below_q():
+    # trustee i holds the key share at x = i mod q: in the toy group
+    # (q = 11) trustee 11 would hold the key itself, and trustees 1 and 12
+    # one point, which reconstruction cannot invert
+    for k, t in ((11, 2), (12, 12)):
+        with pytest.raises(ValueError, match="n_trustees"):
+            honest_config(n_trustees=k, threshold=t)
+    assert run_election(honest_config(n_trustees=10, threshold=2)).verdict.valid
+    assert honest_config(n_trustees=12, threshold=12, group_preset="mid").n_trustees == 12
+    # the group is set up when the config is built, so its errors show there
+    with pytest.raises(UnknownPreset):
+        honest_config(group_preset="huge")
+    with pytest.raises(ValueError, match="candidateBound"):
+        honest_config(candidate_bound=12)
+
+
+def test_config_caps_n_voters_at_what_the_proof_verifier_reads():
+    assert shuffle.MAX_PROOF_N == 2**20
+    for n in (shuffle.MAX_PROOF_N + 1, 2**64):
+        with pytest.raises(ValueError, match="n_voters"):
+            honest_config(n_voters=n)

@@ -84,6 +84,12 @@ def test_run_config_errors_exit_one(tmp_path, capsys):
     assert err.count("error:") == 7
 
 
+def test_run_refuses_more_voters_than_a_proof_holds(tmp_path, capsys):
+    assert main(["run", write_config(tmp_path, n_voters=2**64)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: n_voters") and err.count("\n") == 1
+
+
 WRONG_TYPED_FIELDS = [
     ("corrupted", 5), ("intents", 5), ("distribution", [1, 2]), ("candidate_bound", "3"),
     ("seed", "x"), ("n_trustees", 2.5), ("manipulation_offset", "a"), ("scripts", [1]),

@@ -16,6 +16,7 @@ from ivxvsim.elgamal import (
     trapdoor_decrypt,
 )
 from ivxvsim.groups import setup
+from ivxvsim.seeding import Stream
 
 TOY = setup("toy", 8)
 
@@ -31,7 +32,7 @@ def test_keygen_forced_secret():
 
 
 def test_keygen_public_key_relation():
-    rng = random.Random(11)
+    rng = Stream(11, "elgamal")
     for _ in range(50):
         pk, sk = keygen(TOY, rng)
         assert 1 <= sk.sk < TOY.q
@@ -174,13 +175,13 @@ def test_trapdoor_rejects_non_candidate():
 
 def test_standard_group_roundtrip():
     params = setup("standard", 16)
-    rng = random.Random(31)
+    rng = Stream(31, "elgamal")
     pk, sk = keygen(params, rng)
     for _ in range(10):
-        m = rng.randrange(params.candidate_bound)
-        r = params.random_scalar(rng)
+        m = rng.below(params.candidate_bound)
+        r = rng.below(params.q)
         ct = encrypt(pk, m, r)
         assert decrypt(sk, ct) == m
         assert trapdoor_decrypt(pk, ct, r) == m
-        r2 = params.random_scalar(rng)
+        r2 = rng.below(params.q)
         assert decrypt(sk, rerandomize(pk, ct, r2)) == m

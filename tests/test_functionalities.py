@@ -29,6 +29,7 @@ from ivxvsim.functionalities import (
     plaintexts_match,
 )
 from ivxvsim.groups import setup
+from ivxvsim.seeding import Stream
 from ivxvsim.shamir import reconstruct
 
 SID = "election-test"
@@ -36,7 +37,7 @@ TOY = setup("toy", 4)
 
 
 def ready_keygen(t=2, k=3, seed=0):
-    kg = KeyGenService(SID, TOY, t, k, random.Random(seed))
+    kg = KeyGenService(SID, TOY, t, k, Stream(seed, "keygen"))
     for j in range(1, k + 1):
         kg.ready(j)
     return kg
@@ -117,14 +118,14 @@ def test_last_ballots_takes_each_voters_last_in_id_order():
 
 def test_registry_sign_then_verify():
     reg = CertRegistry()
-    rng = random.Random(0)
+    rng = Stream(0, "registry")
     sigma = reg.sign(SID, (4, 1), b"payload", rng, issuer=4)
     assert reg.verify(SID, (4, 1), b"payload", sigma) == 1
 
 
 def test_registry_rejects_tampering():
     reg = CertRegistry()
-    rng = random.Random(0)
+    rng = Stream(0, "registry")
     sigma = reg.sign(SID, (4, 1), b"payload", rng, issuer=4)
     assert reg.verify(SID, (4, 1), b"payloaX", sigma) == 0
     assert reg.verify(SID, (4, 2), b"payload", sigma) == 0
@@ -135,18 +136,18 @@ def test_registry_rejects_tampering():
 def test_registry_issuer_must_match_session():
     reg = CertRegistry()
     with pytest.raises(PermissionError):
-        reg.sign(SID, (4, 1), b"payload", random.Random(0), issuer=5)
+        reg.sign(SID, (4, 1), b"payload", Stream(0, "registry"), issuer=5)
 
 
 def test_registry_forgery_fuzz():
     # Nothing verifies unless that exact (ssid, message) pair was signed.
     reg = CertRegistry()
-    rng = random.Random(1)
+    rng, stream = random.Random(1), Stream(1, "registry")
     signed = {}
     for i in range(30):
         ssid = (i, 1)
         msg = b"m%d" % i
-        signed[(ssid, msg)] = reg.sign(SID, ssid, msg, rng, issuer=i)
+        signed[(ssid, msg)] = reg.sign(SID, ssid, msg, stream, issuer=i)
     hits = 0
     for _ in range(300):
         ssid = (rng.randrange(40), rng.randrange(3))
@@ -159,7 +160,7 @@ def test_registry_forgery_fuzz():
 
 def test_registry_dump_roundtrip():
     reg = CertRegistry()
-    rng = random.Random(2)
+    rng = Stream(2, "registry")
     sigma = reg.sign(SID, (7, 1), b"ballot-bytes", rng, issuer=7)
     rows = reg.dump()
     reg2 = CertRegistry.from_dump(SID, rows)
@@ -170,7 +171,7 @@ def test_registry_dump_roundtrip():
 # --------------------------------------------------------------- keygen
 
 def test_keygen_requires_all_trustees():
-    kg = KeyGenService(SID, TOY, 2, 3, random.Random(0))
+    kg = KeyGenService(SID, TOY, 2, 3, Stream(0, "keygen"))
     kg.ready(1)
     kg.ready(2)
     with pytest.raises(NotReady):
@@ -181,7 +182,7 @@ def test_keygen_requires_all_trustees():
 
 
 def test_keygen_trustee_id_validation():
-    kg = KeyGenService(SID, TOY, 2, 3, random.Random(0))
+    kg = KeyGenService(SID, TOY, 2, 3, Stream(0, "keygen"))
     with pytest.raises(ValueError):
         kg.ready(0)
     with pytest.raises(ValueError):
@@ -355,7 +356,7 @@ def make_voting_world(seed=0, policy=None):
     reg = CertRegistry()
     kg = ready_keygen(seed=seed)
     pk = kg.pubkey()
-    dev = VotingDevice(SID, 1, reg, random.Random(seed + 100), policy=policy)
+    dev = VotingDevice(SID, 1, reg, Stream(seed, "vsd"), policy=policy)
     asd = AuditDevice(board, pk)
     return board, reg, pk, dev, asd
 

@@ -18,6 +18,7 @@ from ivxvsim.groups import (
     products_equal,
     setup,
 )
+from ivxvsim.seeding import Stream
 
 PRESETS = ["toy", "standard"]
 
@@ -77,8 +78,8 @@ def test_is_element_matches_enumerated_subgroup():
 
 def test_random_scalar_range():
     params = setup("toy", 4)
-    rng = random.Random(0)
-    seen = {params.random_scalar(rng) for _ in range(300)}
+    rng = Stream(0, "scalar-range")
+    seen = {rng.below(params.q) for _ in range(300)}
     assert seen == set(range(params.q))
 
 
@@ -284,39 +285,24 @@ def test_a_small_group_must_have_q_below_2_8():
     assert multi_exp(params, bases, exponents) == _product_of_pows(params, bases, exponents)
 
 
-# --------------------------------------------- bulk draws of small scalars
+# ------------------------------------------------- bulk draws of scalars
 
 @pytest.mark.parametrize("q", [3, 11, 131, 251])
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 1000])
 def test_random_scalars_equal_the_per_call_loop(q, count):
-    # random_scalars relies on the word layout of CPython's Mersenne
-    # Twister; the pinned transcript digests catch a break there too.
-    # Each q is that of a safe-prime group; q = 131 drops about half its
-    # words, q = 251 the fewest that any 8-bit q drops.
-    params = GroupParams(p=2 * q + 1, q=q, g=4, candidate_bound=2)
-    assert sympy.isprime(params.p) and sympy.isprime(q)
-    bulk, loop = random.Random(f"scalars/{q}/{count}"), random.Random(f"scalars/{q}/{count}")
-    drawn = params.random_scalars(bulk, count)
-    assert drawn == [loop.randrange(q) for _ in range(count)]
-    assert bulk.getstate() == loop.getstate()
-
-
-class _RecordingRandom(random.Random):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.widths = []
-
-    def getrandbits(self, k):
-        self.widths.append(k)
-        return super().getrandbits(k)
+    # a small q reads one byte per value still missing, so it never reads
+    # past the count-th byte kept; q = 131 drops about half its bytes,
+    # q = 251 the fewest that any 8-bit q drops
+    bulk, loop = Stream(q, f"scalars/{count}"), Stream(q, f"scalars/{count}")
+    assert bulk.scalars(q, count) == [loop.below(q) for _ in range(count)]
+    assert bulk.bits(64) == loop.bits(64)
 
 
 def test_random_scalars_of_a_large_q_take_the_per_call_loop():
-    params = setup("mid", 2)
-    bulk, loop = _RecordingRandom("scalars/mid"), random.Random("scalars/mid")
-    assert params.random_scalars(bulk, 20) == [loop.randrange(params.q) for _ in range(20)]
-    assert bulk.getstate() == loop.getstate()
-    assert set(bulk.widths) == {params.q.bit_length()}
+    q = setup("mid", 2).q
+    bulk, loop = Stream(0, "scalars/mid"), Stream(0, "scalars/mid")
+    assert bulk.scalars(q, 20) == [loop.below(q) for _ in range(20)]
+    assert bulk.bits(64) == loop.bits(64)
 
 
 # ------------------------------------------- mid-size preset, sliding windows

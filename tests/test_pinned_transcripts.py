@@ -20,22 +20,28 @@ PINNED = {
     # once over all 20 repetitions, with toy challenges cut from the
     # stream by exact rejection sampling, which changes every toy
     # challenge and so the proof's responses and later commitments, but
-    # not its length)
+    # not its length; and again when every draw moved from random.Random
+    # to seeding's SHAKE-256 streams, which changes every drawn value, and
+    # the proof moved from hex to base64)
     "toy": (dict(n_voters=8, n_trustees=3, threshold=2, candidate_bound=3, seed=11,
                  scripts={1: "VVC", 2: "VC", 3: "VV", 4: "VCV"}),
-            "6e4fa741b039551e7da6cf1a7d485b65808fc40528a47b00d2cf3894853ea758"),
+            "e6e6e5c41c0b48ad674d767a424b34a95d8cf938c3ba14629da46aa7d48d43c5"),
     # 387-bit group, 6 voters: the smallest large group, on the standard
     # group's code with integer s' responses (re-pinned when mid moved
-    # from a 256-bit prime to this one, and again when board posts
-    # dropped their board_seq field)
+    # from a 256-bit prime to this one, again when board posts dropped
+    # their board_seq field, and again when every draw moved to seeding's
+    # SHAKE-256 streams, scalars reduced from |q| + 64 bits, and the proof
+    # to base64)
     "mid": (dict(n_voters=6, n_trustees=3, threshold=2, candidate_bound=3, seed=5,
                  group_preset="mid", scripts={1: "VVC", 2: "VC", 3: "VCV"}),
-            "4ace32b77d387c6bd90b03205b972ab5520e1e2d5d46bf1828dcfd940e7749cc"),
+            "0bd72990a353698b69ab227ad46b773eccd07bbc63169637eed0cf3a7d855019"),
     # 2048-bit group, 2 voters, one of whom re-votes (re-pinned when board
-    # posts dropped their board_seq field; every other byte is unchanged)
+    # posts dropped their board_seq field, every other byte unchanged; and
+    # again when every draw moved to seeding's SHAKE-256 streams, which
+    # changes every drawn value, and the proof moved from hex to base64)
     "standard": (dict(n_voters=2, n_trustees=3, threshold=2, candidate_bound=3, seed=7,
                       group_preset="standard", scripts={1: "VVC", 2: "VC"}),
-                 "5546f1e3c2294b9c3a28c6dda67a4b8ab9662241f0b384ec566891b5ca89fe9f"),
+                 "c8007a167b42ee6d52c5f239bb9e406e8fe6d6228c3f684429d675618caaff68"),
 }
 
 

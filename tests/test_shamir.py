@@ -1,25 +1,26 @@
 """Threshold sharing over the scalar field."""
 
 import itertools
-import random
 
 import pytest
 
+from ivxvsim.seeding import Stream
 from ivxvsim.shamir import InsufficientShares, SecretShare, deal, reconstruct
 
 
-class ForcedRng:
-    """Stub rng whose randrange always returns a fixed value."""
+class ForcedRng(Stream):
+    """Stub stream whose scalars are all one fixed value."""
 
     def __init__(self, value):
+        super().__init__(0, "forced")
         self.value = value
 
-    def randrange(self, *args):
-        return self.value
+    def scalars(self, q, count):
+        return [self.value] * count
 
 
 def test_degenerate_threshold_one():
-    rng = random.Random(0)
+    rng = Stream(0, "shamir")
     shares = deal(5, 1, 4, 11, rng)
     assert [s.index for s in shares] == [1, 2, 3, 4]
     assert all(s.value == 5 for s in shares)
@@ -33,9 +34,18 @@ def test_hand_dealing_with_forced_coefficient():
 
 def test_threshold_above_share_count():
     with pytest.raises(ValueError):
-        deal(7, 4, 3, 11, random.Random(0))
+        deal(7, 4, 3, 11, Stream(0, "shamir"))
     with pytest.raises(ValueError):
-        deal(7, 0, 3, 11, random.Random(0))
+        deal(7, 0, 3, 11, Stream(0, "shamir"))
+
+
+def test_every_share_index_is_a_nonzero_point_below_q():
+    # share q would sit at x = 0 mod q, where the polynomial is the secret,
+    # and shares 1 and q + 1 at one point
+    for t, k in ((2, 11), (12, 12)):
+        with pytest.raises(ValueError, match="k=%d must be below q=11" % k):
+            deal(7, t, k, 11, Stream(0, "shamir"))
+    assert deal(7, 2, 10, 11, Stream(0, "shamir"))[-1].index == 10
 
 
 def test_hand_reconstruct():
@@ -53,19 +63,19 @@ def test_reconstruct_rejects_duplicate_indices():
 
 
 def test_all_threshold_subsets_agree():
-    rng = random.Random(42)
+    rng = Stream(42, "shamir")
     q = 11
     for _ in range(100):
-        secret = rng.randrange(q)
-        k = rng.randrange(2, 6)
-        t = rng.randrange(1, k + 1)
+        secret = rng.below(q)
+        k = 2 + rng.below(4)
+        t = 1 + rng.below(k)
         shares = deal(secret, t, k, q, rng)
         for subset in itertools.combinations(shares, t):
             assert reconstruct(list(subset), t, q) == secret
 
 
 def test_reconstruct_with_more_than_threshold_shares():
-    rng = random.Random(5)
+    rng = Stream(5, "shamir")
     shares = deal(8, 2, 5, 11, rng)
     assert reconstruct(shares, 2, 11) == 8
 
@@ -73,15 +83,15 @@ def test_reconstruct_with_more_than_threshold_shares():
 def test_large_field_dealing():
     # Same invariants over a big prime order.
     q = (1 << 127) - 1
-    rng = random.Random(9)
-    secret = rng.randrange(q)
+    rng = Stream(9, "shamir")
+    secret = rng.below(q)
     shares = deal(secret, 3, 5, q, rng)
     for subset in itertools.combinations(shares, 3):
         assert reconstruct(list(subset), 3, q) == secret
 
 
 def test_share_values_in_field():
-    rng = random.Random(17)
+    rng = Stream(17, "shamir")
     shares = deal(10, 3, 6, 11, rng)
     for s in shares:
         assert 0 <= s.value < 11

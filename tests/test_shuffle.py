@@ -10,6 +10,7 @@ import pytest
 from ivxvsim import groups, shuffle
 from ivxvsim.elgamal import Ciphertext, decrypt, encrypt, keygen, rerandomize
 from ivxvsim.groups import GroupParams, products_equal, setup
+from ivxvsim.seeding import Stream
 from ivxvsim.shuffle import (
     FS_DOMAIN,
     PROOF_MAGIC,
@@ -19,8 +20,8 @@ from ivxvsim.shuffle import (
     ShuffleStatement,
     ShuffleWitness,
     deserialize_proof,
-    fs_challenge,
     _encode,
+    _fs_scalars,
     prove_shuffle,
     security_rounds,
     serialize_proof,
@@ -33,12 +34,12 @@ TOY = setup("toy", 8)
 
 def make_instance(rng, pk, n, params=TOY):
     ins = tuple(
-        encrypt(pk, rng.randrange(params.candidate_bound), params.random_scalar(rng))
+        encrypt(pk, rng.below(params.candidate_bound), rng.below(params.q))
         for _ in range(n)
     )
     perm = list(range(n))
     rng.shuffle(perm)
-    rands = tuple(params.random_scalar(rng) for _ in range(n))
+    rands = tuple(rng.below(params.q) for _ in range(n))
     outs = tuple(rerandomize(pk, ins[perm[i]], rands[i]) for i in range(n))
     stmt = ShuffleStatement(pk=pk, inputs=ins, outputs=outs)
     return stmt, ShuffleWitness(tuple(perm), rands)
@@ -53,15 +54,15 @@ def test_security_rounds():
 
 
 def test_identity_shuffle_single_ciphertext():
-    pk, _ = keygen(TOY, random.Random(1))
+    pk, _ = keygen(TOY, Stream(1, "test_shuffle"))
     ct = encrypt(pk, 3, 4)
     stmt = ShuffleStatement(pk=pk, inputs=(ct,), outputs=(ct,))
-    proof = prove_shuffle(stmt, ShuffleWitness((0,), (0,)), random.Random(2))
+    proof = prove_shuffle(stmt, ShuffleWitness((0,), (0,)), Stream(2, "test_shuffle"))
     assert verify_shuffle(stmt, proof)
 
 
 def test_completeness_small_batch():
-    rng = random.Random(3)
+    rng = Stream(3, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 5)
     proof = prove_shuffle(stmt, wit, rng)
@@ -69,7 +70,7 @@ def test_completeness_small_batch():
 
 
 def test_completeness_across_sizes():
-    rng = random.Random(4)
+    rng = Stream(4, "test_shuffle")
     for n in [1, 2, 3, 4, 5, 8, 16, 32]:
         pk, _ = keygen(TOY, rng)
         stmt, wit = make_instance(rng, pk, n)
@@ -78,7 +79,7 @@ def test_completeness_across_sizes():
 
 
 def test_prove_rejects_wrong_witness():
-    rng = random.Random(5)
+    rng = Stream(5, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     # Distinct first components so a rotated permutation cannot accidentally
     # match the true one.
@@ -99,7 +100,7 @@ def test_witness_validation():
 
 
 def test_statement_validation():
-    pk, _ = keygen(TOY, random.Random(6))
+    pk, _ = keygen(TOY, Stream(6, "test_shuffle"))
     ct = encrypt(pk, 1, 2)
     with pytest.raises(ValueError):
         ShuffleStatement(pk=pk, inputs=(ct,), outputs=(ct, ct))
@@ -109,16 +110,16 @@ def test_statement_validation():
 
 def tampered_copy(pk, sk, outs, rng):
     """Replace one output with an encryption of a different candidate."""
-    i = rng.randrange(len(outs))
+    i = rng.below(len(outs))
     m = decrypt(sk, outs[i])
-    m2 = (m + 1 + rng.randrange(TOY.candidate_bound - 1)) % TOY.candidate_bound
-    fresh = encrypt(pk, m2, TOY.random_scalar(rng))
+    m2 = (m + 1 + rng.below(TOY.candidate_bound - 1)) % TOY.candidate_bound
+    fresh = encrypt(pk, m2, rng.below(TOY.q))
     assert fresh != outs[i]  # different plaintext forces a different ciphertext
     return outs[:i] + (fresh,) + outs[i + 1 :], i
 
 
 def test_soundness_tampered_output():
-    rng = random.Random(7)
+    rng = Stream(7, "test_shuffle")
     accepts = 0
     for _ in range(100):
         pk, sk = keygen(TOY, rng)
@@ -131,7 +132,7 @@ def test_soundness_tampered_output():
 
 
 def test_soundness_tampered_input():
-    rng = random.Random(8)
+    rng = Stream(8, "test_shuffle")
     accepts = 0
     for _ in range(100):
         pk, sk = keygen(TOY, rng)
@@ -144,7 +145,7 @@ def test_soundness_tampered_input():
 
 
 def test_soundness_wrong_public_key():
-    rng = random.Random(9)
+    rng = Stream(9, "test_shuffle")
     accepts = 0
     for _ in range(50):
         pk, _ = keygen(TOY, rng)
@@ -159,7 +160,7 @@ def test_soundness_wrong_public_key():
 
 
 def test_proof_not_transferable_between_instances():
-    rng = random.Random(10)
+    rng = Stream(10, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt1, wit1 = make_instance(rng, pk, 3)
     proof1 = prove_shuffle(stmt1, wit1, rng)
@@ -171,7 +172,7 @@ def test_proof_not_transferable_between_instances():
 
 
 def test_serialization_roundtrip():
-    rng = random.Random(11)
+    rng = Stream(11, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 4)
     proof = prove_shuffle(stmt, wit, rng)
@@ -183,7 +184,7 @@ def test_serialization_roundtrip():
 
 
 def test_truncated_or_garbled_proof_rejects():
-    rng = random.Random(12)
+    rng = Stream(12, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 3)
     blob = serialize_proof(prove_shuffle(stmt, wit, rng), TOY)
@@ -197,7 +198,7 @@ def test_truncated_or_garbled_proof_rejects():
 
 
 def test_wrong_round_count_rejects():
-    rng = random.Random(13)
+    rng = Stream(13, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 3)
     proof = prove_shuffle(stmt, wit, rng)
@@ -207,7 +208,7 @@ def test_wrong_round_count_rejects():
 
 
 def test_wrong_size_rejects():
-    rng = random.Random(14)
+    rng = Stream(14, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt3, wit3 = make_instance(rng, pk, 3)
     proof3 = prove_shuffle(stmt3, wit3, rng)
@@ -218,8 +219,8 @@ def test_wrong_size_rejects():
 def test_fs_challenge_deterministic():
     params = setup("standard", 2)
     t = b"some transcript bytes"
-    assert fs_challenge(t, params) == fs_challenge(t, params)
-    assert fs_challenge(t, params, tag=b"a") == fs_challenge(t, params, tag=b"a")
+    assert _fs_scalars(t, params, 1) == _fs_scalars(t, params, 1)
+    assert _fs_scalars(t, params, 1, b"a") == _fs_scalars(t, params, 1, b"a")
 
 
 def test_fs_challenge_sensitive_to_input():
@@ -227,15 +228,15 @@ def test_fs_challenge_sensitive_to_input():
     # against the 2047-bit order where a collision would be astonishing.
     params = setup("standard", 2)
     t = bytearray(b"some transcript bytes")
-    c0 = fs_challenge(bytes(t), params)
+    c0 = _fs_scalars(bytes(t), params, 1)[0]
     t[0] ^= 1
-    assert fs_challenge(bytes(t), params) != c0
-    assert fs_challenge(b"some transcript bytes", params, tag=b"x") != c0
+    assert _fs_scalars(bytes(t), params, 1)[0] != c0
+    assert _fs_scalars(b"some transcript bytes", params, 1, b"x")[0] != c0
 
 
 def test_fs_challenge_empty_input_defined():
     for params in (TOY, setup("standard", 2)):
-        c = fs_challenge(b"", params)
+        c = _fs_scalars(b"", params, 1)[0]
         assert 0 <= c < params.q
 
 
@@ -243,12 +244,12 @@ def test_fs_challenge_range():
     rng = random.Random(15)
     for _ in range(500):
         data = rng.randbytes(rng.randrange(64))
-        assert 0 <= fs_challenge(data, TOY) < 11
+        assert 0 <= _fs_scalars(data, TOY, 1)[0] < 11
 
 
 def test_standard_group_shuffle():
     params = setup("standard", 4)
-    rng = random.Random(16)
+    rng = Stream(16, "test_shuffle")
     pk, sk = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, 3, params)
     proof = prove_shuffle(stmt, wit, rng)
@@ -272,7 +273,7 @@ SCALAR_FIELDS = ("s_bar", "s_dot", "s_tld", "s_r", "s_hat", "s_prm")
 @pytest.fixture(scope="module")
 def standard_proof():
     params = setup("standard", 4)
-    rng = random.Random(18)
+    rng = Stream(18, "test_shuffle")
     pk, _ = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, 2, params)
     proof = prove_shuffle(stmt, wit, rng)
@@ -328,11 +329,11 @@ def test_standard_group_rejects_an_honest_proof_over_a_non_residue():
     # first input has c1 = p - x, of order 2q.  With this seed the stray
     # signs cancel in every equation: only the membership test rejects it.
     params = setup("standard", 4)
-    rng = random.Random(0)
+    rng = Stream(0, "test_shuffle")
     pk, _ = keygen(params, rng)
-    ins = [encrypt(pk, rng.randrange(4), rng.randrange(params.q)) for _ in range(2)]
+    ins = [encrypt(pk, rng.below(4), rng.below(params.q)) for _ in range(2)]
     ins[0] = Ciphertext(params.p - ins[0].c1, ins[0].c2)
-    perm, rands = (1, 0), tuple(rng.randrange(params.q) for _ in range(2))
+    perm, rands = (1, 0), tuple(rng.below(params.q) for _ in range(2))
     outs = tuple(rerandomize(pk, ins[perm[i]], rands[i]) for i in range(2))
     stmt = ShuffleStatement(pk=pk, inputs=tuple(ins), outputs=outs)
     proof = prove_shuffle(stmt, ShuffleWitness(perm, rands), rng)
@@ -346,7 +347,7 @@ def test_standard_group_shuffle_builds_tables_only_for_fixed_bases():
     shuffle._generators.cache_clear()
     groups._COMBS.clear()
     params = setup("standard", 4)
-    rng = random.Random(19)
+    rng = Stream(19, "test_shuffle")
     pk, _ = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, 4, params)
     proof = prove_shuffle(stmt, wit, rng)
@@ -386,7 +387,7 @@ def test_standard_group_verifier_is_one_weighted_product(monkeypatch):
     # in this module and 3 multi-exponentiations; the batch takes none of
     # the first and 2 of the second
     params = setup("standard", 4)
-    rng = random.Random(29)
+    rng = Stream(29, "test_shuffle")
     pk, _ = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, 3, params)
     proof = prove_shuffle(stmt, wit, rng)
@@ -412,7 +413,7 @@ def test_standard_group_verifier_is_one_weighted_product(monkeypatch):
 # ------------------------------------------------------- proof codec (v2)
 
 def toy_blob(seed, n=3):
-    rng = random.Random(seed)
+    rng = Stream(seed, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, n)
     return stmt, serialize_proof(prove_shuffle(stmt, wit, rng), TOY)
@@ -500,7 +501,7 @@ def test_challenge_vector_binds_commitments_round_and_statement():
     # permutation commitments: one changed commitment of any repetition
     # changes every repetition's u (nine entries mod 11 each, so a u kept
     # by chance has odds 11^-9)
-    rng = random.Random(26)
+    rng = Stream(26, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 9)
     other, _ = make_instance(rng, pk, 9)
@@ -532,7 +533,7 @@ def test_gammas_bind_every_repetitions_messages():
     # repetition changed, each gamma must move under one of its eight
     # changes (kept by all eight with odds 11^-8).  Hashed one repetition
     # at a time, no change would move another repetition's gamma.
-    rng = random.Random(36)
+    rng = Stream(36, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     n = 9
     stmt, wit = make_instance(rng, pk, n)
@@ -591,8 +592,8 @@ def forge_by_repetition(stmt, rng, budget):
     p, q, g = params.p, params.q, params.g
     n = len(stmt.inputs)
     base, gens, gens_inverse = shuffle._generators(p, q, g, n)
-    element = lambda: pow(g, rng.randrange(1, q), p)
-    scalars = lambda count: [rng.randrange(q) for _ in range(count)]
+    element = lambda: pow(g, 1 + rng.below(q - 1), p)
+    scalars = lambda count: [rng.below(q) for _ in range(count)]
 
     def product(pairs):
         acc = 1
@@ -637,7 +638,7 @@ def forge_by_repetition(stmt, rng, budget):
     while readings < budget:
         for r in range(n_rounds):
             while readings < budget:
-                guess = rng.randrange(q)
+                guess = rng.below(q)
                 rounds[r] = solve(perm_commits[r], known[r], guess)
                 readings += 1
                 _, gamma, equations = verifier_reading(stmt, rounds)[r]
@@ -659,9 +660,9 @@ def test_a_repetition_by_repetition_forger_gets_no_proof_accepted():
     # about q readings per repetition: 600 readings would do for 20
     # repetitions of q = 11 (mean 220, standard deviation 47).  Hashed over
     # all repetitions, each one ground moves every gamma matched before it.
-    rng = random.Random("forger")
+    rng = Stream(0, "forger")
     pk, _ = keygen(TOY, rng)
-    encrypt_all = lambda m: tuple(encrypt(pk, m, TOY.random_scalar(rng)) for _ in range(2))
+    encrypt_all = lambda m: tuple(encrypt(pk, m, rng.below(TOY.q)) for _ in range(2))
     stmt = ShuffleStatement(pk=pk, inputs=encrypt_all(0), outputs=encrypt_all(1))
     forged, sound, unsound = forge_by_repetition(stmt, rng, budget=600)
     assert forged is None
@@ -689,7 +690,7 @@ class CountingHashlib:
 def test_hashing_is_linear_in_n(monkeypatch):
     counted = {}
     for n in (200, 400):
-        rng = random.Random(27)
+        rng = Stream(27, "test_shuffle")
         pk, _ = keygen(TOY, rng)
         stmt, wit = make_instance(rng, pk, n)
         counter = CountingHashlib()
@@ -712,7 +713,7 @@ def test_challenges_are_128_bit_integers_when_q_is_longer(preset):
     params = setup(preset, 2)
     assert params.q.bit_length() > 128 and security_rounds(params.q) == 1
     rng = random.Random(f"short/{preset}")
-    challenges = [fs_challenge(rng.randbytes(16), params) for _ in range(200)]
+    challenges = [_fs_scalars(rng.randbytes(16), params, 1)[0] for _ in range(200)]
     u = shuffle._u_vectors(b"digest", [b"commits"], 200, params)
     gammas = shuffle._gammas(b"digest", [b"commitsrest"], params)
     challenges += u[0] + gammas
@@ -734,7 +735,7 @@ def test_challenges_are_scalars_mod_q_in_the_toy_group():
     challenges = [x for u_r in u for x in u_r]
     gammas = shuffle._gammas(b"digest", [b"commitsrest"] * 200, TOY)
     assert len(gammas) == 200
-    challenges += gammas + [fs_challenge(b"%d" % i, TOY) for i in range(200)]
+    challenges += gammas + [_fs_scalars(b"%d" % i, TOY, 1)[0] for i in range(200)]
     assert set(challenges) == set(range(TOY.q))
     # min(|q|, 128) bits per repetition: a 128-bit q needs one, a 64-bit q two
     assert security_rounds((1 << 127) + 1) == 1 and security_rounds((1 << 63) + 1) == 2
@@ -803,7 +804,8 @@ def test_v2_magic_proof_is_rejected_without_exception():
 
 
 def test_replay_of_a_v2_magic_proof_is_a_shuffle_proof_verdict():
-    from ivxvsim.ceremony import ElectionConfig, ElectionTranscript, audit_transcript, run_election
+    from ivxvsim.ceremony import (ElectionConfig, ElectionTranscript, audit_transcript,
+                                  proof_from_text, proof_to_text, run_election)
 
     config = ElectionConfig(n_voters=4, n_trustees=3, threshold=2, candidate_bound=3, seed=3)
     jsonl = run_election(config).transcript.to_jsonl()
@@ -814,8 +816,9 @@ def test_replay_of_a_v2_magic_proof_is_a_shuffle_proof_verdict():
             event = json.loads(line)
             entry = event.get("payload", {}).get("entry", {})
             if isinstance(entry, dict) and entry.get("kind") == "shuffle":
-                assert bytes.fromhex(entry["proof"]).startswith(PROOF_MAGIC)
-                entry["proof"] = magic.hex() + entry["proof"][2 * len(PROOF_MAGIC) :]
+                blob = proof_from_text(entry["proof"])
+                assert blob.startswith(PROOF_MAGIC)
+                entry["proof"] = proof_to_text(magic + blob[len(PROOF_MAGIC) :])
                 lines[index] = json.dumps(event)
                 edited += 1
         assert edited == 1
@@ -864,7 +867,7 @@ def test_standard_group_prover_makes_no_variable_base_pow(monkeypatch):
     # now every full-size power is read from a comb table, and a chain
     # element's 128-bit power of the one before it shares a multi_exp chain
     params = setup("standard", 4)
-    rng = random.Random(30)
+    rng = Stream(30, "test_shuffle")
     pk, _ = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, 3, params)
     shuffle._generators(params.p, params.q, params.g, 3)   # the cached inverse is not a power
@@ -889,7 +892,7 @@ def test_standard_group_prover_makes_no_variable_base_pow(monkeypatch):
 
 @pytest.fixture(scope="module")
 def mid_proof():
-    rng = random.Random(31)
+    rng = Stream(31, "test_shuffle")
     pk, _ = keygen(MID, rng)
     stmt, wit = make_instance(rng, pk, 3, MID)
     proof = prove_shuffle(stmt, wit, rng)
@@ -946,13 +949,13 @@ def test_mid_group_rejects_changes_that_cancel_in_an_unweighted_product(mid_proo
 
 
 def test_mid_group_soundness_against_tampered_statements():
-    rng = random.Random(32)
+    rng = Stream(32, "test_shuffle")
     for n in (1, 2, 5):
         pk, sk = keygen(MID, rng)
         stmt, wit = make_instance(rng, pk, n, MID)
         proof = prove_shuffle(stmt, wit, rng)
         assert verify_shuffle(stmt, proof)
-        i = rng.randrange(n)
+        i = rng.below(n)
         fresh = encrypt(pk, (decrypt(sk, stmt.outputs[i]) + 1) % MID.candidate_bound, 7)
         outs = stmt.outputs[:i] + (fresh,) + stmt.outputs[i + 1 :]
         assert not verify_shuffle(ShuffleStatement(pk, stmt.inputs, outs), proof)
@@ -968,7 +971,7 @@ def test_mid_group_rejects_a_shuffle_with_one_component_off(monkeypatch, compone
     # output has c1 (or c2) times g.  The challenges are those of the
     # changed statement, so t1, t2, t3, the t_hat and the other
     # component's t4 equation hold: only t4a (or t4b) rejects it.
-    rng = random.Random(33)
+    rng = Stream(33, "test_shuffle")
     pk, _ = keygen(MID, rng)
     stmt, wit = make_instance(rng, pk, 3, MID)
     outs = list(stmt.outputs)
@@ -1001,7 +1004,7 @@ def test_mid_group_s_prm_are_integers_below_2_385(mid_proof):
 
 
 def test_s_prm_are_scalars_mod_q_in_the_toy_group():
-    rng = random.Random(34)
+    rng = Stream(34, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 3)
     toy = prove_shuffle(stmt, wit, rng)
@@ -1029,7 +1032,7 @@ def test_mid_group_rejects_s_prm_out_of_range(mid_proof, change):
 
 def _standard_instance(seed, n=3):
     params = setup("standard", 4)
-    rng = random.Random(seed)
+    rng = Stream(seed, "test_shuffle")
     pk, _ = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, n, params)
     return stmt, wit, rng
@@ -1093,7 +1096,7 @@ def test_standard_group_batch_has_at_most_three_long_exponents(monkeypatch):
 @pytest.mark.parametrize("preset", ["toy", "mid", "standard"])
 def test_witness_recheck_names_the_first_output_that_does_not_match(preset, monkeypatch):
     params = TOY if preset == "toy" else setup(preset, 4)
-    rng = random.Random(f"witness/{preset}")
+    rng = Stream(0, f"witness/{preset}")
     pk, _ = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, 4, params)
     outs = stmt.outputs
@@ -1123,19 +1126,20 @@ def test_witness_recheck_names_the_first_output_that_does_not_match(preset, monk
 
 
 def test_toy_prover_draws_its_scalars_in_the_per_round_order():
-    # the toy prover takes every round's 4n + 4 scalars in one bulk draw;
-    # restated here as the per-call loop it replaced, rho, rho_hat, w_bar,
-    # w_dot, w_tld, w_r, w_hat, w', each proof value is what that loop's
-    # scalars give, with u and gamma derived once for all rounds, and the
-    # generator ends where the loop leaves it
-    rng = random.Random(35)
+    # the toy prover takes every round's 4n + 4 scalars in one draw; cut
+    # here round by round, rho, rho_hat, w_bar, w_dot, w_tld, w_r, w_hat,
+    # w', each proof value is what those scalars give, with u and gamma
+    # derived once for all rounds, and the stream ends where that draw
+    # leaves it
+    rng = Stream(35, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     n = 5
     stmt, wit = make_instance(rng, pk, n)
-    prover, loop = random.Random("draw-order"), random.Random("draw-order")
+    prover, loop = Stream(0, "draw-order"), Stream(0, "draw-order")
     proof = prove_shuffle(stmt, wit, prover)
     p, q, g = TOY.p, TOY.q, TOY.g
-    draw = lambda count: [loop.randrange(q) for _ in range(count)]
+    pool = iter(loop.scalars(q, security_rounds(q) * (4 * n + 4)))
+    draw = lambda count: [next(pool) for _ in range(count)]
     stmt_digest = hashlib.sha256(stmt.to_bytes()).digest()
     _, gens, _ = shuffle._generators(p, q, g, n)
     width = shuffle._width(p)
@@ -1160,4 +1164,4 @@ def test_toy_prover_draws_its_scalars_in_the_per_round_order():
         assert pr.s_hat == tuple((w + gamma * r) % q for w, r in zip(w_hat, rho_hat))
         assert pr.s_prm == tuple((w + gamma * u_j) % q for w, u_j in zip(w_prm, u_tld))
     assert len(proof.rounds) == security_rounds(q)
-    assert prover.getstate() == loop.getstate()
+    assert prover.bits(64) == loop.bits(64)
