@@ -20,8 +20,6 @@ _DOMAIN = b"ivxvsim/seed-v2"
 # squeezes the block.
 _BLOCK = 136
 
-_SMALL_Q = 1 << 8
-
 # Extra bits a large modulus is drawn with before reduction: the bias of
 # the result is below 2^-64 (FIPS 186-4, Appendix B.1.1).
 _EXTRA_BITS = 64
@@ -65,7 +63,7 @@ class Stream:
         would, so a bulk draw may be cut into smaller ones."""
         if q < 1:
             raise ValueError("q must be positive")
-        if q < _SMALL_Q:
+        if q < 1 << 8:
             out = b""
             while len(out) < count:
                 out += small_scalars(q, self._read(count - len(out)))

@@ -1,5 +1,6 @@
 """End-to-end election runs, the audit chain, and transcript replay."""
 
+import base64
 import dataclasses
 import json
 import random
@@ -383,6 +384,30 @@ def test_a_rewritten_tally_is_invalid():
     for counts in ({"0": 2, "1": True, "2": 2}, {"0": "1"}, [2, 1, 2]):
         with pytest.raises(ReplayError, match="counts"):
             replay_edited(result, rewrite(counts))
+
+
+def test_a_proof_has_one_transcript_text():
+    # the audit reads the proof only from the base64 text proof_to_text
+    # gives: whitespace, non-ASCII, and base64 whose unused low bits are
+    # set, which decodes to the same bytes, are not proof texts; hex is
+    # base64 of other bytes, no proof.  Each ends invalid
+    result = run_election(honest_config(n_voters=6, seed=3))
+    assert result.verdict.valid
+    text = _posted(result, "shuffle")["proof"]
+    blob = proof_from_text(text)
+    assert blob is not None and proof_to_text(blob) == text
+    assert text.endswith("==")     # 796 bytes: the last character keeps 4 unused bits
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    unused = text[:-3] + alphabet[alphabet.index(text[-3]) ^ 1] + "=="
+    assert base64.b64decode(unused) == blob
+    others = (text[:40] + "\n" + text[40:], text[:-3] + "é==", unused)
+    assert [proof_from_text(other) for other in others] == [None] * 3
+    for other in (blob.hex(), *others):
+        def edit(event, other=other):
+            if board_entry(event, "shuffle") is not None:
+                event["payload"]["entry"]["proof"] = other
+
+        assert replay_edited(result, edit) == AuditVerdict(False, "shuffle-proof")
 
 
 def test_a_key_that_does_not_match_h_is_invalid():
