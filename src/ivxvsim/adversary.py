@@ -27,7 +27,7 @@ from .seeding import derive_seed, rng_for
 # Enumeration guard: 2^16 policies is the most the brute-force search
 # will walk through.
 _MAX_HISTORIES = 16
-_MAX_PATTERN_LEN = 8
+_MAX_SEARCH_LEN = 8
 
 
 class PolicyDomainError(KeyError):
@@ -71,16 +71,20 @@ class ManipulationPolicy:
     def from_csv(cls, path) -> "ManipulationPolicy":
         table = {}
         with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.DictReader(fh), start=2):
-                if row.get("history") is None or row.get("decision") is None:
-                    raise ValueError(f"{path}:{lineno}: need columns history,decision")
-                decision = row["decision"].strip().upper()
-                if decision not in ("M", "H"):
-                    raise ValueError(f"{path}:{lineno}: decision must be M or H")
-                history = row["history"].strip()
-                if history in table:
-                    raise ValueError(f"{path}:{lineno}: duplicate history {history!r}")
-                table[history] = decision == "M"
+            rows = enumerate(csv.DictReader(fh), start=2)
+            try:
+                for lineno, row in rows:
+                    if row.get("history") is None or row.get("decision") is None:
+                        raise ValueError(f"{path}:{lineno}: need columns history,decision")
+                    decision = row["decision"].strip().upper()
+                    if decision not in ("M", "H"):
+                        raise ValueError(f"{path}:{lineno}: decision must be M or H")
+                    history = row["history"].strip()
+                    if history in table:
+                        raise ValueError(f"{path}:{lineno}: duplicate history {history!r}")
+                    table[history] = decision == "M"
+            except csv.Error as exc:    # such as a field longer than the csv module reads
+                raise ValueError(f"{path}: {exc}") from None
         return cls(f"csv:{path}", table=table)
 
     def decide(self, history: str) -> bool:
@@ -161,8 +165,8 @@ def optimal_policy(distribution: BehaviorDistribution, max_len: int):
 
     Ties go to manipulating, so when always-manipulate is optimal it is
     the policy returned."""
-    if max_len > _MAX_PATTERN_LEN:
-        raise ValueError(f"maxLen exceeded: limit is {_MAX_PATTERN_LEN}")
+    if max_len > _MAX_SEARCH_LEN:
+        raise ValueError(f"maxLen exceeded: limit is {_MAX_SEARCH_LEN}")
     if distribution.max_len() > max_len:
         raise ValueError(
             f"maxLen exceeded: support has a pattern of length {distribution.max_len()}")

@@ -23,6 +23,13 @@ DEFAULT_DISTRIBUTION_RESOURCE = "data/estonia_aggregate.csv"
 # Tolerance on the probability-mass total.
 _SUM_TOL = 1e-9
 
+# The longest pattern, whether a config's script, a table row or what
+# `analyze` reads: each V costs a run one ballot encryption and each C one
+# opening, and the policy code walks every prefix of a pattern, so a
+# pattern of millions of actions would run for minutes.  The shipped
+# table's longest pattern has 3 actions.
+MAX_PATTERN_LEN = 256
+
 
 class BadDistribution(ValueError):
     """Distribution table fails validation."""
@@ -31,6 +38,9 @@ class BadDistribution(ValueError):
 def validate_pattern(pattern: str) -> str:
     if not isinstance(pattern, str) or not pattern:
         raise BadDistribution("pattern must be a non-empty string")
+    if len(pattern) > MAX_PATTERN_LEN:
+        raise BadDistribution(f"pattern of {len(pattern)} actions is longer than "
+                              f"{MAX_PATTERN_LEN}, the most a pattern holds")
     if set(pattern) - PATTERN_ALPHABET:
         raise BadDistribution(f"pattern {pattern!r} has characters outside V/C")
     if pattern[0] != "V":
@@ -105,16 +115,19 @@ class BehaviorDistribution:
 
 def _parse_rows(rows, origin: str) -> BehaviorDistribution:
     pairs = []
-    for lineno, row in enumerate(rows, start=2):
-        if row.get("pattern") is None or row.get("probability") is None:
-            raise BadDistribution(f"{origin}:{lineno}: need columns pattern,probability")
-        try:
-            prob = float(row["probability"])
-        except ValueError:
-            raise BadDistribution(
-                f"{origin}:{lineno}: probability {row['probability']!r} is not a number"
-            ) from None
-        pairs.append((row["pattern"].strip(), prob))
+    try:
+        for lineno, row in enumerate(rows, start=2):
+            if row.get("pattern") is None or row.get("probability") is None:
+                raise BadDistribution(f"{origin}:{lineno}: need columns pattern,probability")
+            try:
+                prob = float(row["probability"])
+            except ValueError:
+                raise BadDistribution(
+                    f"{origin}:{lineno}: probability {row['probability']!r} is not a number"
+                ) from None
+            pairs.append((row["pattern"].strip(), prob))
+    except csv.Error as exc:    # such as a field longer than the csv module reads
+        raise BadDistribution(f"{origin}: {exc}") from None
     return BehaviorDistribution(pairs)
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 from itertools import chain
 from typing import NamedTuple, Optional
 
-from .behavior import BehaviorDistribution, default_distribution, validate_pattern
+from .behavior import (BadDistribution, BehaviorDistribution, default_distribution,
+                       validate_pattern)
 from .elgamal import Ciphertext, PublicKey, SecretKey, encrypt, rerandomize
 from .groups import products_equal, setup
 from .functionalities import (AuditDevice, BulletinBoard, CertRegistry,
@@ -35,6 +36,11 @@ TAMPER_MODES = ("forge-signature", "mix-non-last", "tamper-shuffle-output",
 
 AUDIT_REASONS = ("bad-signature", "last-ballot-mismatch", "shuffle-proof",
                  "decryption", "complaint", "tally", "key")
+
+# The most trustees a config names, in any group (the toy group's q = 11
+# allows 10): dealing and reconstructing the key take time quadratic in
+# the count, about 0.3 s for 256 trustees, all needed, in the standard group.
+MAX_TRUSTEES = 256
 
 
 class CeremonyError(Exception):
@@ -70,6 +76,18 @@ def _optional(check):
 
 def _is_int_seq(value) -> bool:
     return isinstance(value, (list, tuple)) and all(map(_is_int, value))
+
+
+def _voter_id(key) -> Optional[int]:
+    """A `scripts` key as a voter id: an integer, or its decimal text as
+    str() writes it, the form of a JSON key, of at most 20 digits, so that
+    int() reads no long text; else None.  So "01" and True name no voter."""
+    if _is_int(key):
+        return key
+    if isinstance(key, str) and 0 < len(key) <= 20 and key.isascii() and key.isdigit() \
+            and str(int(key)) == key:
+        return int(key)
+    return None
 
 
 # The type of each config field, checked before any rule on its value.
@@ -111,6 +129,9 @@ class ElectionConfig:
                              "the mix's proof verifier reads")
         if not 1 <= self.threshold <= self.n_trustees:
             raise ValueError("need 1 <= threshold <= n_trustees")
+        if self.n_trustees > MAX_TRUSTEES:
+            raise ValueError(f"n_trustees must be at most {MAX_TRUSTEES}: dealing and "
+                             "reconstructing the key take time quadratic in it")
         q = setup(self.group_preset, self.candidate_bound).q
         if self.n_trustees >= q:
             raise ValueError(f"n_trustees must be below the group order q = {q}: "
@@ -135,11 +156,17 @@ class ElectionConfig:
             object.__setattr__(self, "intents", intents)
         if self.scripts is not None:
             scripts = {}
-            for voter_id, script in self.scripts.items():
-                voter_id = int(voter_id)
-                if not 1 <= voter_id <= self.n_voters:
-                    raise ValueError(f"script for unknown voter {voter_id}")
-                scripts[voter_id] = validate_pattern(script)
+            for key, script in self.scripts.items():
+                voter_id = _voter_id(key)
+                if voter_id is None or not 1 <= voter_id <= self.n_voters:
+                    raise ValueError(f"scripts key {key!r:.40} is not a voter id in "
+                                     f"[1, {self.n_voters}]")
+                if voter_id in scripts:
+                    raise ValueError(f"scripts has two scripts for voter {voter_id}")
+                try:
+                    scripts[voter_id] = validate_pattern(script)
+                except BadDistribution as exc:
+                    raise ValueError(f"scripts, voter {voter_id}: {exc}") from None
             object.__setattr__(self, "scripts", scripts)
         if self.tamper is not None and self.tamper not in TAMPER_MODES:
             raise ValueError(f"unknown tamper mode {self.tamper!r}")

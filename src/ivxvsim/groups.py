@@ -16,6 +16,10 @@ logarithms over all of Z_p*, built on first use, so a product of powers
 is one sum mod p - 1 and one lookup, and its scalars are cut a byte at a
 time (`small_scalars`).  Every path computes what the builtin pow would,
 so no transcript depends on which one runs.
+
+It also holds the one fixed-width codec (`encode`, `decode`) and the one
+cut of values from a SHAKE-256 stream (`hash_scalars`), for the shuffle's
+proofs and Fiat-Shamir challenges and for the batch weights alike.
 """
 
 from __future__ import annotations
@@ -96,6 +100,48 @@ class GroupParams:
         """Membership test for the order-q subgroup, the quadratic residues:
         the Legendre symbol (x|p) = 1, computed as a Jacobi symbol."""
         return 0 < x < self.p and _jacobi(x, self.p) == 1
+
+
+def byte_width(p: int) -> int:
+    """The byte length of p, the width of every encoded element and scalar."""
+    return (p.bit_length() + 7) // 8
+
+
+def encode(values, width: int) -> bytes:
+    """Each value big-endian in exactly `width` bytes, no separators;
+    ValueError or OverflowError for a value that does not fit."""
+    if width == 1:
+        return bytes(values)   # one byte per value, as decode reads it
+    return b"".join([x.to_bytes(width, "big") for x in values])
+
+
+def decode(data: bytes, width: int) -> tuple[int, ...]:
+    """Inverse of `encode` for data of a whole number of values."""
+    if width == 1:
+        return tuple(data)   # a bytes object iterates as its byte values
+    return tuple([int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)])
+
+
+def hash_scalars(tag: bytes, data: bytes, params: GroupParams, count: int) -> list[int]:
+    """`count` values cut in order from one SHAKE-256 stream over tag, "|"
+    and data: the shuffle's Fiat-Shamir challenges and the batch weights
+    of `products_equal`.  In a large group each is a 128-bit integer,
+    below q, as in Terelius and Wikstroem, "Proofs of Restricted
+    Shuffles" (AFRICACRYPT 2010).  In a small group each is a uniform
+    scalar mod q (`small_scalars`, one byte each, the stream read further
+    until enough are kept)."""
+    shake = hashlib.shake_256(tag + b"|" + data)
+    if params.large:
+        need = SHORT_BITS // 8
+        stream = shake.digest(count * need)
+        return [int.from_bytes(stream[i : i + need], "big") for i in range(0, count * need, need)]
+    q = params.q
+    size = (count << q.bit_length()) // q + 8   # the expected length, and a little
+    kept = small_scalars(q, shake.digest(size))
+    while len(kept) < count:
+        size *= 2
+        kept = small_scalars(q, shake.digest(size))
+    return list(kept[:count])
 
 
 def small_scalars(q: int, data: bytes) -> bytes:
@@ -379,18 +425,15 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
 
 def batch_weights(params: GroupParams, equations) -> list[int]:
     """The 128-bit weights `products_equal` gives a list of equations in a
-    large group: a SHAKE-256 stream over each equation's pair count, its
-    (base mod p, exponent mod q) pairs as zip yields them and its target
-    mod p, each integer big-endian at the byte length of p."""
+    large group: `hash_scalars` over each equation's pair count, its (base
+    mod p, exponent mod q) pairs as zip yields them and its target mod p."""
     p, q = params.p, params.q
-    width = (p.bit_length() + 7) // 8
-    stream = hashlib.shake_256(_BATCH_DOMAIN + b"|")
+    width = byte_width(p)
+    encoded = []
     for bases, exponents, target in equations:
         pairs = [(b % p, e % q) for b, e in zip(bases, exponents)]
-        values = (len(pairs), *chain.from_iterable(pairs), target % p)
-        stream.update(b"".join([x.to_bytes(width, "big") for x in values]))
-    digest = stream.digest(16 * len(equations))
-    return [int.from_bytes(digest[i : i + 16], "big") for i in range(0, len(digest), 16)]
+        encoded.append(encode((len(pairs), *chain.from_iterable(pairs), target % p), width))
+    return hash_scalars(_BATCH_DOMAIN, b"".join(encoded), params, len(encoded))
 
 
 def products_equal(params: GroupParams, equations) -> bool:

@@ -24,11 +24,12 @@ The verifier states what it checks as equations (`shuffle_equations`),
 so that an auditor can check them in one weighted product together with
 others; `verify_shuffle` checks them alone.
 
-Every element and scalar is encoded big-endian at one width, the byte
-length of p, for the statement digest, both challenges and the proof.
-A proof (`PROOF_MAGIC`) is the magic, n and the repetition count (4
-bytes each), then each repetition's 5n + 9 values in `ProofRound` field
-order, so its header and the group fix its length.
+Every element and scalar is encoded at the byte length of p
+(`groups.encode`), and every challenge cut by `groups.hash_scalars`, as
+the batch weights are.  A proof (`PROOF_MAGIC`) is the magic, n and the
+repetition count, `security_rounds(q)` (4 bytes each), then each
+repetition's 5n + 9 values in `ProofRound` field order, so its header
+and the group fix its length.  The verifier hashes the bytes as posted.
 """
 
 from __future__ import annotations
@@ -40,17 +41,16 @@ from itertools import chain, repeat
 from operator import mul
 
 from .elgamal import Ciphertext, PublicKey, rerandomize
-from .groups import (SHORT_BITS, GroupParams, fixed_base, hash_to_element, multi_exp,
-                     products_equal, small_scalars)
+from .groups import (SHORT_BITS, GroupParams, byte_width, decode, encode, fixed_base,
+                     hash_scalars, hash_to_element, multi_exp, products_equal)
 
 FS_DOMAIN = b"ivxvsim/shuffle-v4"
 PROOF_MAGIC = b"IVXVSHF4"
 
 _HEADER_LEN = len(PROOF_MAGIC) + 8   # magic, n, repetitions
 
-# The largest n, and repetition count, that `deserialize_proof` reads.
+# The largest n that `deserialize_proof` reads.
 MAX_PROOF_N = 2**20
-_MAX_PROOF_ROUNDS = 2**10
 
 # Soundness target across repetitions, in bits (see `security_rounds`).
 _ROUND_TARGET_BITS = 80
@@ -78,46 +78,6 @@ def security_rounds(q: int) -> int:
     return max(1, -(-_ROUND_TARGET_BITS // min(q.bit_length(), SHORT_BITS)))
 
 
-def _fs_scalars(transcript: bytes, params: GroupParams, count: int,
-                tag: bytes = FS_DOMAIN) -> list[int]:
-    """`count` challenges cut in order from one SHAKE-256 stream over tag,
-    "|" and the transcript.  In a large group each is a 128-bit integer,
-    below q, as in Terelius and Wikstroem, "Proofs of Restricted
-    Shuffles" (AFRICACRYPT 2010).  In a small group each is a uniform
-    scalar mod q (`groups.small_scalars`, one byte each, the stream read
-    further until enough are kept), and `security_rounds` repeats the
-    argument to make up for the small challenge space."""
-    shake = hashlib.shake_256(tag + b"|" + transcript)
-    if params.large:
-        need = SHORT_BITS // 8
-        stream = shake.digest(count * need)
-        return [int.from_bytes(stream[i : i + need], "big") for i in range(0, count * need, need)]
-    q = params.q
-    size = (count << q.bit_length()) // q + 8   # the expected length, and a little
-    kept = small_scalars(q, shake.digest(size))
-    while len(kept) < count:
-        size *= 2
-        kept = small_scalars(q, shake.digest(size))
-    return list(kept[:count])
-
-
-def _width(p: int) -> int:
-    return (p.bit_length() + 7) // 8
-
-
-def _encode(values, width: int) -> bytes:
-    """Each value big-endian in exactly `width` bytes, no separators."""
-    if width == 1:
-        return bytes(values)   # one byte per value, as _decode reads it
-    return b"".join([x.to_bytes(width, "big") for x in values])
-
-
-def _decode(data: bytes, width: int) -> tuple[int, ...]:
-    if width == 1:
-        return tuple(data)   # a bytes object iterates as its byte values
-    return tuple([int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)])
-
-
 @dataclass(frozen=True)
 class ShuffleStatement:
     pk: PublicKey
@@ -134,7 +94,7 @@ class ShuffleStatement:
         params = self.pk.params
         values = (params.p, params.q, params.g, self.pk.h,
                   *(x for ct in self.inputs + self.outputs for x in ct))
-        return b"stmt" + len(self.inputs).to_bytes(4, "big") + _encode(values, _width(params.p))
+        return b"stmt" + len(self.inputs).to_bytes(4, "big") + encode(values, byte_width(params.p))
 
 
 @dataclass(frozen=True)
@@ -200,25 +160,17 @@ def _generators(p: int, q: int, g: int, n: int) -> tuple[int, tuple[int, ...], i
     return base, gens, pow(gens_product, -1, p)
 
 
-def _by_round(parts) -> bytes:
-    """Each repetition's encoded messages after its index, 4 bytes."""
-    return b"".join([rnd.to_bytes(4, "big") + part for rnd, part in enumerate(parts)])
-
-
-def _u_vectors(stmt_digest: bytes, perm_bytes: list[bytes], n: int,
-               params: GroupParams) -> list[list[int]]:
-    """Every repetition's n entries of u, cut in order from one SHAKE-256
-    stream over the statement digest and each repetition's encoded
-    permutation commitments, so hashing is linear in n."""
-    u = _fs_scalars(b"u|" + stmt_digest + _by_round(perm_bytes), params, n * len(perm_bytes))
-    return [u[i : i + n] for i in range(0, len(u), n)]
-
-
-def _gammas(stmt_digest: bytes, messages: list[bytes], params: GroupParams) -> list[int]:
-    """Every repetition's gamma, cut in order from one SHAKE-256 stream
-    over the statement digest and each repetition's encoded messages:
-    permutation commitments (as encoded for u), chain, t1..t4b, t_hat."""
-    return _fs_scalars(b"gamma|" + stmt_digest + _by_round(messages), params, len(messages))
+def _challenges(phase: bytes, stmt_digest: bytes, parts, params: GroupParams,
+                per_round: int) -> list[list[int]]:
+    """Every repetition's `per_round` challenges of one phase, u or gamma,
+    cut in order from one stream over the phase, the statement digest and,
+    for each repetition, its index (4 bytes) and encoded messages: for u
+    its permutation commitments, for gamma those, the chain, t1..t4b and
+    t_hat.  Every challenge depends on every repetition."""
+    data = b"".join([phase, b"|", stmt_digest,
+                     *(rnd.to_bytes(4, "big") + part for rnd, part in enumerate(parts))])
+    values = hash_scalars(FS_DOMAIN, data, params, per_round * len(parts))
+    return [values[i : i + per_round] for i in range(0, len(values), per_round)]
 
 
 @lru_cache(maxsize=4)
@@ -314,7 +266,7 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     base, gens, _ = _generators(p, q, g, n)
     out_a = [ct.c1 for ct in statement.outputs]
     out_b = [ct.c2 for ct in statement.outputs]
-    width = _width(p)
+    width = byte_width(p)
     n_rounds = security_rounds(q)
     # every round's scalars in one draw, cut in the per-round order: rho,
     # rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat and, in a small group, w'
@@ -333,8 +285,8 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
         for i in range(n):
             c[perm[i]] = g_pow(rho[perm[i]]) * gens[i] % p
         commits.append(c)
-    perm_bytes = [_encode(c, width) for c in commits]
-    us = _u_vectors(stmt_digest, perm_bytes, n, params)
+    perm_bytes = [encode(c, width) for c in commits]
+    us = _challenges(b"u", stmt_digest, perm_bytes, params, n)
     u_tlds = [[u[j] for j in perm] for u in us]
 
     seconds, rho_dots = [], []   # each round's chain, t1, t2, t3, t4a, t4b, t_hat
@@ -345,12 +297,12 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
                         multi_exp(params, (g, *out_a), (-w_r % q, *w_prm)),
                         multi_exp(params, (pk.h, *out_b), (-w_r % q, *w_prm)), t_hat))
         rho_dots.append(rho_dot)
-    gammas = _gammas(stmt_digest, [pb + _encode((*chain, *ts, *t_hat), width)
-                                   for pb, (chain, *ts, t_hat) in zip(perm_bytes, seconds)],
-                     params)
+    gammas = _challenges(b"gamma", stmt_digest,
+                         [pb + encode((*chain, *ts, *t_hat), width)
+                          for pb, (chain, *ts, t_hat) in zip(perm_bytes, seconds)], params, 1)
 
     rounds = []
-    for k, gamma in enumerate(gammas):
+    for k, (gamma,) in enumerate(gammas):
         rho, rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat, w_prm = draws[k]
         chain, t1, t2, t3, t4a, t4b, t_hat = seconds[k]
         u_tld = u_tlds[k]
@@ -373,8 +325,8 @@ def _round_equations(pr: ProofRound, u, gamma: int, params: GroupParams,
                      gens, gens_inverse: int, base: int, parts):
     """One repetition's equations as (bases, exponents, target), each
     asserting prod base^e = target: t1, t2, t3, t4a, t4b, then the n t_hat.
-    `shuffle_equations` has checked the shapes, the scalar ranges and
-    that every element of the statement and the proof is in the group,
+    `shuffle_equations` has parsed the proof, checked the scalar ranges
+    and that every element of the statement and the proof is in the group,
     and derived the repetition's challenges u and gamma.  `gens`,
     `gens_inverse` and `base` come from `_generators`, and `parts` holds,
     for c1 and then c2, its key (g, h) and that component of every output
@@ -413,48 +365,46 @@ def _round_equations(pr: ProofRound, u, gamma: int, params: GroupParams,
 
 def shuffle_equations(statement: ShuffleStatement, proof):
     """The equations a proof must satisfy, for `groups.products_equal`;
-    None for a proof that is malformed, has the wrong shape or a scalar
-    out of range, or holds a value outside the group.  Accepts either a
-    ShuffleProof or its byte serialization.  Every challenge is derived,
-    and every element of the statement, h included, found in the order-q
-    subgroup, before the equations are produced, lazily."""
+    None for a proof that does not parse, is for another n, has a scalar
+    out of range or holds a value outside the group.  Takes the proof's
+    bytes, or a ShuffleProof, serialized first, and hashes slices of the
+    bytes.  Every challenge is derived, and every element of the statement,
+    h included, found in the group, before the equations are produced,
+    lazily."""
     pk = statement.pk
     params = pk.params
     q = params.q
-    if isinstance(proof, (bytes, bytearray)):
-        try:
-            proof = deserialize_proof(bytes(proof), params)
-        except ValueError:
-            return None
-    n = len(statement.inputs)
-    if proof.n != n or len(proof.rounds) != security_rounds(q):
+    try:
+        blob = (bytes(proof) if isinstance(proof, (bytes, bytearray))
+                else serialize_proof(proof, params))
+        proof = deserialize_proof(blob, params)
+    except (ValueError, OverflowError):     # OverflowError: a value wider than p
         return None
+    n = proof.n
+    if n != len(statement.inputs):
+        return None
+    width = byte_width(params.p)
+    size, sent = (5 * n + 9) * width, (3 * n + 5) * width   # a repetition, its messages
+    messages = [blob[i : i + sent] for i in range(_HEADER_LEN, len(blob), size)]
     # each distinct element of the statement and of every round is tested once
     elements = {pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct)}
     s_prm_bound = 1 << _RESPONSE_BITS if params.large else q
-    width = _width(params.p)
-    messages = []
     for pr in proof.rounds:
-        if not (len(pr.perm_commits) == len(pr.chain_commits) == len(pr.t_hat)
-                == len(pr.s_hat) == len(pr.s_prm) == n):
-            return None
         values = pr.values()
-        scalars = values[3 * n + 5 :]          # s_bar .. s_hat, then s_prm
-        if min(scalars) < 0 or max(scalars[: n + 4]) >= q or max(pr.s_prm) >= s_prm_bound:
+        if max(values[3 * n + 5 : 4 * n + 9]) >= q or max(pr.s_prm) >= s_prm_bound:
             return None
         elements.update(values[: 3 * n + 5])   # commitments, t1..t4b, t_hat
-        messages.append(_encode(values[: 3 * n + 5], width))
     if not all(map(params.is_element, elements)):
         return None
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
-    us = _u_vectors(stmt_digest, [m[: n * width] for m in messages], n, params)
-    gammas = _gammas(stmt_digest, messages, params)
+    us = _challenges(b"u", stmt_digest, [m[: n * width] for m in messages], params, n)
+    gammas = _challenges(b"gamma", stmt_digest, messages, params, 1)
     base, gens, gens_inverse = _generators(params.p, q, params.g, n)
     parts = tuple((key, [ct[k] for ct in statement.outputs + statement.inputs])
                   for k, key in enumerate((params.g, pk.h)))
     return chain.from_iterable(
         _round_equations(pr, u, gamma, params, gens, gens_inverse, base, parts)
-        for pr, u, gamma in zip(proof.rounds, us, gammas))
+        for pr, u, (gamma,) in zip(proof.rounds, us, gammas))
 
 
 def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
@@ -468,25 +418,24 @@ def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
 def serialize_proof(proof: ShuffleProof, params: GroupParams) -> bytes:
     """Every value at the byte length of params.p, after the header."""
     header = PROOF_MAGIC + proof.n.to_bytes(4, "big") + len(proof.rounds).to_bytes(4, "big")
-    return header + _encode([x for pr in proof.rounds for x in pr.values()], _width(params.p))
+    return header + encode([x for pr in proof.rounds for x in pr.values()], byte_width(params.p))
 
 
 def deserialize_proof(blob: bytes, params: GroupParams) -> ShuffleProof:
-    """Inverse of serialize_proof for the same group; raises ValueError
-    on any other input."""
+    """Inverse of serialize_proof for the same group, for a proof of at
+    most `MAX_PROOF_N` ciphertexts and exactly `security_rounds(q)`
+    repetitions; raises ValueError on any other input."""
     if len(blob) < _HEADER_LEN or blob[: len(PROOF_MAGIC)] != PROOF_MAGIC:
         raise ValueError("bad proof header")
     pos = len(PROOF_MAGIC)
     n = int.from_bytes(blob[pos : pos + 4], "big")
     n_rounds = int.from_bytes(blob[pos + 4 : pos + 8], "big")
-    if not (0 < n <= MAX_PROOF_N and 0 < n_rounds <= _MAX_PROOF_ROUNDS):
-        raise ValueError("implausible proof dimensions")
-    width = _width(params.p)
-    if len(blob) != _HEADER_LEN + n_rounds * (5 * n + 9) * width:
+    if not (0 < n <= MAX_PROOF_N and n_rounds == security_rounds(params.q)):
+        raise ValueError("proof dimensions out of range")
+    width, size = byte_width(params.p), 5 * n + 9
+    if len(blob) != _HEADER_LEN + n_rounds * size * width:
         raise ValueError("proof length does not match its header")
-
-    values = _decode(blob[_HEADER_LEN:], width)
-    size = 5 * n + 9
+    values = decode(blob[_HEADER_LEN:], width)
     rounds = tuple(ProofRound.from_values(values[i : i + size], n)
                    for i in range(0, n_rounds * size, size))
     return ShuffleProof(n=n, rounds=rounds)

@@ -3,6 +3,7 @@
 import pytest
 
 from ivxvsim.behavior import (
+    MAX_PATTERN_LEN,
     BadDistribution,
     BehaviorDistribution,
     default_distribution,
@@ -30,6 +31,24 @@ def test_validate_pattern():
     for bad in ("", "C", "CV", "VX", "vc", "V C", 7, None):
         with pytest.raises((BadDistribution, ValueError, TypeError)):
             validate_pattern(bad)
+
+
+def test_pattern_length_is_capped_for_every_source(tmp_path):
+    longest = "V" * MAX_PATTERN_LEN
+    assert validate_pattern(longest) == longest
+    for length in (MAX_PATTERN_LEN + 1, 2_000_000):
+        with pytest.raises(BadDistribution, match="longer than"):
+            validate_pattern("V" * length)
+        with pytest.raises(BadDistribution):
+            BehaviorDistribution({"V" * length: 1.0})
+    path = tmp_path / "long.csv"
+    path.write_text(f"pattern,probability\n{'V' * (MAX_PATTERN_LEN + 1)},1.0\n")
+    with pytest.raises(BadDistribution):
+        load_distribution(str(path))
+    # a field longer than the csv module reads is a typed error too
+    path.write_text(f"pattern,probability\n{'V' * 200_000},1.0\n")
+    with pytest.raises(BadDistribution):
+        load_distribution(str(path))
 
 
 def test_distribution_must_sum_to_one():

@@ -10,6 +10,7 @@ import pytest
 
 from ivxvsim import ceremony, elgamal, functionalities, groups, shuffle
 from ivxvsim.adversary import ManipulationPolicy
+from ivxvsim.behavior import MAX_PATTERN_LEN
 from ivxvsim.ceremony import (
     TAMPER_MODES,
     AuditVerdict,
@@ -766,6 +767,13 @@ def test_config_validation_errors():
         honest_config(scripts={7: "V"})  # unknown voter
     with pytest.raises(ValueError):
         honest_config(scripts={1: "CV"})  # malformed pattern
+    # a key is a voter id or its decimal text: "01" would overwrite voter
+    # 1's script, True and 1.7 pass int() as voter 1, None fails inside it
+    for scripts in ({"1": "V", "01": "VV"}, {1: "V", "1": "VV"}, {True: "V"}, {1.7: "V"},
+                    {None: "V"}, {"abc": "V"}, {"": "V"}, {"-1": "V"}, {"1" * 5000: "V"}):
+        with pytest.raises(ValueError, match="scripts"):
+            honest_config(scripts=scripts)
+    assert honest_config(scripts={"1": "VV", 2: "VC"}).scripts == {1: "VV", 2: "VC"}
     for sid in (7, None, ["e"]):
         with pytest.raises(ValueError):
             honest_config(sid=sid)  # replay accepts only a string sid
@@ -791,6 +799,24 @@ def test_config_keeps_every_trustee_index_below_q():
         honest_config(group_preset="huge")
     with pytest.raises(ValueError, match="candidateBound"):
         honest_config(candidate_bound=12)
+
+
+def test_config_caps_n_trustees_in_every_group():
+    # in a large group q admits any count a config can hold, but dealing
+    # and reconstructing are quadratic in it
+    assert ceremony.MAX_TRUSTEES == 256
+    for preset in ("mid", "standard"):
+        for k in (ceremony.MAX_TRUSTEES + 1, 10**8):
+            with pytest.raises(ValueError, match="n_trustees"):
+                honest_config(n_trustees=k, threshold=1, group_preset=preset)
+        assert honest_config(n_trustees=256, threshold=1, group_preset=preset).n_trustees == 256
+
+
+def test_config_caps_the_length_of_a_script():
+    for length in (MAX_PATTERN_LEN + 1, 2_000_000):
+        with pytest.raises(ValueError, match="scripts"):
+            honest_config(scripts={1: "V" * length})
+    assert honest_config(scripts={1: "V" * MAX_PATTERN_LEN}).scripts[1] == "V" * MAX_PATTERN_LEN
 
 
 def test_config_caps_n_voters_at_what_the_proof_verifier_reads():

@@ -90,6 +90,17 @@ def test_run_refuses_more_voters_than_a_proof_holds(tmp_path, capsys):
     assert err.startswith("error: bad config: n_voters") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("overrides", [dict(scripts={"1": "V", "01": "VV"}),
+                                       dict(scripts={"1": "V" * 2_000_000}),
+                                       dict(n_trustees=10**8, threshold=1,
+                                            group_preset="standard")])
+def test_run_names_the_field_of_a_config_past_a_limit(tmp_path, capsys, overrides):
+    field = next(iter(overrides))
+    assert main(["run", write_config(tmp_path, **overrides)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad config: {field}") and err.count("\n") == 1
+
+
 WRONG_TYPED_FIELDS = [
     ("corrupted", 5), ("intents", 5), ("distribution", [1, 2]), ("candidate_bound", "3"),
     ("seed", "x"), ("n_trustees", 2.5), ("manipulation_offset", "a"), ("scripts", [1]),
@@ -210,6 +221,16 @@ def test_analyze_bad_distribution_exits_one(tmp_path, capsys):
     dist.write_text("pattern,probability\nV,0.4\n")  # does not sum to 1
     assert main(["analyze", str(dist)]) == 1
     assert "error:" in capsys.readouterr().err
+    # a pattern past its cap, and a field longer than the csv module reads,
+    # in a distribution or a policy table: one error line each
+    for pattern in ("V" * 257, "V" * 200_000):
+        dist.write_text(f"pattern,probability\n{pattern},1.0\n")
+        assert main(["analyze", str(dist)]) == 1
+        assert capsys.readouterr().err.count("error:") == 1
+    table = tmp_path / "p.csv"
+    table.write_text(f"history,decision\n{'V' * 200_000},M\n")
+    assert main(["analyze", "--policy", str(table)]) == 1
+    assert capsys.readouterr().err == f"error: {table}: field larger than field limit (131072)\n"
 
 
 # ------------------------------------------------------------------ sweep

@@ -448,6 +448,21 @@ def test_batch_weights_follow_every_base_exponent_and_target(preset):
     assert batch_weights(params, edited(1, exponents=(c + 2 * q, d))) == weights
 
 
+def test_batch_weights_are_pinned_on_a_fixed_mid_equation_list():
+    # the weights of a fixed list, recorded before the weights and the
+    # shuffle's challenges were cut by one function: a negative
+    # exponent, an exponent above q, a zero one and a target of 1
+    params = setup("mid", 2)
+    p, q, g = params.p, params.q, params.g
+    x, y, z = pow(g, 3, p), pow(g, 2**200 + 7, p), pow(g, q - 1, p)
+    equations = [((x, y), (5, -(2**127 + 3)), z),
+                 ((z, g, x), (q + 9, 2**384 - 1, 0), 1),
+                 ((y,), (q - 1,), x)]
+    assert batch_weights(params, equations) == [0x211E0C918E6011B4458B86D0BF12D1F3,
+                                                0x45796DC10CC1083184F45D600E0A99D9,
+                                                0xD89646354A9BF9D903D8FB59458B65A7]
+
+
 # ------------------------------------------------- the two-block comb
 
 def _comb_boundary_exponents(q, cols, half):

@@ -2,6 +2,7 @@
 package draws through them alone."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -92,12 +93,18 @@ def test_shuffle_reaches_every_order():
 
 
 def test_no_module_of_the_package_imports_random():
+    # and every import is of the standard library or of the package itself
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
+                if node.level:      # a relative import, of the package
+                    continue
                 names = [node.module]
             else:
                 continue
             assert "random" not in names, path.name
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "ivxvsim", (path.name, name)

@@ -9,7 +9,7 @@ import pytest
 
 from ivxvsim import groups, shuffle
 from ivxvsim.elgamal import Ciphertext, decrypt, encrypt, keygen, rerandomize
-from ivxvsim.groups import GroupParams, products_equal, setup
+from ivxvsim.groups import GroupParams, byte_width, encode, hash_scalars, products_equal, setup
 from ivxvsim.seeding import Stream
 from ivxvsim.shuffle import (
     FS_DOMAIN,
@@ -20,8 +20,6 @@ from ivxvsim.shuffle import (
     ShuffleStatement,
     ShuffleWitness,
     deserialize_proof,
-    _encode,
-    _fs_scalars,
     prove_shuffle,
     security_rounds,
     serialize_proof,
@@ -219,8 +217,8 @@ def test_wrong_size_rejects():
 def test_fs_challenge_deterministic():
     params = setup("standard", 2)
     t = b"some transcript bytes"
-    assert _fs_scalars(t, params, 1) == _fs_scalars(t, params, 1)
-    assert _fs_scalars(t, params, 1, b"a") == _fs_scalars(t, params, 1, b"a")
+    assert hash_scalars(FS_DOMAIN, t, params, 1) == hash_scalars(FS_DOMAIN, t, params, 1)
+    assert hash_scalars(b"a", t, params, 1) == hash_scalars(b"a", t, params, 1)
 
 
 def test_fs_challenge_sensitive_to_input():
@@ -228,15 +226,15 @@ def test_fs_challenge_sensitive_to_input():
     # against the 2047-bit order where a collision would be astonishing.
     params = setup("standard", 2)
     t = bytearray(b"some transcript bytes")
-    c0 = _fs_scalars(bytes(t), params, 1)[0]
+    c0 = hash_scalars(FS_DOMAIN, bytes(t), params, 1)[0]
     t[0] ^= 1
-    assert _fs_scalars(bytes(t), params, 1)[0] != c0
-    assert _fs_scalars(b"some transcript bytes", params, 1, b"x")[0] != c0
+    assert hash_scalars(FS_DOMAIN, bytes(t), params, 1)[0] != c0
+    assert hash_scalars(b"x", b"some transcript bytes", params, 1)[0] != c0
 
 
 def test_fs_challenge_empty_input_defined():
     for params in (TOY, setup("standard", 2)):
-        c = _fs_scalars(b"", params, 1)[0]
+        c = hash_scalars(FS_DOMAIN, b"", params, 1)[0]
         assert 0 <= c < params.q
 
 
@@ -244,7 +242,7 @@ def test_fs_challenge_range():
     rng = random.Random(15)
     for _ in range(500):
         data = rng.randbytes(rng.randrange(64))
-        assert 0 <= _fs_scalars(data, TOY, 1)[0] < 11
+        assert 0 <= hash_scalars(FS_DOMAIN, data, TOY, 1)[0] < 11
 
 
 def test_standard_group_shuffle():
@@ -434,7 +432,7 @@ def with_header(blob, n=None, rounds=None):
 
 def widened(blob):
     """The same values, each encoded two bytes wide instead of one."""
-    return blob[:HEADER_LEN] + _encode(blob[HEADER_LEN:], 2)
+    return blob[:HEADER_LEN] + encode(blob[HEADER_LEN:], 2)
 
 
 def test_proof_length_is_fixed_by_header_and_group():
@@ -473,12 +471,50 @@ def test_serialization_is_canonical():
     lambda b: b[:-1],                                # one byte missing
     lambda b: b + b"\x00",                           # one byte extra
     lambda b: b[: HEADER_LEN - 1],                   # truncated header
+    # a length the header agrees with, but not the group's 20 repetitions
+    lambda b: with_header(b[:-24], rounds=19),
+    lambda b: with_header(b + b[-24:], rounds=21),
 ])
 def test_malformed_blob_raises_value_error(edit):
     stmt, blob = toy_blob(23)
     with pytest.raises(ValueError):
         deserialize_proof(edit(blob), TOY)
     assert not verify_shuffle(stmt, edit(blob))
+
+
+@pytest.mark.parametrize("preset,bad", [("toy", -1), ("toy", 256), ("mid", -1),
+                                        ("mid", 2**392)])
+def test_a_value_that_does_not_fit_the_width_is_rejected_without_exception(preset, bad):
+    # a ShuffleProof is serialized before it is checked: a negative value,
+    # or one wider than p, has no encoding and states no equations
+    params = setup(preset, 4)
+    rng = Stream(40, "test_shuffle")
+    pk, _ = keygen(params, rng)
+    stmt, wit = make_instance(rng, pk, 2, params)
+    proof = prove_shuffle(stmt, wit, rng)
+    for field in ("perm_commits", "t1", "s_bar", "s_prm"):
+        value = getattr(proof.rounds[0], field)
+        changed = (bad, *value[1:]) if isinstance(value, tuple) else bad
+        tampered = ShuffleProof(proof.n, (dataclasses.replace(proof.rounds[0], **{field: changed}),
+                                          *proof.rounds[1:]))
+        assert shuffle_equations(stmt, tampered) is None, field
+        assert not verify_shuffle(stmt, tampered), field
+
+
+@pytest.mark.parametrize("preset", ["toy", "mid"])
+def test_a_proof_and_its_bytes_state_identical_equations(preset):
+    # the verifier hashes the posted bytes, not a re-encoding of decoded
+    # values; a ShuffleProof is serialized first, so both give one list
+    params = setup(preset, 4)
+    rng = Stream(37, "test_shuffle")
+    pk, _ = keygen(params, rng)
+    stmt, wit = make_instance(rng, pk, 3, params)
+    proof = prove_shuffle(stmt, wit, rng)
+    blob = serialize_proof(proof, params)
+    from_proof = list(shuffle_equations(stmt, proof))
+    assert len(from_proof) == security_rounds(params.q) * (5 + 3)
+    assert from_proof == list(shuffle_equations(stmt, blob))
+    assert from_proof == list(shuffle_equations(stmt, bytearray(blob)))
 
 
 def test_v1_magic_rejected_without_exception():
@@ -489,6 +525,11 @@ def test_v1_magic_rejected_without_exception():
 
 
 # ------------------------------------------------------ challenge vector
+
+def gammas_of(digest, messages, params):
+    """Every repetition's gamma, one per repetition's encoded messages."""
+    return [gamma for (gamma,) in shuffle._challenges(b"gamma", digest, messages, params, 1)]
+
 
 def second_messages(proof):
     """Each repetition's chain, t1..t4b and t_hat, as gamma hashes them."""
@@ -510,7 +551,7 @@ def test_challenge_vector_binds_commitments_round_and_statement():
     digest = hashlib.sha256(stmt.to_bytes()).digest()
 
     def vectors(commits, digest=digest):
-        return shuffle._u_vectors(digest, [_encode(c, 1) for c in commits], 9, TOY)
+        return shuffle._challenges(b"u", digest, [encode(c, 1) for c in commits], TOY, 9)
 
     base = vectors(commits)
     assert len(base) == security_rounds(TOY.q) == len(commits)
@@ -543,7 +584,7 @@ def test_gammas_bind_every_repetitions_messages():
     rest = second_messages(proof)
 
     def gammas(perm, rest):
-        return shuffle._gammas(digest, [_encode(c + r, 1) for c, r in zip(perm, rest)], TOY)
+        return gammas_of(digest, [encode(c + r, 1) for c, r in zip(perm, rest)], TOY)
 
     base = gammas(perm, rest)
     assert base == [-eq[1][1] for eq in list(shuffle_equations(stmt, proof))[:: 5 + n]]
@@ -672,8 +713,9 @@ def test_a_repetition_by_repetition_forger_gets_no_proof_accepted():
 
 
 class CountingHashlib:
-    """Stands in for hashlib inside the shuffle module, counting the bytes
-    each hash is constructed over (the module never calls update)."""
+    """Stands in for hashlib inside the shuffle and groups modules,
+    counting the bytes each hash is constructed over (neither calls
+    update)."""
 
     def __init__(self):
         self.bytes = 0
@@ -695,6 +737,7 @@ def test_hashing_is_linear_in_n(monkeypatch):
         stmt, wit = make_instance(rng, pk, n)
         counter = CountingHashlib()
         monkeypatch.setattr(shuffle, "hashlib", counter)
+        monkeypatch.setattr(groups, "hashlib", counter)
         proof = prove_shuffle(stmt, wit, rng)
         assert verify_shuffle(stmt, serialize_proof(proof, TOY))
         monkeypatch.undo()
@@ -713,9 +756,9 @@ def test_challenges_are_128_bit_integers_when_q_is_longer(preset):
     params = setup(preset, 2)
     assert params.q.bit_length() > 128 and security_rounds(params.q) == 1
     rng = random.Random(f"short/{preset}")
-    challenges = [_fs_scalars(rng.randbytes(16), params, 1)[0] for _ in range(200)]
-    u = shuffle._u_vectors(b"digest", [b"commits"], 200, params)
-    gammas = shuffle._gammas(b"digest", [b"commitsrest"], params)
+    challenges = [hash_scalars(FS_DOMAIN, rng.randbytes(16), params, 1)[0] for _ in range(200)]
+    u = shuffle._challenges(b"u", b"digest", [b"commits"], params, 200)
+    gammas = gammas_of(b"digest", [b"commitsrest"], params)
     challenges += u[0] + gammas
     assert len(u) == len(gammas) == 1 and len(u[0]) == 200
     assert all(0 <= c < 2**128 for c in challenges)
@@ -730,12 +773,12 @@ def test_challenges_are_128_bit_integers_when_q_is_longer(preset):
 
 def test_challenges_are_scalars_mod_q_in_the_toy_group():
     rounds = security_rounds(TOY.q)
-    u = shuffle._u_vectors(b"digest", [b"commits"] * rounds, 25, TOY)
+    u = shuffle._challenges(b"u", b"digest", [b"commits"] * rounds, TOY, 25)
     assert len(u) == rounds and all(len(u_r) == 25 for u_r in u)
     challenges = [x for u_r in u for x in u_r]
-    gammas = shuffle._gammas(b"digest", [b"commitsrest"] * 200, TOY)
+    gammas = gammas_of(b"digest", [b"commitsrest"] * 200, TOY)
     assert len(gammas) == 200
-    challenges += gammas + [_fs_scalars(b"%d" % i, TOY, 1)[0] for i in range(200)]
+    challenges += gammas + [hash_scalars(FS_DOMAIN, b"%d" % i, TOY, 1)[0] for i in range(200)]
     assert set(challenges) == set(range(TOY.q))
     # min(|q|, 128) bits per repetition: a 128-bit q needs one, a 64-bit q two
     assert security_rounds((1 << 127) + 1) == 1 and security_rounds((1 << 63) + 1) == 2
@@ -754,7 +797,7 @@ def top_bits_below_q(transcript, q, count):
 
 
 class RecordingShake:
-    """Stands in for hashlib inside the shuffle module, recording the
+    """Stands in for hashlib inside the groups module, recording the
     lengths each SHAKE-256 stream is read to."""
 
     def __init__(self):
@@ -778,11 +821,11 @@ def test_toy_challenges_are_cut_by_rejection_sampling(q, monkeypatch):
     # 8-bit q, and 3 and 11 (the toy group) keep 3/4 and 11/16
     params = GroupParams(p=2 * q + 1, q=q, g=4, candidate_bound=2)
     recorder = RecordingShake()
-    monkeypatch.setattr(shuffle, "hashlib", recorder)
+    monkeypatch.setattr(groups, "hashlib", recorder)
     for count in (0, 1, 2, 5, 20, 100, 1000):
         for i in range(10):
             transcript = b"cut/%d/%d" % (count, i)
-            assert shuffle._fs_scalars(transcript, params, count) == \
+            assert hash_scalars(FS_DOMAIN, transcript, params, count) == \
                 top_bits_below_q(transcript, q, count), (count, i)
     assert all(reads for reads in recorder.reads)
     if q == 131:
@@ -1142,12 +1185,11 @@ def test_toy_prover_draws_its_scalars_in_the_per_round_order():
     draw = lambda count: [next(pool) for _ in range(count)]
     stmt_digest = hashlib.sha256(stmt.to_bytes()).digest()
     _, gens, _ = shuffle._generators(p, q, g, n)
-    width = shuffle._width(p)
-    perm_bytes = [_encode(pr.perm_commits, width) for pr in proof.rounds]
-    us = shuffle._u_vectors(stmt_digest, perm_bytes, n, TOY)
-    gammas = shuffle._gammas(stmt_digest, [pb + _encode(r, width)
-                                           for pb, r in zip(perm_bytes, second_messages(proof))],
-                             TOY)
+    width = byte_width(p)
+    perm_bytes = [encode(pr.perm_commits, width) for pr in proof.rounds]
+    us = shuffle._challenges(b"u", stmt_digest, perm_bytes, TOY, n)
+    gammas = gammas_of(stmt_digest, [pb + encode(r, width)
+                                     for pb, r in zip(perm_bytes, second_messages(proof))], TOY)
     for pr, u, gamma in zip(proof.rounds, us, gammas):
         rho, rho_hat = draw(n), draw(n)
         w_bar, w_dot, w_tld, w_r = draw(4)
