@@ -14,13 +14,12 @@ closes the loop by running full cryptographic ceremonies.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .behavior import BehaviorDistribution, default_distribution, validate_pattern
+from .behavior import BehaviorDistribution, default_distribution, read_csv, validate_pattern
 from .ceremony import ElectionConfig, run_election
 from .seeding import derive_seed, rng_for
 
@@ -51,9 +50,8 @@ class ManipulationPolicy:
 
     @staticmethod
     def _check_history(history: str) -> str:
-        if not isinstance(history, str) or set(history) - {"V", "C"}:
-            raise ValueError(f"history {history!r} must be a string over V/C")
-        return history
+        # what a walk has seen before a cast: nothing yet, or a pattern
+        return history if history == "" else validate_pattern(history)
 
     @classmethod
     def always(cls) -> "ManipulationPolicy":
@@ -70,21 +68,17 @@ class ManipulationPolicy:
     @classmethod
     def from_csv(cls, path) -> "ManipulationPolicy":
         table = {}
-        with open(path, newline="") as fh:
-            rows = enumerate(csv.DictReader(fh), start=2)
+        for where, row in read_csv(path, ("history", "decision"), ValueError):
+            decision = row["decision"].strip().upper()
+            if decision not in ("M", "H"):
+                raise ValueError(f"{where}: decision must be M or H")
             try:
-                for lineno, row in rows:
-                    if row.get("history") is None or row.get("decision") is None:
-                        raise ValueError(f"{path}:{lineno}: need columns history,decision")
-                    decision = row["decision"].strip().upper()
-                    if decision not in ("M", "H"):
-                        raise ValueError(f"{path}:{lineno}: decision must be M or H")
-                    history = row["history"].strip()
-                    if history in table:
-                        raise ValueError(f"{path}:{lineno}: duplicate history {history!r}")
-                    table[history] = decision == "M"
-            except csv.Error as exc:    # such as a field longer than the csv module reads
-                raise ValueError(f"{path}: {exc}") from None
+                history = cls._check_history(row["history"].strip())
+            except ValueError as exc:
+                raise ValueError(f"{where}: history {exc}") from None
+            if history in table:
+                raise ValueError(f"{where}: duplicate history {history!r}")
+            table[history] = decision == "M"
         return cls(f"csv:{path}", table=table)
 
     def decide(self, history: str) -> bool:
@@ -166,10 +160,10 @@ def optimal_policy(distribution: BehaviorDistribution, max_len: int):
     Ties go to manipulating, so when always-manipulate is optimal it is
     the policy returned."""
     if max_len > _MAX_SEARCH_LEN:
-        raise ValueError(f"maxLen exceeded: limit is {_MAX_SEARCH_LEN}")
+        raise ValueError(f"max_len exceeded: limit is {_MAX_SEARCH_LEN}")
     if distribution.max_len() > max_len:
         raise ValueError(
-            f"maxLen exceeded: support has a pattern of length {distribution.max_len()}")
+            f"max_len exceeded: support has a pattern of length {distribution.max_len()}")
     histories = reachable_histories(distribution)
     if len(histories) > _MAX_HISTORIES:
         raise ValueError(f"{len(histories)} reachable histories is too many to enumerate")

@@ -13,7 +13,6 @@ table can be loaded from CSV with header `pattern,probability`.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from importlib import resources
 
@@ -113,26 +112,23 @@ class BehaviorDistribution:
         return f"BehaviorDistribution({self._table!r})"
 
 
-def _parse_rows(rows, origin: str) -> BehaviorDistribution:
-    pairs = []
-    try:
-        for lineno, row in enumerate(rows, start=2):
-            if row.get("pattern") is None or row.get("probability") is None:
-                raise BadDistribution(f"{origin}:{lineno}: need columns pattern,probability")
-            try:
-                prob = float(row["probability"])
-            except ValueError:
-                raise BadDistribution(
-                    f"{origin}:{lineno}: probability {row['probability']!r} is not a number"
-                ) from None
-            pairs.append((row["pattern"].strip(), prob))
-    except csv.Error as exc:    # such as a field longer than the csv module reads
-        raise BadDistribution(f"{origin}: {exc}") from None
-    return BehaviorDistribution(pairs)
-
-
-def parse_distribution_csv(text: str, origin: str = "<csv>") -> BehaviorDistribution:
-    return _parse_rows(csv.DictReader(io.StringIO(text)), origin)
+def read_csv(path, columns: tuple, error: type) -> list:
+    """The rows of the CSV file at `path` as (`file:line`, fields by column
+    name), line being the one on which the row ends: a quoted field can span
+    lines.  A row lacking one of `columns`, or a file the csv module cannot
+    read, raises `error` naming the `file:line` or the file."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if any(row.get(column) is None for column in columns):
+                    raise error(f"{where}: need columns {','.join(columns)}")
+                rows.append((where, row))
+        except csv.Error as exc:
+            raise error(f"{path}: {exc}") from None
+    return rows
 
 
 def load_distribution(source) -> BehaviorDistribution:
@@ -145,10 +141,17 @@ def load_distribution(source) -> BehaviorDistribution:
     if not isinstance(source, (str, os.PathLike)):   # an integer would open a file descriptor
         raise BadDistribution(f"distribution must be pattern/probability pairs or a CSV path, "
                               f"not {source!r}")
-    with open(source, newline="") as fh:
-        return _parse_rows(csv.DictReader(fh), str(source))
+    pairs = []
+    for where, row in read_csv(source, ("pattern", "probability"), BadDistribution):
+        try:
+            pairs.append((row["pattern"].strip(), float(row["probability"])))
+        except ValueError:
+            raise BadDistribution(
+                f"{where}: probability {row['probability']!r} is not a number") from None
+    return BehaviorDistribution(pairs)
 
 
 def default_distribution() -> BehaviorDistribution:
-    text = resources.files(__package__).joinpath(DEFAULT_DISTRIBUTION_RESOURCE).read_text()
-    return parse_distribution_csv(text, DEFAULT_DISTRIBUTION_RESOURCE)
+    resource = resources.files(__package__).joinpath(DEFAULT_DISTRIBUTION_RESOURCE)
+    with resources.as_file(resource) as path:
+        return load_distribution(path)

@@ -34,9 +34,6 @@ TOOL_VERSION = "0.1.0"
 TAMPER_MODES = ("forge-signature", "mix-non-last", "tamper-shuffle-output",
                 "tamper-plaintext")
 
-AUDIT_REASONS = ("bad-signature", "last-ballot-mismatch", "shuffle-proof",
-                 "decryption", "complaint", "tally", "key")
-
 # The most trustees a config names, in any group (the toy group's q = 11
 # allows 10): dealing and reconstructing the key take time quadratic in
 # the count, about 0.3 s for 256 trustees, all needed, in the standard group.
@@ -204,28 +201,25 @@ class ElectionTranscript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ElectionTranscript":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines:
             raise ReplayError("empty transcript")
+        n, first = lines[0]
         try:
-            head = json.loads(lines[0])
+            head = json.loads(first)
         except JSON_ERRORS as exc:
-            raise ReplayError(f"bad manifest line: {exc}") from None
-        if not isinstance(head, dict) or not isinstance(head.get("manifest"), dict):
-            raise ReplayError("first line is not a manifest")
+            raise ReplayError(f"line {n}: bad manifest: {exc}") from None
+        _check_fields(head, {"manifest": lambda v: isinstance(v, dict)}, f"line {n}")
         transcript = cls(head["manifest"])
         prev_seq = 0
-        for ln in lines[1:]:
+        for n, ln in lines[1:]:
             try:
                 event = json.loads(ln)
             except JSON_ERRORS as exc:
-                raise ReplayError(f"bad event line: {exc}") from None
-            if not isinstance(event, dict) or not {"seq", "phase", "actor", "kind", "payload"} <= set(event):
-                raise ReplayError("event missing required fields")
-            if type(event["seq"]) is not int or event["seq"] <= prev_seq:
-                raise ReplayError("event sequence not strictly increasing")
-            if not isinstance(event["kind"], str) or not isinstance(event["payload"], dict):
-                raise ReplayError(f"event {event['seq']}: kind must be a string, payload an object")
+                raise ReplayError(f"line {n}: bad event: {exc}") from None
+            _check_fields(event, _EVENT_FIELDS, f"line {n}")
+            if event["seq"] <= prev_seq:
+                raise ReplayError(f"line {n}: 'seq' must rise from event to event")
             prev_seq = event["seq"]
             transcript.events.append(event)
         return transcript
@@ -458,9 +452,11 @@ def _is_registry_row(row) -> bool:
             and row[1].isascii() and _is_list_of(_is_str)(row[2]))
 
 
-# The fields the replay reads, with the shape each must have: from the
-# manifest, from each kind of board entry, and from the last event of each
-# kind of audit material.
+# The fields the replay reads, with the shape each must have: from each
+# event, whose `seq` must also rise, from the manifest, from each kind of
+# board entry, and from the last event of each kind of audit material.
+_EVENT_FIELDS = {"seq": _is_int, "phase": lambda v: True, "actor": lambda v: True,
+                 "kind": _is_str, "payload": lambda v: isinstance(v, dict)}
 _MANIFEST_FIELDS = {"sid": _is_str, "n_voters": lambda v: _is_int(v) and v >= 1,
                     "candidate_bound": _is_int, "group_preset": _is_str}
 _BOARD_POST_FIELDS = {"entry": lambda v: isinstance(v, dict) and _is_str(v.get("kind"))}
@@ -480,9 +476,9 @@ _MATERIAL_FIELDS = {
 }
 
 
-def _check_fields(obj: dict, fields: dict, where: str) -> None:
+def _check_fields(obj, fields: dict, where: str) -> None:
     for key, check in fields.items():
-        if key not in obj or not check(obj[key]):
+        if not isinstance(obj, dict) or key not in obj or not check(obj[key]):
             raise ReplayError(f"{where}: missing or malformed {key!r}")
 
 

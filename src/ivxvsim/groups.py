@@ -177,11 +177,11 @@ def setup(preset: str, candidate_bound: int) -> GroupParams:
         raise UnknownPreset(f"unknown group preset: {preset!r}")
     p, q, g = _PRESETS[preset]
     if candidate_bound < 1:
-        raise ValueError("candidateBound must be positive")
+        raise ValueError("candidate_bound must be positive")
     if candidate_bound > MAX_CANDIDATE_BOUND:
-        raise ValueError(f"candidateBound must satisfy C <= {MAX_CANDIDATE_BOUND}")
+        raise ValueError(f"candidate_bound must satisfy C <= {MAX_CANDIDATE_BOUND}")
     if candidate_bound > q:
-        raise ValueError("candidateBound must satisfy C <= q")
+        raise ValueError(f"candidate_bound must satisfy C <= q = {q}")
     return GroupParams(p=p, q=q, g=g, candidate_bound=candidate_bound)
 
 

@@ -269,7 +269,9 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     width = byte_width(p)
     n_rounds = security_rounds(q)
     # every round's scalars in one draw, cut in the per-round order: rho,
-    # rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat and, in a small group, w'
+    # rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat and, in a small group, w'.
+    # A draw per round (20 in the toy group) made a toy two-voter proof, most
+    # of an attack trial, 15-75% slower in two measurements (2-vCPU Xeon).
     block = (3 if params.large else 4) * n + 4
     scalars = rng.scalars(q, n_rounds * block)
     ends = (n, 2 * n, 2 * n + 4, 3 * n + 4, block)

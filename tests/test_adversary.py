@@ -44,8 +44,11 @@ def test_table_policy_and_domain_error():
 
 
 def test_table_policy_validates_histories():
-    with pytest.raises(ValueError):
-        ManipulationPolicy.from_table({"X": True})
+    # a history is what a walk has seen before a cast: empty, or a pattern
+    for history in ("X", "C", "CV", "V" * 257):
+        with pytest.raises(ValueError):
+            ManipulationPolicy.from_table({history: True})
+    assert ManipulationPolicy.from_table({"": True, "V": False}).table == {"": True, "V": False}
 
 
 def test_policy_from_csv(tmp_path):
@@ -64,6 +67,13 @@ def test_policy_from_csv(tmp_path):
     dup.write_text("history,decision\n,M\nV,M\nVV,M\n,H\n")
     with pytest.raises(ValueError, match=r"dup\.csv:5: duplicate history ''$"):
         ManipulationPolicy.from_csv(str(dup))
+    # an error names the line on which its row ends, past a field spanning lines
+    bad.write_text('history,decision\n"V\n\n",M\nVC,Q\n')
+    with pytest.raises(ValueError, match=r"bad\.csv:5: decision must be M or H$"):
+        ManipulationPolicy.from_csv(str(bad))
+    bad.write_text('history,decision\n,M\nCV,H\n')
+    with pytest.raises(ValueError, match=r"bad\.csv:3: history .*'CV' must start with V$"):
+        ManipulationPolicy.from_csv(str(bad))
 
 
 def test_policy_from_spec(tmp_path):

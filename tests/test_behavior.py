@@ -122,6 +122,14 @@ def test_load_distribution_rejects_malformed_csv(tmp_path):
         load_distribution(str(bad_number))
 
 
+def test_a_csv_row_error_names_the_line_on_which_the_row_ends(tmp_path):
+    # a quoted field spans lines, so a row is not always one line
+    path = tmp_path / "d.csv"
+    path.write_text('pattern,probability\n"V\n",0.5\nVC,lots\n')
+    with pytest.raises(BadDistribution, match=r"d\.csv:4: probability 'lots' is not a number$"):
+        load_distribution(str(path))
+
+
 def test_load_distribution_accepts_mapping_and_pairs():
     m = load_distribution({"V": 0.5, "VC": 0.5})
     p = load_distribution([("V", 0.5), ("VC", 0.5)])

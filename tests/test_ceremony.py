@@ -733,6 +733,19 @@ def test_from_jsonl_rejects_malformed_input():
             lines[0] + "\n" + json.dumps(broken) + "\n")
 
 
+def test_from_jsonl_names_the_line_and_field_of_a_bad_event():
+    lines = run_election(honest_config(n_voters=2)).transcript.to_jsonl().splitlines()
+    event = json.loads(lines[1])
+    no_payload = {k: v for k, v in event.items() if k != "payload"}
+    for field, broken in (("seq", {**event, "seq": "1"}), ("payload", no_payload)):
+        # line 2 is blank
+        text = "\n".join([lines[0], "", json.dumps(broken)]) + "\n"
+        with pytest.raises(ReplayError, match=f"^line 3: .*'{field}'"):
+            ElectionTranscript.from_jsonl(text)
+    with pytest.raises(ReplayError, match="^line 2: missing or malformed 'manifest'"):
+        ElectionTranscript.from_jsonl('\n{"events": []}\n')
+
+
 def test_replay_needs_audit_material():
     result = run_election(honest_config(n_voters=2))
     lines = [l for l in result.transcript.to_jsonl().splitlines()
@@ -785,6 +798,10 @@ def test_config_validation_errors():
             honest_config(**wrong_type)
 
 
+def test_every_config_field_has_a_type_check():
+    assert set(ceremony._CONFIG_TYPES) == {f.name for f in dataclasses.fields(ElectionConfig)}
+
+
 def test_config_keeps_every_trustee_index_below_q():
     # trustee i holds the key share at x = i mod q: in the toy group
     # (q = 11) trustee 11 would hold the key itself, and trustees 1 and 12
@@ -797,7 +814,7 @@ def test_config_keeps_every_trustee_index_below_q():
     # the group is set up when the config is built, so its errors show there
     with pytest.raises(UnknownPreset):
         honest_config(group_preset="huge")
-    with pytest.raises(ValueError, match="candidateBound"):
+    with pytest.raises(ValueError, match="candidate_bound"):
         honest_config(candidate_bound=12)
 
 

@@ -93,6 +93,9 @@ def test_run_refuses_more_voters_than_a_proof_holds(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [dict(scripts={"1": "V", "01": "VV"}),
                                        dict(scripts={"1": "V" * 2_000_000}),
                                        dict(n_trustees=10**8, threshold=1,
+                                            group_preset="standard"),
+                                       dict(candidate_bound=12),
+                                       dict(candidate_bound=2**16 + 1,
                                             group_preset="standard")])
 def test_run_names_the_field_of_a_config_past_a_limit(tmp_path, capsys, overrides):
     field = next(iter(overrides))
