@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
 from typing import NamedTuple, Optional
 
@@ -67,10 +67,6 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
-def _optional(check):
-    return lambda value: value is None or check(value)
-
-
 def _is_int_seq(value) -> bool:
     return isinstance(value, (list, tuple)) and all(map(_is_int, value))
 
@@ -87,40 +83,38 @@ def _voter_id(key) -> Optional[int]:
     return None
 
 
-# The type of each config field, checked before any rule on its value.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("n_voters", "n_trustees", "threshold", "candidate_bound", "seed",
-                     "manipulation_offset"), _is_int),
-    "group_preset": _is_str, "sid": _is_str, "tamper": _optional(_is_str),
-    "distribution": _optional(lambda v: isinstance(v, BehaviorDistribution)),
-    "corrupted": _is_int_seq, "intents": _optional(_is_int_seq),
-    "policy": _optional(lambda v: hasattr(v, "decide")),
-    "scripts": _optional(lambda v: isinstance(v, dict)),
-}
+def _typed(check, default=MISSING):
+    """A config field whose value must pass `check`, or be None where None is
+    the default, before any rule on its value is tested."""
+    admits = check if default is not None else lambda value: value is None or check(value)
+    return field(default=default, metadata={"check": admits})
 
 
 @dataclass(frozen=True)
 class ElectionConfig:
-    n_voters: int
-    n_trustees: int
-    threshold: int
-    candidate_bound: int = 2
-    group_preset: str = "toy"
-    seed: int = 0
-    distribution: Optional[BehaviorDistribution] = None  # None = shipped default
-    corrupted: tuple = ()          # voter ids with a corrupted casting device
-    policy: object = None          # decide(history) -> bool, for corrupted devices
-    manipulation_offset: int = 1
-    intents: Optional[tuple] = None    # None = drawn from the seed
-    scripts: Optional[dict] = None     # per-voter forced scripts, else sampled
-    tamper: Optional[str] = None
-    sid: str = "election-1"            # a string, as replay reads it
+    n_voters: int = _typed(_is_int)
+    n_trustees: int = _typed(_is_int)
+    threshold: int = _typed(_is_int)
+    candidate_bound: int = _typed(_is_int, 2)
+    group_preset: str = _typed(_is_str, "toy")
+    seed: int = _typed(_is_int, 0)
+    distribution: Optional[BehaviorDistribution] = _typed(  # None = shipped default
+        lambda v: isinstance(v, BehaviorDistribution), None)
+    corrupted: tuple = _typed(_is_int_seq, ())  # voter ids with a corrupted casting device
+    # decide(history) -> bool, for corrupted devices
+    policy: object = _typed(lambda v: hasattr(v, "decide"), None)
+    manipulation_offset: int = _typed(_is_int, 1)
+    intents: Optional[tuple] = _typed(_is_int_seq, None)  # None = drawn from the seed
+    # per-voter forced scripts, else sampled
+    scripts: Optional[dict] = _typed(lambda v: isinstance(v, dict), None)
+    tamper: Optional[str] = _typed(_is_str, None)
+    sid: str = _typed(_is_str, "election-1")   # a string, as replay reads it
 
     def __post_init__(self):
-        for name, check in _CONFIG_TYPES.items():
-            value = getattr(self, name)
-            if not check(value):
-                raise ValueError(f"{name} has the wrong type: {value!r}")
+        for config_field in fields(self):
+            value = getattr(self, config_field.name)
+            if not config_field.metadata["check"](value):
+                raise ValueError(f"{config_field.name} has the wrong type: {value!r}")
         if not 1 <= self.n_voters <= MAX_PROOF_N:
             raise ValueError(f"n_voters must be in [1, {MAX_PROOF_N}], the most ciphertexts "
                              "the mix's proof verifier reads")
@@ -324,19 +318,19 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     )
     transcript = ElectionTranscript(manifest)
     phase = "preparation"
+    record = lambda actor, kind, payload: transcript.record(phase, actor, kind, payload)
 
     board = BulletinBoard(sid)
-    board.observer = lambda name, entry: transcript.record(
-        phase, f"{name}-board", f"{name}-post", {"entry": entry})
+    board.observer = lambda name, entry: record(f"{name}-board", f"{name}-post", {"entry": entry})
     registry = CertRegistry()
     kg = KeyGenService(sid, params, t, k, rng_for(seed, "keygen"))
-    dec = DecryptionService(sid, board, kg, t)
+    dec = DecryptionService(board, kg)
 
     # Preparation: trustees report in, the key comes up, the authority
     # publishes it.
     for trustee_id in range(1, k + 1):
         kg.ready(trustee_id)
-        transcript.record("preparation", f"trustee-{trustee_id}", "ready", {})
+        record(f"trustee-{trustee_id}", "ready", {})
     pk = kg.pubkey()
     board.pub_post(sid, {"kind": "pubkey", "h": pk.h})
 
@@ -352,7 +346,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
 
     # Voting: each voter runs their script to completion, in id order.
     phase = "voting"
-    transcript.record("voting", "EA", "phase-open", {})
+    record("EA", "phase-open", {})
     checker = AuditDevice(board, pk)
     for i in range(1, n + 1):
         device = VotingDevice(sid, i, registry, rng_for(seed, "vsd", i),
@@ -362,11 +356,11 @@ def run_election(config: ElectionConfig) -> ElectionResult:
             script = config.scripts[i]
         else:
             script = dist.sample(rng_for(seed, "vemu", i))
-        transcript.record("voting", f"voter-{i}", "script", {"script": script})
+        record(f"voter-{i}", "script", {"script": script})
         events = voter_vote_loop(script, intents[i - 1], pk, device, checker, ea_accept)
         for ev in events:
-            transcript.record("voting", f"voter-{i}", ev["kind"],
-                              {key: val for key, val in ev.items() if key != "kind"})
+            record(f"voter-{i}", ev["kind"],
+                   {key: val for key, val in ev.items() if key != "kind"})
 
     # Tally: close, mix each voter's last ballot on the private board with
     # proof, threshold-decrypt, count.  Every voter has a ballot there: each
@@ -414,11 +408,11 @@ def run_election(config: ElectionConfig) -> ElectionResult:
         "outputs": [[c.c1, c.c2] for c in posted_outputs],
         "proof": proof_to_text(serialize_proof(proof, params)),
     })
-    transcript.record("tally", "EA", "mix", {"ballots": n})
+    record("EA", "mix", {"ballots": n})
 
     for trustee_id in range(1, k + 1):
         dec.submit_key(trustee_id)
-        transcript.record("tally", f"trustee-{trustee_id}", "key-submit", {})
+        record(f"trustee-{trustee_id}", "key-submit", {})
     values = dec.decrypt_and_post()
     if config.tamper == "tamper-plaintext":
         # the authority re-posts the list with its first value moved
@@ -430,11 +424,10 @@ def run_election(config: ElectionConfig) -> ElectionResult:
     # Audit: publish the audit material, then judge the run by the same
     # checks a replay of its transcript makes.
     phase = "audit"
-    transcript.record("audit", "simulator", "registry-dump", {"rows": registry.dump()})
-    transcript.record("audit", "simulator", "election-key", {"sk": dec.secret_key.sk})
+    record("simulator", "registry-dump", {"rows": registry.dump()})
+    record("simulator", "election-key", {"sk": dec.secret_key.sk})
     verdict = _audit(transcript)
-    transcript.record("audit", "auditor", "verdict",
-                      {"valid": verdict.valid, "reason": verdict.reason})
+    record("auditor", "verdict", {"valid": verdict.valid, "reason": verdict.reason})
     return ElectionResult(transcript, tally, verdict)
 
 

@@ -140,8 +140,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not 0.0 <= args.p <= 1.0:
-        raise CliError("p must be in [0, 1]")
     if args.k_min < 0 or args.k_min > args.k_max:
         raise CliError("need 0 <= k-min <= k-max")
     lines = ["k,undetected,detected"]
@@ -158,8 +156,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_attack(args) -> int:
     config, _digests = _load_config(args.config, args.seed, _ATTACK_REFUSED)
-    if args.trials < 1:
-        raise CliError("need at least one trial")
     policy = policy_from_spec(args.policy)
     try:
         report = end_to_end_attack(config, policy, args.corrupted,

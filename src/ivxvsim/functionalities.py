@@ -247,15 +247,14 @@ class KeyGenService:
 class DecryptionService:
     """Threshold decryption over the shuffled list on the board.
 
-    Trustees submit their key shares; once t are in, the service
-    reconstructs the secret from the first t submitted, decrypts the
-    posted shuffled ciphertexts, and publishes the plaintexts."""
+    Trustees submit their key shares; once the dealing's threshold t are
+    in, the service reconstructs the secret from the first t submitted,
+    decrypts the posted shuffled ciphertexts, and publishes the plaintexts
+    under the dealing's sid."""
 
-    def __init__(self, sid, board: BulletinBoard, keygen_service: KeyGenService, t: int):
-        self.sid = sid
+    def __init__(self, board: BulletinBoard, keygen_service: KeyGenService):
         self.board = board
         self.keygen_service = keygen_service
-        self.t = t
         self._submitted: dict[int, SecretShare] = {}
         self.secret_key: Optional[SecretKey] = None   # set by decrypt_and_post
 
@@ -265,16 +264,17 @@ class DecryptionService:
     def decrypt_and_post(self) -> list[int]:
         """Decrypt the latest shuffled list, post the plaintexts and
         return the values posted."""
-        if len(self._submitted) < self.t:
-            raise ThresholdNotMet(f"threshold-not-met: {len(self._submitted)} < {self.t}")
+        dealing = self.keygen_service
+        if len(self._submitted) < dealing.t:
+            raise ThresholdNotMet(f"threshold-not-met: {len(self._submitted)} < {dealing.t}")
         entry = latest_entry(self.board.snapshot()[1], "shuffle")
         if entry is None:
             raise MissingShuffle("missing-shuffle: no shuffled list on the board")
-        shares = list(self._submitted.values())[: self.t]
-        params = self.keygen_service.params
-        self.secret_key = SecretKey(params, reconstruct(shares, self.t, params.q))
+        shares = list(self._submitted.values())[: dealing.t]
+        params = dealing.params
+        self.secret_key = SecretKey(params, reconstruct(shares, dealing.t, params.q))
         values = decrypt_all(self.secret_key, entry["outputs"])
-        self.board.pub_post(self.sid, {"kind": "plaintexts", "values": values})
+        self.board.pub_post(dealing.sid, {"kind": "plaintexts", "values": values})
         return values
 
 

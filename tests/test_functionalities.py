@@ -216,7 +216,7 @@ def test_decryption_happy_path():
     rng = random.Random(4)
     cts = [encrypt(pk, m, rng.randrange(TOY.q)) for m in (0, 1, 2, 1)]
     post_shuffle(board, cts)
-    dec = DecryptionService(SID, board, kg, 2)
+    dec = DecryptionService(board, kg)
     dec.submit_key(1)
     dec.submit_key(3)
     assert dec.secret_key is None
@@ -231,7 +231,7 @@ def test_decryption_threshold_not_met():
     board = BulletinBoard(SID)
     kg = ready_keygen(seed=5)
     post_shuffle(board, [encrypt(kg.pubkey(), 1, 2)])
-    dec = DecryptionService(SID, board, kg, 2)
+    dec = DecryptionService(board, kg)
     dec.submit_key(1)
     with pytest.raises(ThresholdNotMet):
         dec.decrypt_and_post()
@@ -241,7 +241,7 @@ def test_decryption_missing_shuffle():
     board = BulletinBoard(SID)
     kg = ready_keygen(seed=6)
     kg.pubkey()
-    dec = DecryptionService(SID, board, kg, 2)
+    dec = DecryptionService(board, kg)
     dec.submit_key(1)
     dec.submit_key(2)
     with pytest.raises(MissingShuffle):
@@ -258,7 +258,7 @@ def test_decryption_marks_non_candidate_outputs():
         pow(TOY.g, TOY.candidate_bound, TOY.p) * pow(pk.h, r, TOY.p) % TOY.p,
     )
     post_shuffle(board, [encrypt(pk, 2, 5), bogus])
-    dec = DecryptionService(SID, board, kg, 2)
+    dec = DecryptionService(board, kg)
     dec.submit_key(1)
     dec.submit_key(2)
     dec.decrypt_and_post()
