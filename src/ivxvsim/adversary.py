@@ -238,11 +238,17 @@ def end_to_end_attack(config: ElectionConfig, policy: ManipulationPolicy,
 
     The per-voter baseline p is the probability a manipulated voter
     does NOT catch the device, so the detection frequency should track
-    1 - p^k."""
+    1 - p^k.  A config that sets `scripts` or `tamper` is refused."""
     if corrupted_count < 0 or corrupted_count > config.n_voters:
         raise ValueError("corrupted count must be within the voter set")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if config.scripts is not None:
+        raise ValueError("attack does not take the config's 'scripts': its analytic "
+                         "estimate assumes voters drawn from the distribution")
+    if config.tamper is not None:
+        raise ValueError("attack does not take the config's 'tamper': it counts only "
+                         "invalid(complaint) as detected")
     if seed is None:
         seed = config.seed
     dist = config.distribution if config.distribution is not None else default_distribution()

@@ -47,6 +47,20 @@ def validate_pattern(pattern: str) -> str:
     return pattern
 
 
+def _add_pair(table: dict, pattern, prob) -> None:
+    """Check one pattern/probability pair against `table` and add it."""
+    validate_pattern(pattern)
+    if pattern in table:
+        raise BadDistribution(f"duplicate pattern {pattern!r}")
+    try:
+        prob = float(prob)
+    except (TypeError, ValueError):
+        raise BadDistribution(f"probability {prob!r} for {pattern!r} is not a number") from None
+    if not 0.0 <= prob <= 1.0:
+        raise BadDistribution(f"probability {prob!r} for {pattern!r} out of [0, 1]")
+    table[pattern] = prob
+
+
 class BehaviorDistribution:
     """Immutable probability table over voter action patterns.
 
@@ -55,23 +69,11 @@ class BehaviorDistribution:
     """
 
     def __init__(self, entries):
-        pairs = list(entries.items()) if hasattr(entries, "items") else list(entries)
         table: dict[str, float] = {}
-        for pair in pairs:
+        for pair in entries.items() if hasattr(entries, "items") else entries:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise BadDistribution(f"{pair!r} is not a pattern/probability pair")
-            pattern, prob = pair
-            validate_pattern(pattern)
-            if pattern in table:
-                raise BadDistribution(f"duplicate pattern {pattern!r}")
-            try:
-                prob = float(prob)
-            except (TypeError, ValueError):
-                raise BadDistribution(
-                    f"probability {prob!r} for {pattern!r} is not a number") from None
-            if not 0.0 <= prob <= 1.0:
-                raise BadDistribution(f"probability {prob!r} for {pattern!r} out of [0, 1]")
-            table[pattern] = prob
+            _add_pair(table, *pair)
         if not table:
             raise BadDistribution("empty distribution")
         total = sum(table.values())
@@ -141,14 +143,21 @@ def load_distribution(source) -> BehaviorDistribution:
     if not isinstance(source, (str, os.PathLike)):   # an integer would open a file descriptor
         raise BadDistribution(f"distribution must be pattern/probability pairs or a CSV path, "
                               f"not {source!r}")
-    pairs = []
+    table: dict[str, float] = {}
     for where, row in read_csv(source, ("pattern", "probability"), BadDistribution):
         try:
-            pairs.append((row["pattern"].strip(), float(row["probability"])))
+            prob = float(row["probability"])
         except ValueError:
             raise BadDistribution(
                 f"{where}: probability {row['probability']!r} is not a number") from None
-    return BehaviorDistribution(pairs)
+        try:
+            _add_pair(table, row["pattern"].strip(), prob)
+        except BadDistribution as exc:
+            raise BadDistribution(f"{where}: {exc}") from None
+    try:   # every pair passed above, so what can fail here is the total
+        return BehaviorDistribution(table)
+    except BadDistribution as exc:
+        raise BadDistribution(f"{source}: {exc}") from None
 
 
 def default_distribution() -> BehaviorDistribution:

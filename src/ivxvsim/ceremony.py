@@ -195,7 +195,8 @@ class ElectionTranscript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ElectionTranscript":
-        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        # at \n only, as JSON Lines splits: a JSON string may hold U+2028 raw
+        lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
         if not lines:
             raise ReplayError("empty transcript")
         n, first = lines[0]

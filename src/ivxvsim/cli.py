@@ -29,15 +29,9 @@ from .ceremony import (JSON_ERRORS, CeremonyError, ElectionConfig, ElectionTrans
 _CONFIG_KEYS = {field.name for field in dataclasses.fields(ElectionConfig)}
 _REQUIRED_KEYS = tuple(field.name for field in dataclasses.fields(ElectionConfig)
                        if field.default is dataclasses.MISSING)
-# Config fields `attack` would otherwise override or misread, each with its error.
-_ATTACK_REFUSED = {
-    "corrupted": "attack does not read the config's 'corrupted': --corrupted sets it",
-    "policy": "attack does not read the config's 'policy': --policy sets it",
-    "scripts": "attack does not take the config's 'scripts': its analytic estimate "
-               "assumes voters drawn from the distribution",
-    "tamper": "attack does not take the config's 'tamper': it counts only "
-              "invalid(complaint) as detected",
-}
+# Config fields `attack` sets from its flags, each with its error.
+_ATTACK_REFUSED = {name: f"attack does not read the config's {name!r}: --{name} sets it"
+                   for name in ("corrupted", "policy")}
 
 
 class CliError(Exception):

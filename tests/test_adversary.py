@@ -1,5 +1,6 @@
 """Manipulation policies, detection math, and attack estimation."""
 
+import dataclasses
 import math
 import random
 
@@ -310,6 +311,13 @@ def test_end_to_end_attack_argument_validation():
     with pytest.raises(ValueError):
         end_to_end_attack(attack_cfg(), ManipulationPolicy.always(),
                           corrupted_count=1, trials=0, seed=1)
+    # forced scripts break the analytic estimate, and a tamper makes every
+    # trial invalid for a reason the attack does not count as detected
+    for name, value in (("scripts", {1: "VC", 2: "VC"}), ("tamper", "tamper-plaintext")):
+        config = dataclasses.replace(attack_cfg(), **{name: value})
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            end_to_end_attack(config, ManipulationPolicy.always(),
+                              corrupted_count=1, trials=20, seed=1)
 
 
 def test_attack_report_csv_row():

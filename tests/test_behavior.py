@@ -130,6 +130,22 @@ def test_a_csv_row_error_names_the_line_on_which_the_row_ends(tmp_path):
         load_distribution(str(path))
 
 
+def test_every_csv_row_error_names_the_file_and_line(tmp_path):
+    path = tmp_path / "d.csv"
+    for rows, error in (("V,0.5\nCV,0.5\n", "3: pattern 'CV' must start with V"),
+                        ("V,0.5\nV,0.5\n", "3: duplicate pattern 'V'"),
+                        ("V,1.5\n", "2: probability 1.5 for 'V' out of [0, 1]")):
+        path.write_text("pattern,probability\n" + rows)
+        with pytest.raises(BadDistribution) as info:
+            load_distribution(str(path))
+        assert str(info.value) == f"{path}:{error}"
+    # a bad total belongs to no one row, so it names the file
+    path.write_text("pattern,probability\nV,0.5\nVC,0.4\n")
+    with pytest.raises(BadDistribution) as info:
+        load_distribution(str(path))
+    assert str(info.value).startswith(f"{path}: probabilities sum to ")
+
+
 def test_load_distribution_accepts_mapping_and_pairs():
     m = load_distribution({"V": 0.5, "VC": 0.5})
     p = load_distribution([("V", 0.5), ("VC", 0.5)])

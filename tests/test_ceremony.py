@@ -715,6 +715,18 @@ def test_transcript_jsonl_roundtrip():
     assert back.manifest == result.transcript.manifest
 
 
+def test_from_jsonl_splits_lines_at_newline_only():
+    # JSON allows U+2028 raw in a string, and a \r before the \n as whitespace
+    result = run_election(honest_config(n_voters=2, sid="a\u2028b"))
+    text = result.transcript.to_jsonl()
+    raw = "".join(json.dumps(json.loads(line), ensure_ascii=False) + "\n"
+                  for line in text.split("\n") if line)
+    assert "\u2028" in raw
+    for form in (raw, text.replace("\n", "\r\n")):
+        recomputed, recorded = audit_transcript(ElectionTranscript.from_jsonl(form))
+        assert recomputed == recorded == AuditVerdict(True)
+
+
 def test_from_jsonl_rejects_malformed_input():
     result = run_election(honest_config(n_voters=2))
     lines = result.transcript.to_jsonl().splitlines()
