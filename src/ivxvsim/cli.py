@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="distribution CSV, or 'default'")
     p_an.add_argument("--policy", default="always", help="always | never | policy CSV")
     p_an.add_argument("--max-len", type=int, default=None,
-                      help="also brute-force the optimal policy up to this length")
+                      help="also find the optimal policy by backward induction, up to this length")
     p_an.set_defaults(fn=cmd_analyze)
 
     p_sw = sub.add_parser("sweep", help="undetected/detected curve over k")

@@ -80,7 +80,7 @@ def test_criterion_3_brute_force_optimum(capsys):
     always_everywhere = all(policy.decide(h) for h in reachable_histories(dist))
     ok = f"{value:.4f}" == "0.9600" and always_everywhere and elapsed < 10.0
     with capsys.disabled():
-        report(3, "brute-force optimum equals always-manipulate", ok,
+        report(3, "backward-induction optimum equals always-manipulate", ok,
                f"value={value:.6f} always={always_everywhere} "
                f"elapsed={elapsed:.2f}s")
 

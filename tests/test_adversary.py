@@ -1,8 +1,11 @@
 """Manipulation policies, detection math, and attack estimation."""
 
 import dataclasses
+import itertools
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +25,7 @@ from ivxvsim.adversary import (
     simulate_policy_on_pattern,
     undetected_probability,
 )
-from ivxvsim.behavior import BehaviorDistribution, default_distribution
+from ivxvsim.behavior import MAX_PATTERN_LEN, BehaviorDistribution, default_distribution
 from ivxvsim.ceremony import ElectionConfig
 
 
@@ -152,7 +155,104 @@ def test_reachable_histories_default():
     assert hs == ("", "V", "VV")  # decisions happen before each V
 
 
-# ---------------------------------------------------------- brute force
+def test_paper_figures_on_the_shipped_table():
+    # manipulating the first vote only, the first two, and every one: the
+    # paper's "about 94%", "about 95.5%" and 96%
+    d = default_distribution()
+    first = ManipulationPolicy.from_table({"": True, "V": False, "VV": False})
+    first_two = ManipulationPolicy.from_table({"": True, "V": True, "VV": False})
+    assert success(first, d) == 0.94
+    assert success(first_two, d) == 0.955
+    assert success(ManipulationPolicy.always(), d) == 0.96
+
+
+# ---------------------------------------------------------- optimal policy
+
+def brute_force_optimum(distribution):
+    """Reference search: every decision table on the reachable histories,
+    scored by its exact success mass, with all-manipulate first so that
+    strict improvement keeps it on ties.  Returns the best table and its
+    success probability."""
+    histories = reachable_histories(distribution)
+    best_table, best = None, -1
+    for decisions in itertools.product((True, False), repeat=len(histories)):
+        table = dict(zip(histories, decisions))
+        policy = ManipulationPolicy.from_table(table)
+        score = sum(Fraction(prob) for pattern, prob in distribution.items()
+                    if simulate_policy_on_pattern(policy, pattern) is AttackOutcome.SUCCESS)
+        if score > best:
+            best_table, best = table, score
+    return best_table, success(ManipulationPolicy.from_table(best_table), distribution)
+
+
+def random_patterns(rng, count, lengths):
+    """`count` draws of a pattern whose length is drawn from `lengths`."""
+    return {"V" + "".join(rng.choice("VC") for _ in range(rng.choice(lengths) - 1))
+            for _ in range(count)}
+
+
+def weighted(rng, patterns):
+    """A distribution over `patterns`; half the time with small integer
+    weights, so that exact ties between policies occur."""
+    patterns = sorted(patterns)
+    if rng.random() < 0.5:
+        weights = [rng.randrange(1, 4) for _ in patterns]
+    else:
+        weights = [rng.random() for _ in patterns]
+    total = sum(weights)
+    entries = {p: w / total for p, w in zip(patterns, weights)}
+    entries[patterns[0]] += 1.0 - sum(entries.values())
+    return BehaviorDistribution(entries)
+
+
+def test_optimal_policy_matches_brute_force_on_random_supports():
+    rng = random.Random(2026)
+    checked = 0
+    while checked < 1000:
+        d = weighted(rng, random_patterns(rng, rng.randrange(1, 9), range(1, 6)))
+        if len(reachable_histories(d)) > 16:
+            continue
+        table, value = brute_force_optimum(d)
+        policy, best = optimal_policy(d, 5)
+        assert (policy.table, best) == (table, value), dict(d.items())
+        checked += 1
+
+
+def test_optimal_policy_compares_exact_masses():
+    # manipulating the first vote wins 0.3 and waiting wins 0.1 + 0.2: as
+    # exact fractions of the stored floats waiting is ahead, in either order
+    for entries in ((("V", 0.3), ("VV", 0.4), ("VCV", 0.1), ("VCVV", 0.2)),
+                    (("VCV", 0.1), ("VCVV", 0.2), ("V", 0.3), ("VV", 0.4))):
+        policy, _ = optimal_policy(BehaviorDistribution(entries), 4)
+        assert policy.table == {"": False, "V": True, "VC": True, "VCV": True}
+    # at "V", 0.11 against 0.1 + 0.01: the float sum ties, but the stored
+    # masses of waiting are 3 * 2**-59 ahead, so waiting is the optimum
+    d = BehaviorDistribution({"V": 0.78, "VV": 0.11, "VVCV": 0.1, "VVCVV": 0.01})
+    policy, value = optimal_policy(d, 5)
+    assert policy.table == {"": True, "V": False, "VVC": True, "VVCV": True}
+    assert brute_force_optimum(d) == (policy.table, value) and value == 0.89
+
+
+def test_optimal_policy_manipulates_past_a_caught_ballot():
+    # manipulating the first vote is optimal, so no walk gets past "VC";
+    # waiting at "VCV" would be best there, but such histories decide nothing
+    d = BehaviorDistribution({"V": 0.6, "VCVV": 0.1, "VCVVCV": 0.3})
+    policy, value = optimal_policy(d, 6)
+    assert policy.table == dict.fromkeys(("", "VC", "VCV", "VCVVC"), True)
+    assert brute_force_optimum(d) == (policy.table, value) and value == 0.6
+
+
+def test_optimal_policy_at_the_pattern_cap():
+    rng = random.Random(50)
+    d = weighted(rng, random_patterns(rng, 50, [MAX_PATTERN_LEN]))
+    assert len(d) == 50 and d.max_len() == MAX_PATTERN_LEN
+    t0 = time.perf_counter()
+    policy, value = optimal_policy(d, MAX_PATTERN_LEN)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    assert set(policy.table) == set(reachable_histories(d))
+    assert value == success(policy, d)
+
 
 def test_optimal_policy_default_distribution():
     policy, value = optimal_policy(default_distribution(), 4)
@@ -169,8 +269,8 @@ def test_optimal_policy_simple_cases():
 
 
 def test_optimal_policy_guards():
-    with pytest.raises(ValueError):
-        optimal_policy(default_distribution(), 9)
+    # no cap on max_len beyond the support's own: the optimum is unchanged
+    assert optimal_policy(default_distribution(), 9)[1] == 0.96
     long_pattern = BehaviorDistribution({"V" * 6: 1.0})
     with pytest.raises(ValueError):
         optimal_policy(long_pattern, 4)  # support longer than maxLen

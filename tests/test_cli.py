@@ -212,6 +212,16 @@ def test_analyze_optimal_search(capsys):
     assert "policy (start) M" in out
 
 
+def test_analyze_optimum_at_the_pattern_cap(tmp_path, capsys):
+    # 256 actions: stay honest through every check, manipulate the last vote
+    dist = tmp_path / "d.csv"
+    dist.write_text(f"pattern,probability\n{'VC' * 127 + 'VV'},1.0\n")
+    assert main(["analyze", str(dist), "--max-len", "256"]) == 0
+    out = capsys.readouterr().out
+    assert "optimal-success 1.000000" in out
+    assert f"policy {'VC' * 127 + 'V'} M" in out
+
+
 def test_analyze_custom_distribution(tmp_path, capsys):
     dist = tmp_path / "d.csv"
     dist.write_text("pattern,probability\nV,1.0\n")
