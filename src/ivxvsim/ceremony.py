@@ -36,7 +36,7 @@ TAMPER_MODES = ("forge-signature", "mix-non-last", "tamper-shuffle-output",
 
 # The most trustees a config names, in any group (the toy group's q = 11
 # allows 10): dealing and reconstructing the key take time quadratic in
-# the count, about 0.3 s for 256 trustees, all needed, in the standard group.
+# the count, about 0.06 s for 256 trustees, all needed, in the standard group.
 MAX_TRUSTEES = 256
 
 

@@ -29,7 +29,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul
 
 # RFC 3526, 2048-bit MODP group. p is a safe prime, q = (p-1)/2 is prime,
@@ -115,10 +115,11 @@ def encode(values, width: int) -> bytes:
     return b"".join([x.to_bytes(width, "big") for x in values])
 
 
-def decode(data: bytes, width: int) -> tuple[int, ...]:
-    """Inverse of `encode` for data of a whole number of values."""
+def decode(data: bytes, width: int):
+    """Inverse of `encode` for data of a whole number of values: a tuple,
+    or for width 1 bytes, a sequence of its values at a byte each, not 8."""
     if width == 1:
-        return tuple(data)   # a bytes object iterates as its byte values
+        return bytes(data)
     return tuple([int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)])
 
 
@@ -436,47 +437,74 @@ def batch_weights(params: GroupParams, equations) -> list[int]:
     return hash_scalars(_BATCH_DOMAIN, b"".join(encoded), params, len(encoded))
 
 
+def unstack(equations):
+    """Every entry as rows, in order: a row as it is, and a stacked entry,
+    whose target is k values and each base and exponent one int for all
+    rows or k values, as its k rows, each a pair of tuples and an int."""
+    for bases, exponents, target in equations:
+        if isinstance(target, int):
+            yield bases, exponents, target
+            continue
+        m = len(bases)
+        columns = [repeat(x) if isinstance(x, int) else x for x in (*bases, *exponents)]
+        for row in zip(*columns, target):
+            yield row[:m], row[m:-1], row[-1]
+
+
+def _tabled_holds(log, exp, bases, exponents, target) -> bool:
+    """Whether an entry holds in a small group, over the log table: a row
+    as in `multi_exp`; a stacked entry by columns, each term adding to all
+    rows' sums in one pass, and each row compared with its own target."""
+    if isinstance(target, int):
+        return exp[sum(map(mul, exponents, map(log.__getitem__, bases))) % len(exp)] == target
+    order, sums = len(exp), [0] * len(target)
+    for b, e in zip(bases, exponents):
+        es, bs = (repeat(x) if isinstance(x, int) else x for x in (e, b))
+        # chained maps of bound methods took twice as long; a reduced sum is a cached int
+        sums = [(s + x * log[y]) % order for s, x, y in zip(sums, es, bs)]
+    return [exp[s] for s in sums] == list(target)
+
+
 def products_equal(params: GroupParams, equations) -> bool:
     """Whether every equation (bases, exponents, target) holds, that is
     prod base_i^e_i = target mod p with each e_i taken mod q; True for no
     equations.  `equations` may be any iterable, read once; each bases
-    and exponents a sequence.
+    and exponents a sequence, or an entry a stacked equation (`unstack`).
 
     Precondition: every base and target is in the order-q subgroup.  A
     factor of order 2 would pass the large-group check for about half of
     all weights.
 
-    In a large group equation k gets a 128-bit weight w_k (`batch_weights`)
-    and prod_k (prod_i base_i^e_i)^w_k = prod_k target_k^w_k is checked as
-    two `multi_exp` calls.  A base with e_i >= 0 goes on the left as
-    base^(w_k * e_i), to be reduced mod q, and one with e_i < 0 on the
-    right as base^(w_k * |e_i|), beside the targets: a short exponent
-    passed negated, rather than reduced mod q, keeps its power short.
-    Each base's exponents are summed on its side, a base on both sides
-    is folded into the left, and a target of 1 adds nothing, so an
-    equation may be stated as a product equal to 1.  If an equation
-    fails, at most one value of its weight makes the sums agree, so a
-    false set passes with probability at most 2^-128.  The weights are
-    hashed from the equations themselves, so none can be chosen after
+    In a large group each row of `unstack(equations)` gets a 128-bit
+    weight w_k (`batch_weights`) and prod_k (prod_i base_i^e_i)^w_k =
+    prod_k target_k^w_k is checked as two `multi_exp` calls.  A base with
+    e_i >= 0 goes on the left as base^(w_k * e_i), to be reduced mod q,
+    and one with e_i < 0 on the right as base^(w_k * |e_i|), beside the
+    targets: a short exponent passed negated, rather than reduced mod q,
+    keeps its power short.  Each base's exponents are summed on its side,
+    a base on both sides is folded into the left, and a target of 1 adds
+    nothing, so an equation may be stated as a product equal to 1.  If an
+    equation fails, at most one value of its weight makes the sums agree,
+    so a false set passes with probability at most 2^-128.  The weights
+    are hashed from the equations themselves, so none can be chosen after
     them.
 
-    In a small group each equation is checked in turn, up to the first
-    that fails: with q = 11 a weighted check would pass a false set one
-    time in eleven.  Each is one sum of exponents, sum e_i * log base_i
-    mod p - 1, looked up and compared with its target, as in `multi_exp`."""
+    In a small group each entry is checked in turn over the log table, a
+    stacked one by columns, up to the first that fails: with q = 11 a
+    weighted check would pass a false set one time in eleven.  A base the
+    table does not hold sends its entry, row by row, to the builtin pow."""
     p = params.p
     if not params.large:
         log, exp = _log_tables(p)
-        logs, order = log.__getitem__, p - 1
-        for bases, exponents, target in equations:
+        for entry in equations:
             try:
-                product = exp[sum(map(mul, exponents, map(logs, bases))) % order]
+                if not _tabled_holds(log, exp, *entry):
+                    return False
             except (IndexError, TypeError):     # a base the table does not hold
-                product = _pow_product(p, bases, exponents)
-            if product != target:
-                return False
+                if any(_pow_product(p, b, e) != t for b, e, t in unstack([entry])):
+                    return False
         return True
-    equations = list(equations)
+    equations = list(unstack(equations))
     left, right = {}, {}        # base -> summed weighted exponent on that side
     for w, (bases, exponents, target) in zip(batch_weights(params, equations), equations):
         for b, e in zip(bases, exponents):

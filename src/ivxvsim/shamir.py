@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import prod
 from typing import Iterable, NamedTuple
 
 
@@ -38,19 +40,20 @@ def deal(secret: int, t: int, k: int, q: int, rng) -> list[SecretShare]:
 
 
 def reconstruct(shares: Iterable[SecretShare], t: int, q: int) -> int:
-    """Lagrange-interpolate the shares at 0."""
+    """Lagrange-interpolate the shares at 0, with exact products and one
+    modular inversion for all denominators (Montgomery's trick)."""
     shares = list(shares)
     if len(shares) < t:
         raise InsufficientShares(f"need at least {t} shares, got {len(shares)}")
     indices = [s.index for s in shares]
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate share index")
-    secret = 0
-    for i, (xi, yi) in enumerate(shares):
-        num = den = 1
-        for j, (xj, _) in enumerate(shares):
-            if i != j:
-                num = num * (-xj) % q
-                den = den * (xi - xj) % q
-        secret = (secret + yi * num * pow(den, -1, q)) % q
+    # share i's weight is nums[i] / dens[i], prod_(j != i) x_j / (x_j - x_i)
+    nums = [prod([xj for xj in indices if xj != xi]) for xi in indices]
+    dens = [prod([xj - xi for xj in indices if xj != xi]) % q for xi in indices]
+    running = list(accumulate(dens, lambda acc, d: acc * d % q, initial=1))  # of dens[:i]
+    inverse, secret = pow(running[-1], -1, q), 0    # inverse: of dens[:i + 1], for i below
+    for i in reversed(range(len(shares))):
+        secret = (secret + shares[i].value * nums[i] * inverse * running[i]) % q
+        inverse = inverse * dens[i] % q
     return secret

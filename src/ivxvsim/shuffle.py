@@ -20,9 +20,9 @@ the u check alone lets a false statement through with probability up
 to n/q per repetition, and a prover may split its luck between the two
 phases, so the soundness tests run on the `mid` group.
 
-The verifier states what it checks as equations (`shuffle_equations`),
-so that an auditor can check them in one weighted product together with
-others; `verify_shuffle` checks them alone.
+The verifier states what it checks as equations, each stacked over all
+repetitions (`shuffle_equations`), so that an auditor can check them
+together with others; `verify_shuffle` checks them alone.
 
 Every element and scalar is encoded at the byte length of p
 (`groups.encode`), and every challenge cut by `groups.hash_scalars`, as
@@ -323,90 +323,93 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     return ShuffleProof(n=n, rounds=tuple(rounds))
 
 
-def _round_equations(pr: ProofRound, u, gamma: int, params: GroupParams,
-                     gens, gens_inverse: int, base: int, parts):
-    """One repetition's equations as (bases, exponents, target), each
-    asserting prod base^e = target: t1, t2, t3, t4a, t4b, then the n t_hat.
-    `shuffle_equations` has parsed the proof, checked the scalar ranges
-    and that every element of the statement and the proof is in the group,
-    and derived the repetition's challenges u and gamma.  `gens`,
-    `gens_inverse` and `base` come from `_generators`, and `parts` holds,
-    for c1 and then c2, its key (g, h) and that component of every output
-    and then of every input."""
-    p, q, g = params.p, params.q, params.g
-    # a 128-bit challenge's powers stay short as negative exponents, which
-    # products_equal moves to its short side; a small group sums them as
-    # they are, over its log table
-    neg_gamma = -gamma
-    neg_u_gamma = [u_j * neg_gamma for u_j in u]
-
-    prod_u = 1
-    for u_j in u:
-        prod_u = prod_u * u_j % q
-    c_bar = gens_inverse
-    for c_j in pr.perm_commits:
-        c_bar = c_bar * c_j % p
-    # g^s_bar = t1 * c_bar^gamma, and g^s_dot = t2 * c_dot^gamma with
-    # c_dot = chain[-1] * base^-prod_u, each right-hand power moved left
-    yield (g, c_bar), (pr.s_bar, neg_gamma), pr.t1
-    yield (g, pr.chain_commits[-1], base), (pr.s_dot, neg_gamma, prod_u * gamma % q), pr.t2
-
-    # t3 and t4 equations as lhs * (prod x_j^u_j)^-gamma == t, which for
-    # elements of order q is one product with exponents -u_j * gamma
-    exps = (*pr.s_prm, *neg_u_gamma)
-    yield (g, *gens, *pr.perm_commits), (pr.s_tld, *exps), pr.t3
-    neg_s_r = -pr.s_r % q
-    for t4, (key, outs_ins) in zip((pr.t4a, pr.t4b), parts):
-        yield (key, *outs_ins), (neg_s_r, *exps), t4
-
-    # g^s_hat_i * prev^s'_i = t_hat_i * chain_i^gamma, where prev is the
-    # commitment base for i = 0 and chain_(i-1) after
-    yield from zip(zip(repeat(g), (base, *pr.chain_commits), pr.chain_commits),
-                   zip(pr.s_hat, pr.s_prm, repeat(neg_gamma)), pr.t_hat)
-
-
 def shuffle_equations(statement: ShuffleStatement, proof):
     """The equations a proof must satisfy, for `groups.products_equal`;
     None for a proof that does not parse, is for another n, has a scalar
     out of range or holds a value outside the group.  Takes the proof's
     bytes, or a ShuffleProof, serialized first, and hashes slices of the
-    bytes.  Every challenge is derived, and every element of the statement,
-    h included, found in the group, before the equations are produced,
-    lazily."""
+    bytes; every challenge is derived, and every element found in the
+    group, h included, before any equation is stated.
+
+    Each field is read by stride from the values decoded once, and each
+    check stated once for the R repetitions (`groups.unstack`): t1, t2,
+    then t3, t4a and t4b, R rows each if 2n + 1 <= R and else one row per
+    repetition each, then the t_hat, n rows per repetition.  A large
+    group has R = 1: rows t1, t2, t3, t4a, t4b, then the t_hat."""
     pk = statement.pk
     params = pk.params
-    q = params.q
+    p, q, g = params.p, params.q, params.g
     try:
         blob = (bytes(proof) if isinstance(proof, (bytes, bytearray))
                 else serialize_proof(proof, params))
-        proof = deserialize_proof(blob, params)
+        n, values = _parse_proof(blob, params)
     except (ValueError, OverflowError):     # OverflowError: a value wider than p
         return None
-    n = proof.n
     if n != len(statement.inputs):
         return None
-    width = byte_width(params.p)
-    size, sent = (5 * n + 9) * width, (3 * n + 5) * width   # a repetition, its messages
-    messages = [blob[i : i + sent] for i in range(_HEADER_LEN, len(blob), size)]
-    # each distinct element of the statement and of every round is tested once
-    elements = {pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct)}
+    size = 5 * n + 9                            # the values of one repetition
+    starts = range(0, len(values), size)
+
+    # count values from offset in each repetition, kept as `decode` gave them
+    fields = lambda offset, count: type(values)(
+        chain.from_iterable(values[i + offset : i + offset + count] for i in starts))
+    t1, t2, t3, t4a, t4b = (values[k::size] for k in range(2 * n, 2 * n + 5))
+    s_bar, s_dot, s_tld, s_r = (values[k::size] for k in range(3 * n + 5, 3 * n + 9))
+    chains, t_hat, s_hat, s_prm = (fields(k, n) for k in (n, 2 * n + 5, 3 * n + 9, 4 * n + 9))
     s_prm_bound = 1 << _RESPONSE_BITS if params.large else q
-    for pr in proof.rounds:
-        values = pr.values()
-        if max(values[3 * n + 5 : 4 * n + 9]) >= q or max(pr.s_prm) >= s_prm_bound:
-            return None
-        elements.update(values[: 3 * n + 5])   # commitments, t1..t4b, t_hat
+    if max(chain(s_bar, s_dot, s_tld, s_r, s_hat)) >= q or max(s_prm) >= s_prm_bound:
+        return None
+    # each distinct element of the statement and of every repetition is tested once
+    elements = {pk.h, *(x for ct in statement.inputs + statement.outputs for x in ct)}
+    elements.update(fields(0, n), chains, t1, t2, t3, t4a, t4b, t_hat)
     if not all(map(params.is_element, elements)):
         return None
+    width = byte_width(p)
+    sent = (3 * n + 5) * width                  # a repetition's messages
+    messages = [blob[i : i + sent] for i in range(_HEADER_LEN, len(blob), size * width)]
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
     us = _challenges(b"u", stmt_digest, [m[: n * width] for m in messages], params, n)
-    gammas = _challenges(b"gamma", stmt_digest, messages, params, 1)
-    base, gens, gens_inverse = _generators(params.p, q, params.g, n)
-    parts = tuple((key, [ct[k] for ct in statement.outputs + statement.inputs])
-                  for k, key in enumerate((params.g, pk.h)))
-    return chain.from_iterable(
-        _round_equations(pr, u, gamma, params, gens, gens_inverse, base, parts)
-        for pr, u, (gamma,) in zip(proof.rounds, us, gammas))
+    # a 128-bit challenge's powers stay short as negative exponents, which
+    # products_equal moves to its short side; a small group sums them as
+    # they are, over its log table
+    neg_gammas = [-gamma for (gamma,) in _challenges(b"gamma", stmt_digest, messages, params, 1)]
+    base, gens, gens_inverse = _generators(p, q, g, n)
+    c_bars, prod_u_gammas = [], []
+    for i, u, neg_gamma in zip(starts, us, neg_gammas):
+        c_bar, prod_u = gens_inverse, 1
+        for c_j, u_j in zip(values[i : i + n], u):
+            c_bar, prod_u = c_bar * c_j % p, prod_u * u_j % q
+        c_bars.append(c_bar)
+        prod_u_gammas.append(-prod_u * neg_gamma % q)
+    # g^s_bar = t1 * c_bar^gamma, and g^s_dot = t2 * c_dot^gamma with
+    # c_dot = chain[-1] * base^-prod_u, each right-hand power moved left
+    equations = [((g, c_bars), (s_bar, neg_gammas), t1),
+                 ((g, values[2 * n - 1 :: size], base), (s_dot, neg_gammas, prod_u_gammas), t2)]
+    # t3 and t4 equations as lhs * (prod x_j^u_j)^-gamma == t, which for
+    # elements of order q is one product with exponents -u_j * gamma
+    parts = [(key, *[ct[k] for ct in statement.outputs + statement.inputs])
+             for k, key in enumerate((g, pk.h))]
+    neg_s_r = [-x % q for x in s_r]
+
+    def wide_rows():    # built as they are checked: at n = 2000 all 3R would take megabytes
+        for r, i in enumerate(starts):
+            exps = (*values[i + 4 * n + 9 : i + size], *[u_j * neg_gammas[r] for u_j in us[r]])
+            yield (g, *gens, *values[i : i + n]), (s_tld[r], *exps), t3[r]
+            yield from ((b, (neg_s_r[r], *exps), t4) for b, t4 in zip(parts, (t4a[r], t4b[r])))
+
+    stacked = 2 * n + 1 <= len(starts)  # stacking pays at the toy n = 2, not at n = 2000
+    if stacked:
+        neg_u_gammas = zip(*([u_j * ng for u_j in u] for u, ng in zip(us, neg_gammas)))
+        exps = (*(values[k::size] for k in range(4 * n + 9, 5 * n + 9)), *neg_u_gammas)
+        equations.append(((g, *gens, *(values[k::size] for k in range(n))), (s_tld, *exps), t3))
+        equations += [(b, (neg_s_r, *exps), t4) for b, t4 in zip(parts, (t4a, t4b))]
+    # g^s_hat_i * prev^s'_i = t_hat_i * chain_i^gamma, where prev is the
+    # commitment base for i = 0 and chain_(i-1) after
+    prevs = type(values)(chain.from_iterable((base, *values[i + n : i + 2 * n - 1])
+                                             for i in starts))
+    gammas_each = list(chain.from_iterable(repeat(neg_gamma, n) for neg_gamma in neg_gammas))
+    t_hats = ((g, prevs, chains), (s_hat, s_prm, gammas_each), t_hat)
+    return chain(equations, () if stacked else wide_rows(), [t_hats])
 
 
 def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
@@ -423,10 +426,10 @@ def serialize_proof(proof: ShuffleProof, params: GroupParams) -> bytes:
     return header + encode([x for pr in proof.rounds for x in pr.values()], byte_width(params.p))
 
 
-def deserialize_proof(blob: bytes, params: GroupParams) -> ShuffleProof:
-    """Inverse of serialize_proof for the same group, for a proof of at
-    most `MAX_PROOF_N` ciphertexts and exactly `security_rounds(q)`
-    repetitions; raises ValueError on any other input."""
+def _parse_proof(blob: bytes, params: GroupParams) -> tuple[int, tuple[int, ...]]:
+    """n and the decoded values of a proof whose header gives 0 < n <=
+    `MAX_PROOF_N`, `security_rounds(q)` repetitions and its length;
+    ValueError for any other."""
     if len(blob) < _HEADER_LEN or blob[: len(PROOF_MAGIC)] != PROOF_MAGIC:
         raise ValueError("bad proof header")
     pos = len(PROOF_MAGIC)
@@ -434,10 +437,15 @@ def deserialize_proof(blob: bytes, params: GroupParams) -> ShuffleProof:
     n_rounds = int.from_bytes(blob[pos + 4 : pos + 8], "big")
     if not (0 < n <= MAX_PROOF_N and n_rounds == security_rounds(params.q)):
         raise ValueError("proof dimensions out of range")
-    width, size = byte_width(params.p), 5 * n + 9
-    if len(blob) != _HEADER_LEN + n_rounds * size * width:
+    width = byte_width(params.p)
+    if len(blob) != _HEADER_LEN + n_rounds * (5 * n + 9) * width:
         raise ValueError("proof length does not match its header")
-    values = decode(blob[_HEADER_LEN:], width)
-    rounds = tuple(ProofRound.from_values(values[i : i + size], n)
-                   for i in range(0, n_rounds * size, size))
-    return ShuffleProof(n=n, rounds=rounds)
+    return n, decode(blob[_HEADER_LEN:], width)
+
+
+def deserialize_proof(blob: bytes, params: GroupParams) -> ShuffleProof:
+    """Inverse of serialize_proof for the same group; raises ValueError on
+    any input `_parse_proof` refuses."""
+    n, values = _parse_proof(blob, params)
+    return ShuffleProof(n, tuple(ProofRound.from_values(tuple(values[i : i + 5 * n + 9]), n)
+                                 for i in range(0, len(values), 5 * n + 9)))

@@ -17,6 +17,7 @@ from ivxvsim.groups import (
     power,
     products_equal,
     setup,
+    unstack,
 )
 from ivxvsim.seeding import Stream
 
@@ -596,3 +597,98 @@ def test_power_equals_builtin_pow(preset):
     base = _random_subgroup_elements(params, random.Random("power"), 1)[0]
     for e in (0, 1, q - 1, q, q + 1, -1, -q, 2**130 + 7):
         assert power(params, base, e) == pow(base, e, p), e
+
+
+# ------------------------------------------------- stacked equations
+
+def test_unstack_yields_every_row_in_order():
+    # a row passes as it is; a stacked entry's shared values repeat
+    row = ((2, 3), (4, 5), 6)
+    stacked = ((2, [3, 4]), ([5, 6], 7), [8, 9])
+    assert list(unstack([row, stacked, ((), (), [1, 1])])) == [
+        row, ((2, 3), (5, 7), 8), ((2, 4), (6, 7), 9), ((), (), 1), ((), (), 1)]
+
+
+def _stack(params, rng, k):
+    """A stacked entry of k rows that holds: shared and per-row bases,
+    none of them 1, under shared, per-row and negative exponents."""
+    q = params.q
+    element = lambda: pow(params.g, rng.randrange(1, q), params.p)
+    per_row = lambda draw: [draw() for _ in range(k)]
+    bases = (element(), per_row(element), element(), per_row(element), element())
+    exponents = (rng.randrange(q), per_row(lambda: rng.randrange(q)),
+                 per_row(lambda: -rng.getrandbits(128)), rng.randrange(q),
+                 -rng.getrandbits(128))
+    target = [multi_exp(params, b, e) for b, e, _ in unstack([(bases, exponents, [1] * k)])]
+    return bases, exponents, target
+
+
+@pytest.mark.parametrize("preset", EVERY_PRESET)
+def test_a_stack_is_checked_as_its_rows(preset):
+    params = setup(preset, 2)
+    rng = random.Random(f"stacked/{preset}")
+    entries = [_stack(params, rng, k) for k in (1, 3, 7)]
+    entries[1:1] = _true_equations(params, rng, 3)
+    rows = list(unstack(entries))
+    assert products_equal(params, entries) is products_equal(params, rows) is True
+    bases, exponents, target = entries[-1]
+    false = (bases, exponents, [*target])
+    false[2][1] = target[1] * params.g % params.p
+    assert products_equal(params, [false]) is products_equal(params, list(unstack([false]))) \
+        is False
+
+
+@pytest.mark.parametrize("preset", EVERY_PRESET)
+def test_a_stack_rejects_any_one_changed_row(preset):
+    # each row's target, and each row's value of every per-row exponent
+    params = setup(preset, 2)
+    rng = random.Random(f"stacked-rows/{preset}")
+    bases, exponents, target = _stack(params, rng, 5)
+    assert products_equal(params, [(bases, exponents, target)])
+    for r in range(5):
+        changed = [*target]
+        changed[r] = changed[r] * params.g % params.p
+        assert not products_equal(params, [(bases, exponents, changed)]), r
+        for i, e in enumerate(exponents):
+            if isinstance(e, int):
+                continue
+            column = [*e]
+            column[r] += 1
+            changed = (*exponents[:i], column, *exponents[i + 1 :])
+            assert not products_equal(params, [(bases, changed, target)]), (r, i)
+
+
+def test_a_toy_stack_with_bases_outside_the_table_gives_pows_answer():
+    # 0, p, p + 2 and 3p + 5 are not in the log table, shared or per row
+    params = setup("toy", 2)
+    p = params.p
+    rng = random.Random("stacked-outside")
+    for shared in (0, p, p + 2, 5):
+        column = [rng.choice((0, p, p + 2, 3 * p + 5, 2, 13)) for _ in range(6)]
+        bases = (shared, column, params.g)
+        exponents = ([rng.randrange(1, 30) for _ in column], 3,
+                     [-rng.randrange(30) for _ in column])
+        rows = list(unstack([(bases, exponents, [0] * 6)]))
+        target = [_product_of_pows(params, b, e) for b, e, _ in rows]
+        assert products_equal(params, [(bases, exponents, target)]), (shared, column)
+        for r in range(6):
+            wrong = [*target]
+            wrong[r] = (wrong[r] + 1) % p
+            assert not products_equal(params, [(bases, exponents, wrong)]), (shared, column, r)
+
+
+@pytest.mark.parametrize("preset", ["mid", "standard"])
+def test_a_large_group_weighs_the_rows_of_a_stack(preset, monkeypatch):
+    params = setup(preset, 2)
+    rng = random.Random(f"stacked-weights/{preset}")
+    entries = [_stack(params, rng, 3), *_true_equations(params, rng, 3), _stack(params, rng, 2)]
+    weighed = []
+
+    def recording(params, equations):
+        weighed.append(equations)
+        return batch_weights(params, equations)
+
+    monkeypatch.setattr(groups, "batch_weights", recording)
+    assert products_equal(params, iter(entries))
+    assert weighed == [list(unstack(entries))]
+    assert len(weighed[0]) == 8

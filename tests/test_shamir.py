@@ -1,9 +1,11 @@
 """Threshold sharing over the scalar field."""
 
 import itertools
+import random
 
 import pytest
 
+from ivxvsim.groups import setup
 from ivxvsim.seeding import Stream
 from ivxvsim.shamir import InsufficientShares, SecretShare, deal, reconstruct
 
@@ -60,6 +62,40 @@ def test_reconstruct_requires_threshold():
 def test_reconstruct_rejects_duplicate_indices():
     with pytest.raises(ValueError):
         reconstruct([SecretShare(1, 9), SecretShare(1, 9)], 2, 11)
+
+
+def quadratic_reconstruct(shares, q):
+    """Lagrange interpolation at 0 with one inversion per share: the
+    reference formula."""
+    secret = 0
+    for i, (xi, yi) in enumerate(shares):
+        num = den = 1
+        for j, (xj, _) in enumerate(shares):
+            if i != j:
+                num = num * (-xj) % q
+                den = den * (xi - xj) % q
+        secret = (secret + yi * num * pow(den, -1, q)) % q
+    return secret
+
+
+@pytest.mark.parametrize("q", [11, (1 << 127) - 1, setup("standard", 2).q])
+def test_reconstruct_equals_the_quadratic_formula(q):
+    # random subsets of points distinct mod q, 0 mod q and indices above q
+    # among them, with values on no particular polynomial: the one batched
+    # inversion computes what an inversion per share computes
+    rng = random.Random(f"lagrange/{q}")
+    for _ in range(60):
+        residues = rng.sample(range(min(q, 300)), rng.randrange(1, min(q, 40)))
+        shares = [SecretShare(r + q * rng.randrange(3), rng.randrange(q)) for r in residues]
+        assert reconstruct(shares, 1, q) == quadratic_reconstruct(shares, q), shares
+    dealt = deal(rng.randrange(q), 3, 10, q, Stream(3, "shamir"))
+    for _ in range(20):
+        subset = rng.sample(dealt, rng.randrange(3, 11))
+        assert reconstruct(subset, 3, q) == quadratic_reconstruct(subset, q) == \
+            quadratic_reconstruct(dealt, q)
+    # two indices at one point mod q have no interpolation
+    with pytest.raises(ValueError):
+        reconstruct([SecretShare(1, 3), SecretShare(1 + q, 5)], 2, q)
 
 
 def test_all_threshold_subsets_agree():

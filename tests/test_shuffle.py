@@ -8,8 +8,11 @@ import random
 import pytest
 
 from ivxvsim import groups, shuffle
+from ivxvsim.ceremony import (AuditVerdict, ElectionConfig, ElectionTranscript, audit_transcript,
+                             run_election)
 from ivxvsim.elgamal import Ciphertext, decrypt, encrypt, keygen, rerandomize
-from ivxvsim.groups import GroupParams, byte_width, encode, hash_scalars, products_equal, setup
+from ivxvsim.groups import (GroupParams, byte_width, encode, hash_scalars, products_equal, setup,
+                            unstack)
 from ivxvsim.seeding import Stream
 from ivxvsim.shuffle import (
     FS_DOMAIN,
@@ -512,7 +515,7 @@ def test_a_proof_and_its_bytes_state_identical_equations(preset):
     proof = prove_shuffle(stmt, wit, rng)
     blob = serialize_proof(proof, params)
     from_proof = list(shuffle_equations(stmt, proof))
-    assert len(from_proof) == security_rounds(params.q) * (5 + 3)
+    assert len(list(unstack(from_proof))) == security_rounds(params.q) * (5 + 3)
     assert from_proof == list(shuffle_equations(stmt, blob))
     assert from_proof == list(shuffle_equations(stmt, bytearray(blob)))
 
@@ -587,7 +590,9 @@ def test_gammas_bind_every_repetitions_messages():
         return gammas_of(digest, [encode(c + r, 1) for c, r in zip(perm, rest)], TOY)
 
     base = gammas(perm, rest)
-    assert base == [-eq[1][1] for eq in list(shuffle_equations(stmt, proof))[:: 5 + n]]
+    # t1's rows come first, one per repetition, -gamma their second exponent
+    t1_rows = list(unstack(shuffle_equations(stmt, proof)))[: len(rest)]
+    assert base == [-eq[1][1] for eq in t1_rows]
     g, p = TOY.g, TOY.p
     # chain, t1 .. t4b and t_hat positions of the second message
     positions = (0, n - 1, n, n + 1, n + 2, n + 3, n + 4, 2 * n + 4)
@@ -609,12 +614,16 @@ def test_gammas_bind_every_repetitions_messages():
 def verifier_reading(stmt, rounds):
     """Each repetition's u, gamma and equations as the verifier derives
     them: -gamma is t1's second exponent and -u_j * gamma t3's last n
-    exponents, so u is None where gamma is 0."""
-    n = len(stmt.inputs)
-    equations = list(shuffle_equations(stmt, ShuffleProof(n=n, rounds=tuple(rounds))))
+    exponents, so u is None where gamma is 0.  The verifier's rows are
+    regrouped by repetition: at this n, t1, t2, t3, t4a and t4b are R rows
+    each, one per repetition, and then come the n t_hat of each repetition."""
+    n, count = len(stmt.inputs), len(rounds)
+    equations = list(unstack(shuffle_equations(stmt, ShuffleProof(n=n, rounds=tuple(rounds)))))
+    assert 2 * n + 1 <= count and len(equations) == count * (5 + n)
     reading = []
-    for i in range(0, len(equations), 5 + n):
-        eqs = equations[i : i + 5 + n]
+    for r in range(count):
+        t_hat = 5 * count + r * n
+        eqs = equations[r : 5 * count : count] + equations[t_hat : t_hat + n]
         gamma = -eqs[0][1][1]
         reading.append(([e // -gamma for e in eqs[2][1][-n:]] if gamma else None, gamma, eqs))
     return reading
@@ -710,6 +719,64 @@ def test_a_repetition_by_repetition_forger_gets_no_proof_accepted():
     # the forger is not what fails: each repetition whose gamma matched its
     # guess satisfied every one of its own equations
     assert sound > 0 and unsound == 0
+
+
+# ------------------------------------------ the verifier's stacked equations
+
+def test_a_toy_audit_and_verify_shuffle_build_no_proof_round(monkeypatch):
+    # the verifier reads each field of every repetition by stride from the
+    # decoded proof; only deserialize_proof builds ProofRound objects
+    config = ElectionConfig(n_voters=3, n_trustees=3, threshold=2, candidate_bound=3, seed=5)
+    stored = ElectionTranscript.from_jsonl(run_election(config).transcript.to_jsonl())
+    rng = Stream(51, "test_shuffle")
+    pk, _ = keygen(TOY, rng)
+    stmt, wit = make_instance(rng, pk, 2)
+    proof = prove_shuffle(stmt, wit, rng)
+    blob = serialize_proof(proof, TOY)
+
+    def refuse(cls, values, n):
+        raise AssertionError("a ProofRound was built")
+
+    monkeypatch.setattr(ProofRound, "from_values", classmethod(refuse))
+    with pytest.raises(AssertionError, match="ProofRound"):
+        deserialize_proof(blob, TOY)
+    assert audit_transcript(stored)[0] == AuditVerdict(True, None)
+    assert verify_shuffle(stmt, proof) and verify_shuffle(stmt, blob)
+
+
+@pytest.mark.parametrize("n, entries", [(2, 6), (9, 6), (10, 3 + 3 * 20), (20, 3 + 3 * 20)])
+def test_a_toy_proof_reaches_products_equal_as_stacked_entries(n, entries, monkeypatch):
+    # t1, t2 and the t_hat are stacked over the 20 repetitions, and t3, t4a
+    # and t4b too while 2n + 1 <= 20; past that, each is a row per repetition
+    rng = Stream(52, "test_shuffle")
+    pk, _ = keygen(TOY, rng)
+    stmt, wit = make_instance(rng, pk, n)
+    proof = prove_shuffle(stmt, wit, rng)
+    seen = []
+
+    def recording(params, equations):
+        seen.append(list(equations))
+        return products_equal(params, seen[-1])
+
+    monkeypatch.setattr(shuffle, "products_equal", recording)
+    assert verify_shuffle(stmt, proof)
+    assert [len(e) for e in seen] == [entries]
+    assert len(list(unstack(seen[0]))) == security_rounds(TOY.q) * (5 + n)
+
+
+def test_a_standard_proof_unstacks_to_its_rows_in_order():
+    # one repetition: t1, t2, t3, t4a, t4b, then the n t_hat, each a row
+    params = setup("standard", 4)
+    rng = Stream(53, "test_shuffle")
+    pk, _ = keygen(params, rng)
+    stmt, wit = make_instance(rng, pk, 3, params)
+    proof = prove_shuffle(stmt, wit, rng)
+    (pr,) = proof.rounds
+    rows = list(unstack(shuffle_equations(stmt, proof)))
+    assert [t for _, _, t in rows] == [pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat]
+    assert [len(b) for b, _, _ in rows] == [2, 3, 7, 7, 7, 3, 3, 3]
+    assert [b[0] for b, _, _ in rows[2:5]] == [params.g, params.g, pk.h]
+    assert products_equal(params, rows)
 
 
 class CountingHashlib:
