@@ -11,9 +11,8 @@ from .elgamal import (Ciphertext, PublicKey, SecretKey, NotACandidate,  # noqa: 
                       RandomnessMismatch, keygen, make_keypair, encrypt,
                       decrypt, rerandomize, trapdoor_decrypt)
 from .shamir import SecretShare, InsufficientShares, deal, reconstruct  # noqa: F401
-from .shuffle import (ShuffleStatement, ShuffleWitness, ShuffleProof,  # noqa: F401
-                      BadWitness, prove_shuffle, verify_shuffle,
-                      serialize_proof, deserialize_proof, security_rounds)
+from .shuffle import (ShuffleStatement, ShuffleWitness, BadWitness,  # noqa: F401
+                      prove_shuffle, verify_shuffle, security_rounds)
 from .behavior import (BehaviorDistribution, BadDistribution,  # noqa: F401
                        default_distribution, load_distribution)
 from .functionalities import (BulletinBoard, CertRegistry, KeyGenService,  # noqa: F401

@@ -117,10 +117,11 @@ class BehaviorDistribution:
 def read_csv(path, columns: tuple, error: type) -> list:
     """The rows of the CSV file at `path` as (`file:line`, fields by column
     name), line being the one on which the row ends: a quoted field can span
-    lines.  A row lacking one of `columns`, or a file the csv module cannot
-    read, raises `error` naming the `file:line` or the file."""
+    lines.  A row lacking one of `columns`, or a file that is not UTF-8 or
+    that the csv module cannot read, raises `error` naming the `file:line`
+    or the file."""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
             for row in reader:
@@ -128,7 +129,7 @@ def read_csv(path, columns: tuple, error: type) -> list:
                 if any(row.get(column) is None for column in columns):
                     raise error(f"{where}: need columns {','.join(columns)}")
                 rows.append((where, row))
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise error(f"{path}: {exc}") from None
     return rows
 

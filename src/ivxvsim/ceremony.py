@@ -27,7 +27,7 @@ from .functionalities import (AuditDevice, BulletinBoard, CertRegistry,
                               plaintext_equations)
 from .seeding import rng_for
 from .shuffle import (MAX_PROOF_N, ShuffleStatement, ShuffleWitness, prove_shuffle,
-                      serialize_proof, shuffle_equations, verify_shuffle)
+                      shuffle_equations, verify_shuffle)
 
 TOOL_VERSION = "0.1.0"
 
@@ -277,7 +277,7 @@ def ea_accept_ballot(sid, registry: CertRegistry, board: BulletinBoard,
 
 
 def proof_to_text(blob: bytes) -> str:
-    """A serialized proof as the transcript carries it: base64."""
+    """A proof's bytes as the transcript carries it: base64."""
     return base64.b64encode(blob).decode()
 
 
@@ -407,7 +407,7 @@ def run_election(config: ElectionConfig) -> ElectionResult:
         "kind": "shuffle",
         "inputs": [[c.c1, c.c2] for c in inputs],
         "outputs": [[c.c1, c.c2] for c in posted_outputs],
-        "proof": proof_to_text(serialize_proof(proof, params)),
+        "proof": proof_to_text(proof),
     })
     record("EA", "mix", {"ballots": n})
 

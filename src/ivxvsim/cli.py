@@ -54,9 +54,11 @@ def _load_config(path, flag_seed, refused=None) -> tuple[ElectionConfig, dict]:
     """The config at `path`; `refused` maps fields the command sets
     itself to the error for a config that sets one."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read config {str(path)!r}: {exc}") from None
     try:
         raw = json.loads(text)
     except JSON_ERRORS as exc:
@@ -166,9 +168,11 @@ def cmd_attack(args) -> int:
 
 def cmd_replay(args) -> int:
     try:
-        text = Path(args.transcript).read_text()
+        text = Path(args.transcript).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read transcript: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read transcript {args.transcript!r}: {exc}") from None
     try:
         transcript = ElectionTranscript.from_jsonl(text)
         recomputed, recorded = audit_transcript(transcript)

@@ -30,7 +30,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import mul
 
 # RFC 3526, 2048-bit MODP group. p is a safe prime, q = (p-1)/2 is prime,
 # and 2 has order exactly q (2^q = 1 mod p, checked in the test suite).
@@ -385,7 +384,7 @@ def multi_exp(params: GroupParams, bases, exponents) -> int:
     if not params.large:
         log, exp = _log_tables(p)
         try:
-            return exp[sum(map(mul, exponents, map(log.__getitem__, bases))) % (p - 1)]
+            return exp[sum([e * log[b] for e, b in zip(exponents, bases)]) % (p - 1)]
         except (IndexError, TypeError):     # a base the table does not hold
             return _pow_product(p, bases, exponents)
     q = params.q
@@ -456,7 +455,7 @@ def _tabled_holds(log, exp, bases, exponents, target) -> bool:
     as in `multi_exp`; a stacked entry by columns, each term adding to all
     rows' sums in one pass, and each row compared with its own target."""
     if isinstance(target, int):
-        return exp[sum(map(mul, exponents, map(log.__getitem__, bases))) % len(exp)] == target
+        return exp[sum([e * log[b] for e, b in zip(exponents, bases)]) % len(exp)] == target
     order, sums = len(exp), [0] * len(target)
     for b, e in zip(bases, exponents):
         es, bs = (repeat(x) if isinstance(x, int) else x for x in (e, b))

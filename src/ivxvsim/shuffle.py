@@ -26,10 +26,12 @@ together with others; `verify_shuffle` checks them alone.
 
 Every element and scalar is encoded at the byte length of p
 (`groups.encode`), and every challenge cut by `groups.hash_scalars`, as
-the batch weights are.  A proof (`PROOF_MAGIC`) is the magic, n and the
-repetition count, `security_rounds(q)` (4 bytes each), then each
-repetition's 5n + 9 values in `ProofRound` field order, so its header
-and the group fix its length.  The verifier hashes the bytes as posted.
+the batch weights are.  A proof is its bytes (`PROOF_MAGIC`): the magic,
+n and the repetition count, `security_rounds(q)` (4 bytes each), then
+each repetition's 5n + 9 values in the order perm_commits, chain, t1,
+t2, t3, t4a, t4b, t_hat, s_bar, s_dot, s_tld, s_r, s_hat, s', so its
+header and the group fix its length.  The prover posts the messages it
+hashed, and the verifier hashes the bytes as posted.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ PROOF_MAGIC = b"IVXVSHF4"
 
 _HEADER_LEN = len(PROOF_MAGIC) + 8   # magic, n, repetitions
 
-# The largest n that `deserialize_proof` reads.
+# The largest n that a proof's header may give (`_parse_proof`).
 MAX_PROOF_N = 2**20
 
 # Soundness target across repetitions, in bits (see `security_rounds`).
@@ -109,42 +111,6 @@ class ShuffleWitness:
             raise ValueError("perm is not a permutation of range(n)")
         if len(self.rands) != len(self.perm):
             raise ValueError("rands length must match perm length")
-
-
-@dataclass(frozen=True)
-class ProofRound:
-    perm_commits: tuple[int, ...]
-    chain_commits: tuple[int, ...]
-    t1: int
-    t2: int
-    t3: int
-    t4a: int
-    t4b: int
-    t_hat: tuple[int, ...]
-    s_bar: int
-    s_dot: int
-    s_tld: int
-    s_r: int
-    s_hat: tuple[int, ...]
-    s_prm: tuple[int, ...]
-
-    def values(self) -> tuple[int, ...]:
-        """All 5n + 9 values, in field order: the proof format's order."""
-        return (*self.perm_commits, *self.chain_commits, self.t1, self.t2, self.t3,
-                self.t4a, self.t4b, *self.t_hat, self.s_bar, self.s_dot, self.s_tld,
-                self.s_r, *self.s_hat, *self.s_prm)
-
-    @classmethod
-    def from_values(cls, v: tuple[int, ...], n: int) -> ProofRound:
-        """Inverse of `values` for a repetition of n ciphertexts."""
-        return cls(v[:n], v[n : 2 * n], *v[2 * n : 2 * n + 5], v[2 * n + 5 : 3 * n + 5],
-                   *v[3 * n + 5 : 3 * n + 9], v[3 * n + 9 : 4 * n + 9], v[4 * n + 9 :])
-
-
-@dataclass(frozen=True)
-class ShuffleProof:
-    n: int
-    rounds: tuple[ProofRound, ...]
 
 
 @lru_cache(maxsize=4)
@@ -238,9 +204,10 @@ def _check_witness(statement: ShuffleStatement, witness: ShuffleWitness) -> None
             raise BadWitness(f"output {i} is not a re-randomization of input {witness.perm[i]}")
 
 
-def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> ShuffleProof:
-    """Produce a proof accepted by verify_shuffle; O(n) exponentiations
-    per repetition, each a fixed-base power or a multi-exponentiation.
+def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> bytes:
+    """The bytes of a proof accepted by verify_shuffle (module docstring);
+    O(n) exponentiations per repetition, each a fixed-base power or a
+    multi-exponentiation.
 
     The repetitions run in three passes, as each challenge phase is
     hashed once for all of them: every first message, then every second
@@ -299,37 +266,33 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
                         multi_exp(params, (g, *out_a), (-w_r % q, *w_prm)),
                         multi_exp(params, (pk.h, *out_b), (-w_r % q, *w_prm)), t_hat))
         rho_dots.append(rho_dot)
-    gammas = _challenges(b"gamma", stmt_digest,
-                         [pb + encode((*chain, *ts, *t_hat), width)
-                          for pb, (chain, *ts, t_hat) in zip(perm_bytes, seconds)], params, 1)
+    messages = [pb + encode((*chain, *ts, *t_hat), width)
+                for pb, (chain, *ts, t_hat) in zip(perm_bytes, seconds)]
+    gammas = _challenges(b"gamma", stmt_digest, messages, params, 1)
 
-    rounds = []
+    # each repetition is posted as the messages gamma hashed, then its responses
+    proof = [PROOF_MAGIC, n.to_bytes(4, "big"), n_rounds.to_bytes(4, "big")]
     for k, (gamma,) in enumerate(gammas):
         rho, rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat, w_prm = draws[k]
-        chain, t1, t2, t3, t4a, t4b, t_hat = seconds[k]
         u_tld = u_tlds[k]
-        rounds.append(ProofRound(
-            perm_commits=tuple(commits[k]),
-            chain_commits=tuple(chain),
-            t1=t1, t2=t2, t3=t3, t4a=t4a, t4b=t4b, t_hat=tuple(t_hat),
-            s_bar=(w_bar + gamma * sum(rho)) % q,
-            s_dot=(w_dot + gamma * rho_dots[k]) % q,
-            s_tld=(w_tld + gamma * sum(map(mul, rho, us[k]))) % q,
-            s_r=(w_r + gamma * sum(map(mul, rands, u_tld))) % q,
-            s_hat=tuple([(w + gamma * r) % q for w, r in zip(w_hat, rho_hat)]),
+        proof += [messages[k], encode([
+            (w_bar + gamma * sum(rho)) % q,
+            (w_dot + gamma * rho_dots[k]) % q,
+            (w_tld + gamma * sum(map(mul, rho, us[k]))) % q,
+            (w_r + gamma * sum(map(mul, rands, u_tld))) % q,
+            *[(w + gamma * r) % q for w, r in zip(w_hat, rho_hat)],
             # an integer s'_i is below 2^385 < q, so this leaves it unreduced
-            s_prm=tuple([(w + gamma * u_i) % q for w, u_i in zip(w_prm, u_tld)]),
-        ))
-    return ShuffleProof(n=n, rounds=tuple(rounds))
+            *[(w + gamma * u_i) % q for w, u_i in zip(w_prm, u_tld)],
+        ], width)]
+    return b"".join(proof)
 
 
-def shuffle_equations(statement: ShuffleStatement, proof):
+def shuffle_equations(statement: ShuffleStatement, proof: bytes):
     """The equations a proof must satisfy, for `groups.products_equal`;
     None for a proof that does not parse, is for another n, has a scalar
-    out of range or holds a value outside the group.  Takes the proof's
-    bytes, or a ShuffleProof, serialized first, and hashes slices of the
-    bytes; every challenge is derived, and every element found in the
-    group, h included, before any equation is stated.
+    out of range or holds a value outside the group.  Hashes slices of
+    the proof's bytes; every challenge is derived, and every element
+    found in the group, h included, before any equation is stated.
 
     Each field is read by stride from the values decoded once, and each
     check stated once for the R repetitions (`groups.unstack`): t1, t2,
@@ -340,10 +303,8 @@ def shuffle_equations(statement: ShuffleStatement, proof):
     params = pk.params
     p, q, g = params.p, params.q, params.g
     try:
-        blob = (bytes(proof) if isinstance(proof, (bytes, bytearray))
-                else serialize_proof(proof, params))
-        n, values = _parse_proof(blob, params)
-    except (ValueError, OverflowError):     # OverflowError: a value wider than p
+        n, values = _parse_proof(proof, params)
+    except ValueError:
         return None
     if n != len(statement.inputs):
         return None
@@ -366,7 +327,7 @@ def shuffle_equations(statement: ShuffleStatement, proof):
         return None
     width = byte_width(p)
     sent = (3 * n + 5) * width                  # a repetition's messages
-    messages = [blob[i : i + sent] for i in range(_HEADER_LEN, len(blob), size * width)]
+    messages = [proof[i : i + sent] for i in range(_HEADER_LEN, len(proof), size * width)]
     stmt_digest = hashlib.sha256(statement.to_bytes()).digest()
     us = _challenges(b"u", stmt_digest, [m[: n * width] for m in messages], params, n)
     # a 128-bit challenge's powers stay short as negative exponents, which
@@ -412,18 +373,12 @@ def shuffle_equations(statement: ShuffleStatement, proof):
     return chain(equations, () if stacked else wide_rows(), [t_hats])
 
 
-def verify_shuffle(statement: ShuffleStatement, proof) -> bool:
+def verify_shuffle(statement: ShuffleStatement, proof: bytes) -> bool:
     """Check a proof against a statement: `shuffle_equations` checked by
     `groups.products_equal`.  Anything malformed is a reject, not an
     error."""
     equations = shuffle_equations(statement, proof)
     return equations is not None and products_equal(statement.pk.params, equations)
-
-
-def serialize_proof(proof: ShuffleProof, params: GroupParams) -> bytes:
-    """Every value at the byte length of params.p, after the header."""
-    header = PROOF_MAGIC + proof.n.to_bytes(4, "big") + len(proof.rounds).to_bytes(4, "big")
-    return header + encode([x for pr in proof.rounds for x in pr.values()], byte_width(params.p))
 
 
 def _parse_proof(blob: bytes, params: GroupParams) -> tuple[int, tuple[int, ...]]:
@@ -441,11 +396,3 @@ def _parse_proof(blob: bytes, params: GroupParams) -> tuple[int, tuple[int, ...]
     if len(blob) != _HEADER_LEN + n_rounds * (5 * n + 9) * width:
         raise ValueError("proof length does not match its header")
     return n, decode(blob[_HEADER_LEN:], width)
-
-
-def deserialize_proof(blob: bytes, params: GroupParams) -> ShuffleProof:
-    """Inverse of serialize_proof for the same group; raises ValueError on
-    any input `_parse_proof` refuses."""
-    n, values = _parse_proof(blob, params)
-    return ShuffleProof(n, tuple(ProofRound.from_values(tuple(values[i : i + 5 * n + 9]), n)
-                                 for i in range(0, len(values), 5 * n + 9)))

@@ -80,6 +80,14 @@ def test_policy_from_csv(tmp_path):
         ManipulationPolicy.from_csv(str(bad))
 
 
+def test_a_policy_csv_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"history,decision\n,M\nV\xff,H\n")
+    with pytest.raises(ValueError) as info:
+        ManipulationPolicy.from_csv(str(path))
+    assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_policy_from_spec(tmp_path):
     assert policy_from_spec("always") == ManipulationPolicy.always()
     assert policy_from_spec("never") == ManipulationPolicy.never()

@@ -146,6 +146,17 @@ def test_every_csv_row_error_names_the_file_and_line(tmp_path):
     assert str(info.value).startswith(f"{path}: probabilities sum to ")
 
 
+def test_a_csv_that_is_not_utf8_is_a_bad_distribution_naming_the_file(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes("pattern,probability\nV,0.5\nVC,0.5\n".encode() + b"\xff\n")
+    with pytest.raises(BadDistribution) as info:
+        load_distribution(str(path))
+    assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+    # UTF-8 text beyond ASCII reads, whatever the locale's encoding
+    path.write_text("pattern,probability,note\nV,1.0,\u00e9\u2028\n", encoding="utf-8")
+    assert load_distribution(str(path))["V"] == 1.0
+
+
 def test_load_distribution_accepts_mapping_and_pairs():
     m = load_distribution({"V": 0.5, "VC": 0.5})
     p = load_distribution([("V", 0.5), ("VC", 0.5)])

@@ -1,7 +1,6 @@
 """End-to-end election runs, the audit chain, and transcript replay."""
 
 import base64
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -38,6 +37,7 @@ from ivxvsim.functionalities import (
 )
 from ivxvsim.groups import UnknownPreset, setup
 from ivxvsim.seeding import Stream
+from proof_layout import repetitions, with_fields
 
 SID = "election-1"
 
@@ -511,11 +511,10 @@ def _replay_with(result, forge_proof=False, values=None, sk=None) -> AuditVerdic
     def edit(event):
         shuffled = board_entry(event, "shuffle")
         if forge_proof and shuffled is not None:
-            proof = shuffle.deserialize_proof(proof_from_text(shuffled["proof"]), params)
-            first = dataclasses.replace(proof.rounds[0],
-                                        s_bar=(proof.rounds[0].s_bar + 1) % params.q)
-            forged = dataclasses.replace(proof, rounds=(first, *proof.rounds[1:]))
-            shuffled["proof"] = proof_to_text(shuffle.serialize_proof(forged, params))
+            proof = proof_from_text(shuffled["proof"])
+            s_bar = repetitions(proof, params)[0]["s_bar"]
+            forged = with_fields(proof, params, s_bar=(s_bar + 1) % params.q)
+            shuffled["proof"] = proof_to_text(forged)
         if values is not None and board_entry(event, "plaintexts") is not None:
             event["payload"]["entry"]["values"] = values
         if values is not None and board_entry(event, "tally") is not None:
@@ -568,7 +567,7 @@ def _replayed(events) -> AuditVerdict:
 
 def _remix(result, pk, rng):
     """The run's mix inputs shuffled again under pk: the outputs and the
-    serialized proof, which verifies."""
+    proof's bytes, which verify."""
     params = pk.params
     inputs = [elgamal.Ciphertext(*c) for c in _posted(result, "shuffle")["inputs"]]
     perm = list(range(len(inputs)))
@@ -576,8 +575,7 @@ def _remix(result, pk, rng):
     rands = rng.scalars(params.q, len(inputs))
     outputs = [elgamal.rerandomize(pk, inputs[j], r) for j, r in zip(perm, rands)]
     statement = shuffle.ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
-    proof = shuffle.serialize_proof(
-        shuffle.prove_shuffle(statement, shuffle.ShuffleWitness(perm, rands), rng), params)
+    proof = shuffle.prove_shuffle(statement, shuffle.ShuffleWitness(perm, rands), rng)
     assert shuffle.verify_shuffle(statement, proof)
     return outputs, proof
 

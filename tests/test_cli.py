@@ -406,6 +406,17 @@ def test_unparsable_json_input_exits_one(tmp_path, capsys, command, probe):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, kind", [("run", "config"), ("replay", "transcript")])
+def test_input_that_is_not_utf8_names_the_file(tmp_path, capsys, command, kind):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"n_voters": 4, "sid": "\xff"}\n')
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {kind} {str(path)!r}: 'utf-8' codec can't decode "
+                          "byte 0xff in position 24")
+    assert err.count("\n") == 1
+
+
 def test_replay_missing_file(capsys):
     assert main(["replay", "/nonexistent/t.jsonl"]) == 1
     capsys.readouterr()

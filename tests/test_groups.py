@@ -677,6 +677,26 @@ def test_a_toy_stack_with_bases_outside_the_table_gives_pows_answer():
             assert not products_equal(params, [(bases, exponents, wrong)]), (shared, column, r)
 
 
+def test_a_long_toy_row_with_a_base_outside_the_table_gives_pows_answer():
+    # a row as long as the t3 of a toy n = 2000 proof, 4001 terms, with one
+    # base of 0 or of p or more, first or last: the log-table sum fails on
+    # it, and the row is left to the builtin pow
+    params = setup("toy", 2)
+    p = params.p
+    rng = random.Random("long-row-outside")
+    bases = [rng.randrange(1, p) for _ in range(4001)]
+    exponents = [rng.randrange(-30, 30) for _ in bases]
+    for outside in (0, p, 3 * p + 5):
+        for position in (0, len(bases) - 1):
+            row_bases, row_exponents = [*bases], [*exponents]
+            row_bases[position], row_exponents[position] = outside, rng.randrange(1, 30)
+            expected = _product_of_pows(params, row_bases, row_exponents)
+            assert multi_exp(params, row_bases, row_exponents) == expected, (outside, position)
+            assert products_equal(params, [(row_bases, row_exponents, expected)])
+            wrong = (expected + 1) % p
+            assert not products_equal(params, [(row_bases, row_exponents, wrong)])
+
+
 @pytest.mark.parametrize("preset", ["mid", "standard"])
 def test_a_large_group_weighs_the_rows_of_a_stack(preset, monkeypatch):
     params = setup(preset, 2)

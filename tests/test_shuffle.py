@@ -1,6 +1,5 @@
 """Shuffle argument: completeness, soundness, challenges, serialization."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -8,8 +7,6 @@ import random
 import pytest
 
 from ivxvsim import groups, shuffle
-from ivxvsim.ceremony import (AuditVerdict, ElectionConfig, ElectionTranscript, audit_transcript,
-                             run_election)
 from ivxvsim.elgamal import Ciphertext, decrypt, encrypt, keygen, rerandomize
 from ivxvsim.groups import (GroupParams, byte_width, encode, hash_scalars, products_equal, setup,
                             unstack)
@@ -18,17 +15,15 @@ from ivxvsim.shuffle import (
     FS_DOMAIN,
     PROOF_MAGIC,
     BadWitness,
-    ProofRound,
-    ShuffleProof,
     ShuffleStatement,
     ShuffleWitness,
-    deserialize_proof,
     prove_shuffle,
     security_rounds,
-    serialize_proof,
     shuffle_equations,
     verify_shuffle,
 )
+from proof_layout import (ELEMENT_FIELDS, FIELDS, HEADER_LEN, SCALAR_FIELDS, VECTORS, assemble,
+                          repetitions, with_fields)
 
 TOY = setup("toy", 8)
 
@@ -173,39 +168,50 @@ def test_proof_not_transferable_between_instances():
 
 
 def test_serialization_roundtrip():
+    # the prover's bytes, read into fields and written back, are the same
+    # bytes; a field changed and changed back is too
     rng = Stream(11, "test_shuffle")
-    pk, _ = keygen(TOY, rng)
-    stmt, wit = make_instance(rng, pk, 4)
-    proof = prove_shuffle(stmt, wit, rng)
-    blob = serialize_proof(proof, TOY)
-    back = deserialize_proof(blob, TOY)
-    assert back == proof
-    assert verify_shuffle(stmt, back)
-    assert verify_shuffle(stmt, blob)  # raw bytes accepted directly
+    for params in (TOY, setup("mid", 4)):
+        pk, _ = keygen(params, rng)
+        stmt, wit = make_instance(rng, pk, 4, params)
+        blob = prove_shuffle(stmt, wit, rng)
+        reps = repetitions(blob, params)
+        assert assemble(params, reps) == blob
+        last = len(reps) - 1
+        changed = with_fields(blob, params, last, s_r=(reps[last]["s_r"] + 1) % params.q)
+        assert changed != blob and not verify_shuffle(stmt, changed)
+        assert with_fields(changed, params, last, s_r=reps[last]["s_r"]) == blob
+        assert verify_shuffle(stmt, blob)
 
 
 def test_truncated_or_garbled_proof_rejects():
     rng = Stream(12, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 3)
-    blob = serialize_proof(prove_shuffle(stmt, wit, rng), TOY)
+    blob = prove_shuffle(stmt, wit, rng)
     assert not verify_shuffle(stmt, blob[: len(blob) // 2])
     assert not verify_shuffle(stmt, blob[:-1])
     assert not verify_shuffle(stmt, blob + b"\x00")
     assert not verify_shuffle(stmt, b"")
     assert not verify_shuffle(stmt, b"garbage bytes here")
     with pytest.raises(ValueError):
-        deserialize_proof(blob[:-1], TOY)
+        shuffle._parse_proof(blob[:-1], TOY)
 
 
 def test_wrong_round_count_rejects():
-    rng = Stream(13, "test_shuffle")
-    pk, _ = keygen(TOY, rng)
-    stmt, wit = make_instance(rng, pk, 3)
-    proof = prove_shuffle(stmt, wit, rng)
-    assert len(proof.rounds) == 20
-    short = ShuffleProof(n=proof.n, rounds=proof.rounds[:-1])
-    assert not verify_shuffle(stmt, short)
+    # each repetition whole and the header agreeing with the length: one
+    # repetition fewer than the group's, and one more, a copy of the last;
+    # in the toy group, 19 and 21, and in a large group, 0 and 2
+    for params in (TOY, setup("mid", 4)):
+        rng = Stream(13, "test_shuffle")
+        pk, _ = keygen(params, rng)
+        stmt, wit = make_instance(rng, pk, 3, params)
+        reps = repetitions(prove_shuffle(stmt, wit, rng), params)
+        assert len(reps) == security_rounds(params.q)
+        fewer = (assemble(params, reps[:-1]) if len(reps) > 1
+                 else PROOF_MAGIC + (3).to_bytes(4, "big") + bytes(4))
+        for blob in (fewer, assemble(params, reps + reps[-1:])):
+            assert not verify_shuffle(stmt, blob), len(blob)
 
 
 def test_wrong_size_rejects():
@@ -254,7 +260,7 @@ def test_standard_group_shuffle():
     pk, sk = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, 3, params)
     proof = prove_shuffle(stmt, wit, rng)
-    assert len(proof.rounds) == 1
+    assert len(repetitions(proof, params)) == 1
     assert verify_shuffle(stmt, proof)
     # multiset of plaintexts is preserved
     ins = sorted(decrypt(sk, c) for c in stmt.inputs)
@@ -267,10 +273,6 @@ def test_standard_group_shuffle():
 # membership, comb tables, multi-exponentiation); these reach it through
 # one n=2 proof.
 
-ELEMENT_FIELDS = ("perm_commits", "chain_commits", "t1", "t2", "t3", "t4a", "t4b", "t_hat")
-SCALAR_FIELDS = ("s_bar", "s_dot", "s_tld", "s_r", "s_hat", "s_prm")
-
-
 @pytest.fixture(scope="module")
 def standard_proof():
     params = setup("standard", 4)
@@ -282,13 +284,26 @@ def standard_proof():
     return stmt, proof
 
 
-def with_round(proof, **changes):
-    return ShuffleProof(n=proof.n, rounds=(dataclasses.replace(proof.rounds[0], **changes),))
+def with_round(stmt, proof, **changes):
+    """The proof with fields of its first repetition replaced."""
+    return with_fields(proof, stmt.pk.params, **changes)
 
 
 def test_field_lists_cover_the_proof_round():
-    assert {f.name for f in dataclasses.fields(ProofRound)} == {*ELEMENT_FIELDS, *SCALAR_FIELDS}
-    assert len(ELEMENT_FIELDS + SCALAR_FIELDS) == 14
+    # the tests' layout against the prover's bytes: 14 fields, 5n + 9
+    # values a repetition and the group's repetition count fill the proof
+    assert len(set(FIELDS)) == len(ELEMENT_FIELDS + SCALAR_FIELDS) == 14
+    assert VECTORS < set(FIELDS)
+    rng = Stream(11, "test_shuffle")
+    for params, n in ((TOY, 1), (TOY, 4), (MID, 2), (setup("standard", 4), 1)):
+        pk, _ = keygen(params, rng)
+        stmt, wit = make_instance(rng, pk, n, params)
+        blob = prove_shuffle(stmt, wit, rng)
+        reps = repetitions(blob, params)
+        assert sum(n if field in VECTORS else 1 for field in FIELDS) == 5 * n + 9
+        assert len(reps) == security_rounds(params.q)
+        assert len(blob) == HEADER_LEN + len(reps) * (5 * n + 9) * byte_width(params.p)
+        assert all(len(rep[field]) == n for rep in reps for field in VECTORS)
 
 
 @pytest.mark.parametrize("field,change", [(f, "plus-one") for f in ELEMENT_FIELDS + SCALAR_FIELDS]
@@ -304,9 +319,9 @@ def test_standard_group_rejects_each_changed_field(standard_proof, field, change
         bump = lambda x: (x + 1) % params.p
     else:
         bump = lambda x: x * params.g % params.p
-    value = getattr(proof.rounds[0], field)
+    value = repetitions(proof, params)[0][field]
     changed = (bump(value[0]), *value[1:]) if isinstance(value, tuple) else bump(value)
-    assert not verify_shuffle(stmt, with_round(proof, **{field: changed}))
+    assert not verify_shuffle(stmt, with_round(stmt, proof, **{field: changed}))
 
 
 def test_standard_group_rejects_non_residues(standard_proof):
@@ -315,9 +330,10 @@ def test_standard_group_rejects_non_residues(standard_proof):
     params = stmt.pk.params
     p = params.p
     assert p % 4 == 3
-    commits = proof.rounds[0].perm_commits
+    commits = repetitions(proof, params)[0]["perm_commits"]
     assert not params.is_element(p - commits[0])
-    assert not verify_shuffle(stmt, with_round(proof, perm_commits=(p - commits[0], *commits[1:])))
+    assert not verify_shuffle(stmt, with_round(stmt, proof,
+                                               perm_commits=(p - commits[0], *commits[1:])))
     first = stmt.inputs[0]
     assert not params.is_element(p - first.c2)
     bad = ShuffleStatement(pk=stmt.pk, inputs=(Ciphertext(first.c1, p - first.c2), *stmt.inputs[1:]),
@@ -356,8 +372,8 @@ def test_standard_group_shuffle_builds_tables_only_for_fixed_bases():
     assert len(groups._COMBS) <= 3
     # the t3 and t4b equations, each one product over 2n bases, still bind
     for field in ("t3", "t4b"):
-        changed = getattr(proof.rounds[0], field) * params.g % params.p
-        assert not verify_shuffle(stmt, with_round(proof, **{field: changed}))
+        changed = repetitions(proof, params)[0][field] * params.g % params.p
+        assert not verify_shuffle(stmt, with_round(stmt, proof, **{field: changed}))
 
 
 
@@ -373,14 +389,15 @@ def test_standard_group_rejects_changes_that_cancel_in_an_unweighted_product(sta
     params = stmt.pk.params
     p, q, g = params.p, params.q, params.g
     g_inverse = pow(g, -1, p)
-    pr = proof.rounds[0]
-    assert not verify_shuffle(stmt, with_round(proof, t1=pr.t1 * g % p, t2=pr.t2 * g_inverse % p))
-    t_hat = (pr.t_hat[0] * g % p, pr.t_hat[1] * g_inverse % p, *pr.t_hat[2:])
-    assert not verify_shuffle(stmt, with_round(proof, t_hat=t_hat))
-    assert not verify_shuffle(stmt, with_round(proof, s_bar=(pr.s_bar + 1) % q,
-                                               s_dot=(pr.s_dot - 1) % q))
-    s_hat = ((pr.s_hat[0] + 1) % q, (pr.s_hat[1] - 1) % q, *pr.s_hat[2:])
-    assert not verify_shuffle(stmt, with_round(proof, s_hat=s_hat))
+    rep = repetitions(proof, params)[0]
+    assert not verify_shuffle(stmt, with_round(stmt, proof, t1=rep["t1"] * g % p,
+                                               t2=rep["t2"] * g_inverse % p))
+    t_hat = (rep["t_hat"][0] * g % p, rep["t_hat"][1] * g_inverse % p, *rep["t_hat"][2:])
+    assert not verify_shuffle(stmt, with_round(stmt, proof, t_hat=t_hat))
+    assert not verify_shuffle(stmt, with_round(stmt, proof, s_bar=(rep["s_bar"] + 1) % q,
+                                               s_dot=(rep["s_dot"] - 1) % q))
+    s_hat = ((rep["s_hat"][0] + 1) % q, (rep["s_hat"][1] - 1) % q, *rep["s_hat"][2:])
+    assert not verify_shuffle(stmt, with_round(stmt, proof, s_hat=s_hat))
 
 
 def test_standard_group_verifier_is_one_weighted_product(monkeypatch):
@@ -417,10 +434,7 @@ def toy_blob(seed, n=3):
     rng = Stream(seed, "test_shuffle")
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, n)
-    return stmt, serialize_proof(prove_shuffle(stmt, wit, rng), TOY)
-
-
-HEADER_LEN = len(PROOF_MAGIC) + 8
+    return stmt, prove_shuffle(stmt, wit, rng)
 
 
 def with_header(blob, n=None, rounds=None):
@@ -442,12 +456,12 @@ def test_proof_length_is_fixed_by_header_and_group():
     stmt, blob = toy_blob(20, n=3)
     assert blob[: len(PROOF_MAGIC)] == b"IVXVSHF4"
     assert len(blob) == HEADER_LEN + 20 * (5 * 3 + 9) * 1
-    assert len(serialize_proof(deserialize_proof(blob, TOY), setup("standard", 8))) \
+    assert len(assemble(setup("standard", 8), repetitions(blob, TOY))) \
         == HEADER_LEN + 20 * (5 * 3 + 9) * 256
 
 
 def test_serialization_is_canonical():
-    # every blob that deserializes re-serializes to exactly the same bytes
+    # every blob that _parse_proof accepts re-encodes to exactly the same bytes
     stmt, blob = toy_blob(21)
     rng = random.Random(22)
     parsed = 0
@@ -455,14 +469,16 @@ def test_serialization_is_canonical():
         mutated = bytearray(blob)
         for _ in range(rng.randrange(1, 4)):
             mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+        mutated = bytes(mutated)
         try:
-            back = deserialize_proof(bytes(mutated), TOY)
+            n, values = shuffle._parse_proof(mutated, TOY)
         except ValueError:
             continue
         parsed += 1
-        assert serialize_proof(back, TOY) == bytes(mutated)
+        header = PROOF_MAGIC + n.to_bytes(4, "big") + mutated[HEADER_LEN - 4 : HEADER_LEN]
+        assert header + encode(values, byte_width(TOY.p)) == mutated
+        assert assemble(TOY, repetitions(mutated, TOY)) == mutated
     assert parsed > 100
-    assert serialize_proof(deserialize_proof(blob, TOY), TOY) == blob
 
 
 @pytest.mark.parametrize("edit", [
@@ -481,50 +497,15 @@ def test_serialization_is_canonical():
 def test_malformed_blob_raises_value_error(edit):
     stmt, blob = toy_blob(23)
     with pytest.raises(ValueError):
-        deserialize_proof(edit(blob), TOY)
+        shuffle._parse_proof(edit(blob), TOY)
     assert not verify_shuffle(stmt, edit(blob))
-
-
-@pytest.mark.parametrize("preset,bad", [("toy", -1), ("toy", 256), ("mid", -1),
-                                        ("mid", 2**392)])
-def test_a_value_that_does_not_fit_the_width_is_rejected_without_exception(preset, bad):
-    # a ShuffleProof is serialized before it is checked: a negative value,
-    # or one wider than p, has no encoding and states no equations
-    params = setup(preset, 4)
-    rng = Stream(40, "test_shuffle")
-    pk, _ = keygen(params, rng)
-    stmt, wit = make_instance(rng, pk, 2, params)
-    proof = prove_shuffle(stmt, wit, rng)
-    for field in ("perm_commits", "t1", "s_bar", "s_prm"):
-        value = getattr(proof.rounds[0], field)
-        changed = (bad, *value[1:]) if isinstance(value, tuple) else bad
-        tampered = ShuffleProof(proof.n, (dataclasses.replace(proof.rounds[0], **{field: changed}),
-                                          *proof.rounds[1:]))
-        assert shuffle_equations(stmt, tampered) is None, field
-        assert not verify_shuffle(stmt, tampered), field
-
-
-@pytest.mark.parametrize("preset", ["toy", "mid"])
-def test_a_proof_and_its_bytes_state_identical_equations(preset):
-    # the verifier hashes the posted bytes, not a re-encoding of decoded
-    # values; a ShuffleProof is serialized first, so both give one list
-    params = setup(preset, 4)
-    rng = Stream(37, "test_shuffle")
-    pk, _ = keygen(params, rng)
-    stmt, wit = make_instance(rng, pk, 3, params)
-    proof = prove_shuffle(stmt, wit, rng)
-    blob = serialize_proof(proof, params)
-    from_proof = list(shuffle_equations(stmt, proof))
-    assert len(list(unstack(from_proof))) == security_rounds(params.q) * (5 + 3)
-    assert from_proof == list(shuffle_equations(stmt, blob))
-    assert from_proof == list(shuffle_equations(stmt, bytearray(blob)))
 
 
 def test_v1_magic_rejected_without_exception():
     stmt, blob = toy_blob(25)
     assert not verify_shuffle(stmt, b"IVXVSHF1" + blob[len(PROOF_MAGIC) :])
     with pytest.raises(ValueError):
-        deserialize_proof(b"IVXVSHF1" + blob[len(PROOF_MAGIC) :], TOY)
+        shuffle._parse_proof(b"IVXVSHF1" + blob[len(PROOF_MAGIC) :], TOY)
 
 
 # ------------------------------------------------------ challenge vector
@@ -534,10 +515,10 @@ def gammas_of(digest, messages, params):
     return [gamma for (gamma,) in shuffle._challenges(b"gamma", digest, messages, params, 1)]
 
 
-def second_messages(proof):
+def second_messages(reps):
     """Each repetition's chain, t1..t4b and t_hat, as gamma hashes them."""
-    return [[*pr.chain_commits, pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat]
-            for pr in proof.rounds]
+    return [[*rep["chain_commits"], *(rep[t] for t in ("t1", "t2", "t3", "t4a", "t4b")),
+             *rep["t_hat"]] for rep in reps]
 
 
 def test_challenge_vector_binds_commitments_round_and_statement():
@@ -550,7 +531,7 @@ def test_challenge_vector_binds_commitments_round_and_statement():
     stmt, wit = make_instance(rng, pk, 9)
     other, _ = make_instance(rng, pk, 9)
     assert other.to_bytes() != stmt.to_bytes()
-    commits = [list(pr.perm_commits) for pr in prove_shuffle(stmt, wit, rng).rounds]
+    commits = [list(rep["perm_commits"]) for rep in repetitions(prove_shuffle(stmt, wit, rng), TOY)]
     digest = hashlib.sha256(stmt.to_bytes()).digest()
 
     def vectors(commits, digest=digest):
@@ -583,8 +564,9 @@ def test_gammas_bind_every_repetitions_messages():
     stmt, wit = make_instance(rng, pk, n)
     proof = prove_shuffle(stmt, wit, rng)
     digest = hashlib.sha256(stmt.to_bytes()).digest()
-    perm = [list(pr.perm_commits) for pr in proof.rounds]
-    rest = second_messages(proof)
+    reps = repetitions(proof, TOY)
+    perm = [list(rep["perm_commits"]) for rep in reps]
+    rest = second_messages(reps)
 
     def gammas(perm, rest):
         return gammas_of(digest, [encode(c + r, 1) for c, r in zip(perm, rest)], TOY)
@@ -618,7 +600,7 @@ def verifier_reading(stmt, rounds):
     regrouped by repetition: at this n, t1, t2, t3, t4a and t4b are R rows
     each, one per repetition, and then come the n t_hat of each repetition."""
     n, count = len(stmt.inputs), len(rounds)
-    equations = list(unstack(shuffle_equations(stmt, ShuffleProof(n=n, rounds=tuple(rounds)))))
+    equations = list(unstack(shuffle_equations(stmt, assemble(stmt.pk.params, rounds))))
     assert 2 * n + 1 <= count and len(equations) == count * (5 + n)
     reading = []
     for r in range(count):
@@ -662,7 +644,7 @@ def forge_by_repetition(stmt, rng, budget):
         for u_j in u:
             prod_u = prod_u * u_j % q
         outs_ins = lambda k: zip([ct[k] for ct in stmt.outputs + stmt.inputs], s_prm + neg_u)
-        return ProofRound(
+        return dict(
             perm_commits=tuple(perm_commits), chain_commits=tuple(chain),
             t1=product([(g, s_bar), (c_bar, -gamma)]),
             t2=product([(g, s_dot), (chain[-1], -gamma), (base, prod_u * gamma)]),
@@ -698,7 +680,7 @@ def forge_by_repetition(stmt, rng, budget):
                     else:
                         unsound += 1
                     break
-        proof = ShuffleProof(n=n, rounds=tuple(rounds))
+        proof = assemble(params, rounds)
         if verify_shuffle(stmt, proof):
             return proof, sound, unsound
     return None, sound, unsound
@@ -722,27 +704,6 @@ def test_a_repetition_by_repetition_forger_gets_no_proof_accepted():
 
 
 # ------------------------------------------ the verifier's stacked equations
-
-def test_a_toy_audit_and_verify_shuffle_build_no_proof_round(monkeypatch):
-    # the verifier reads each field of every repetition by stride from the
-    # decoded proof; only deserialize_proof builds ProofRound objects
-    config = ElectionConfig(n_voters=3, n_trustees=3, threshold=2, candidate_bound=3, seed=5)
-    stored = ElectionTranscript.from_jsonl(run_election(config).transcript.to_jsonl())
-    rng = Stream(51, "test_shuffle")
-    pk, _ = keygen(TOY, rng)
-    stmt, wit = make_instance(rng, pk, 2)
-    proof = prove_shuffle(stmt, wit, rng)
-    blob = serialize_proof(proof, TOY)
-
-    def refuse(cls, values, n):
-        raise AssertionError("a ProofRound was built")
-
-    monkeypatch.setattr(ProofRound, "from_values", classmethod(refuse))
-    with pytest.raises(AssertionError, match="ProofRound"):
-        deserialize_proof(blob, TOY)
-    assert audit_transcript(stored)[0] == AuditVerdict(True, None)
-    assert verify_shuffle(stmt, proof) and verify_shuffle(stmt, blob)
-
 
 @pytest.mark.parametrize("n, entries", [(2, 6), (9, 6), (10, 3 + 3 * 20), (20, 3 + 3 * 20)])
 def test_a_toy_proof_reaches_products_equal_as_stacked_entries(n, entries, monkeypatch):
@@ -771,9 +732,10 @@ def test_a_standard_proof_unstacks_to_its_rows_in_order():
     pk, _ = keygen(params, rng)
     stmt, wit = make_instance(rng, pk, 3, params)
     proof = prove_shuffle(stmt, wit, rng)
-    (pr,) = proof.rounds
+    (rep,) = repetitions(proof, params)
     rows = list(unstack(shuffle_equations(stmt, proof)))
-    assert [t for _, _, t in rows] == [pr.t1, pr.t2, pr.t3, pr.t4a, pr.t4b, *pr.t_hat]
+    assert [t for _, _, t in rows] == [*(rep[t] for t in ("t1", "t2", "t3", "t4a", "t4b")),
+                                       *rep["t_hat"]]
     assert [len(b) for b, _, _ in rows] == [2, 3, 7, 7, 7, 3, 3, 3]
     assert [b[0] for b, _, _ in rows[2:5]] == [params.g, params.g, pk.h]
     assert products_equal(params, rows)
@@ -806,7 +768,7 @@ def test_hashing_is_linear_in_n(monkeypatch):
         monkeypatch.setattr(shuffle, "hashlib", counter)
         monkeypatch.setattr(groups, "hashlib", counter)
         proof = prove_shuffle(stmt, wit, rng)
-        assert verify_shuffle(stmt, serialize_proof(proof, TOY))
+        assert verify_shuffle(stmt, proof)
         monkeypatch.undo()
         counted[n] = counter.bytes
     assert counted[200] > 0
@@ -910,7 +872,7 @@ def test_v2_magic_proof_is_rejected_without_exception():
         old = magic + blob[len(PROOF_MAGIC) :]
         assert not verify_shuffle(stmt, old)
         with pytest.raises(ValueError):
-            deserialize_proof(old, TOY)
+            shuffle._parse_proof(old, TOY)
 
 
 def test_replay_of_a_v2_magic_proof_is_a_shuffle_proof_verdict():
@@ -1006,9 +968,8 @@ def mid_proof():
     pk, _ = keygen(MID, rng)
     stmt, wit = make_instance(rng, pk, 3, MID)
     proof = prove_shuffle(stmt, wit, rng)
-    assert len(proof.rounds) == 1
+    assert len(repetitions(proof, MID)) == 1
     assert verify_shuffle(stmt, proof)
-    assert verify_shuffle(stmt, serialize_proof(proof, MID))
     return stmt, proof
 
 
@@ -1024,12 +985,12 @@ def test_mid_group_rejects_each_changed_field(mid_proof, field):
     # times g, which keeps them in the group
     stmt, proof = mid_proof
     p, q, g = MID.p, MID.q, MID.g
-    value = getattr(proof.rounds[0], field)
+    value = repetitions(proof, MID)[0][field]
     bumps = [lambda x: (x + 1) % q] if field in SCALAR_FIELDS \
         else [lambda x: (x + 1) % p, lambda x: x * g % p]
     for index in range(len(value) if isinstance(value, tuple) else 1):
         for bump in bumps:
-            changed = with_round(proof, **{field: changed_at(value, index, bump)})
+            changed = with_round(stmt, proof, **{field: changed_at(value, index, bump)})
             assert not verify_shuffle(stmt, changed), (field, index)
 
 
@@ -1037,11 +998,10 @@ def test_mid_group_rejects_non_residues(mid_proof):
     stmt, proof = mid_proof
     p = MID.p
     assert p % 4 == 3   # -1 is a non-residue, so p - x is one for every residue x
-    pr = proof.rounds[0]
+    rep = repetitions(proof, MID)[0]
     for field in ELEMENT_FIELDS:
-        value = getattr(pr, field)
-        changed = changed_at(value, 0, lambda x: p - x)
-        assert not verify_shuffle(stmt, with_round(proof, **{field: changed})), field
+        changed = changed_at(rep[field], 0, lambda x: p - x)
+        assert not verify_shuffle(stmt, with_round(stmt, proof, **{field: changed})), field
     first = stmt.inputs[0]
     bad = ShuffleStatement(pk=stmt.pk, inputs=(Ciphertext(p - first.c1, first.c2), *stmt.inputs[1:]),
                            outputs=stmt.outputs)
@@ -1051,11 +1011,11 @@ def test_mid_group_rejects_non_residues(mid_proof):
 def test_mid_group_rejects_changes_that_cancel_in_an_unweighted_product(mid_proof):
     stmt, proof = mid_proof
     q = MID.q
-    pr = proof.rounds[0]
-    assert not verify_shuffle(stmt, with_round(proof, s_bar=(pr.s_bar + 1) % q,
-                                               s_dot=(pr.s_dot - 1) % q))
-    s_hat = ((pr.s_hat[0] + 1) % q, (pr.s_hat[1] - 1) % q, *pr.s_hat[2:])
-    assert not verify_shuffle(stmt, with_round(proof, s_hat=s_hat))
+    rep = repetitions(proof, MID)[0]
+    assert not verify_shuffle(stmt, with_round(stmt, proof, s_bar=(rep["s_bar"] + 1) % q,
+                                               s_dot=(rep["s_dot"] - 1) % q))
+    s_hat = ((rep["s_hat"][0] + 1) % q, (rep["s_hat"][1] - 1) % q, *rep["s_hat"][2:])
+    assert not verify_shuffle(stmt, with_round(stmt, proof, s_hat=s_hat))
 
 
 def test_mid_group_soundness_against_tampered_statements():
@@ -1100,17 +1060,17 @@ def test_mid_group_rejects_a_shuffle_with_one_component_off(monkeypatch, compone
 # In a large group (q longer than 385 bits), each w'_i is a 384-bit integer
 # and each s'_i = w'_i + gamma * u~_i is posted unreduced, below 2^385.
 
-def _assert_s_prm_are_integers_below_2_385(proof):
-    for s in proof.rounds[0].s_prm:
+def _assert_s_prm_are_integers_below_2_385(stmt, proof):
+    for s in repetitions(proof, stmt.pk.params)[0]["s_prm"]:
         assert 2**256 < s < 2**385
 
 
 def test_standard_group_s_prm_are_integers_below_2_385(standard_proof):
-    _assert_s_prm_are_integers_below_2_385(standard_proof[1])
+    _assert_s_prm_are_integers_below_2_385(*standard_proof)
 
 
 def test_mid_group_s_prm_are_integers_below_2_385(mid_proof):
-    _assert_s_prm_are_integers_below_2_385(mid_proof[1])
+    _assert_s_prm_are_integers_below_2_385(*mid_proof)
 
 
 def test_s_prm_are_scalars_mod_q_in_the_toy_group():
@@ -1118,16 +1078,20 @@ def test_s_prm_are_scalars_mod_q_in_the_toy_group():
     pk, _ = keygen(TOY, rng)
     stmt, wit = make_instance(rng, pk, 3)
     toy = prove_shuffle(stmt, wit, rng)
-    assert all(0 <= s < TOY.q for pr in toy.rounds for s in pr.s_prm)
+    assert all(0 <= s < TOY.q for rep in repetitions(toy, TOY) for s in rep["s_prm"])
 
 
 def _assert_rejects_s_prm_out_of_range(stmt, proof, change):
-    q = stmt.pk.params.q
-    s_prm = proof.rounds[0].s_prm
-    bad = {"2^385": 2**385, "q-1": q - 1, "plus-q": s_prm[0] + q}[change]
-    changed = with_round(proof, s_prm=(bad, *s_prm[1:]))
-    assert not verify_shuffle(stmt, changed)
-    assert not verify_shuffle(stmt, serialize_proof(changed, stmt.pk.params))
+    params = stmt.pk.params
+    s_prm = repetitions(proof, params)[0]["s_prm"]
+    bad = {"2^385": 2**385, "q-1": params.q - 1, "plus-q": s_prm[0] + params.q, "255": 255}[change]
+    assert not verify_shuffle(stmt, with_round(stmt, proof, s_prm=(bad, *s_prm[1:])))
+
+
+@pytest.mark.parametrize("change", ["plus-q", "255"])
+def test_toy_group_rejects_s_prm_out_of_range(change):
+    # s'_0 + q states the same equations mod q: only the range check rejects it
+    _assert_rejects_s_prm_out_of_range(*toy_blob(40, n=2), change)
 
 
 @pytest.mark.parametrize("change", ["2^385", "q-1", "plus-q"])
@@ -1246,31 +1210,31 @@ def test_toy_prover_draws_its_scalars_in_the_per_round_order():
     n = 5
     stmt, wit = make_instance(rng, pk, n)
     prover, loop = Stream(0, "draw-order"), Stream(0, "draw-order")
-    proof = prove_shuffle(stmt, wit, prover)
+    reps = repetitions(prove_shuffle(stmt, wit, prover), TOY)
     p, q, g = TOY.p, TOY.q, TOY.g
     pool = iter(loop.scalars(q, security_rounds(q) * (4 * n + 4)))
     draw = lambda count: [next(pool) for _ in range(count)]
     stmt_digest = hashlib.sha256(stmt.to_bytes()).digest()
     _, gens, _ = shuffle._generators(p, q, g, n)
     width = byte_width(p)
-    perm_bytes = [encode(pr.perm_commits, width) for pr in proof.rounds]
+    perm_bytes = [encode(rep["perm_commits"], width) for rep in reps]
     us = shuffle._challenges(b"u", stmt_digest, perm_bytes, TOY, n)
     gammas = gammas_of(stmt_digest, [pb + encode(r, width)
-                                     for pb, r in zip(perm_bytes, second_messages(proof))], TOY)
-    for pr, u, gamma in zip(proof.rounds, us, gammas):
+                                     for pb, r in zip(perm_bytes, second_messages(reps))], TOY)
+    for rep, u, gamma in zip(reps, us, gammas):
         rho, rho_hat = draw(n), draw(n)
         w_bar, w_dot, w_tld, w_r = draw(4)
         w_hat, w_prm = draw(n), draw(n)
-        assert pr.perm_commits == tuple(
+        assert rep["perm_commits"] == tuple(
             pow(g, rho[j], p) * gens[wit.perm.index(j)] % p for j in range(n))
-        assert (pr.t1, pr.t2) == (pow(g, w_bar, p), pow(g, w_dot, p))
+        assert (rep["t1"], rep["t2"]) == (pow(g, w_bar, p), pow(g, w_dot, p))
         u_tld = [u[j] for j in wit.perm]
-        assert pr.s_bar == (w_bar + gamma * sum(rho)) % q
+        assert rep["s_bar"] == (w_bar + gamma * sum(rho)) % q
         rho_tld = sum(r * u_j for r, u_j in zip(rho, u))
         r_tld = sum(r * u_j for r, u_j in zip(wit.rands, u_tld))
-        assert pr.s_tld == (w_tld + gamma * rho_tld) % q
-        assert pr.s_r == (w_r + gamma * r_tld) % q
-        assert pr.s_hat == tuple((w + gamma * r) % q for w, r in zip(w_hat, rho_hat))
-        assert pr.s_prm == tuple((w + gamma * u_j) % q for w, u_j in zip(w_prm, u_tld))
-    assert len(proof.rounds) == security_rounds(q)
+        assert rep["s_tld"] == (w_tld + gamma * rho_tld) % q
+        assert rep["s_r"] == (w_r + gamma * r_tld) % q
+        assert rep["s_hat"] == tuple((w + gamma * r) % q for w, r in zip(w_hat, rho_hat))
+        assert rep["s_prm"] == tuple((w + gamma * u_j) % q for w, u_j in zip(w_prm, u_tld))
+    assert len(reps) == security_rounds(q)
     assert prover.bits(64) == loop.bits(64)
