@@ -55,9 +55,7 @@ def _load_config(path, flag_seed, refused=None) -> tuple[ElectionConfig, dict]:
     itself to the error for a config that sets one."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read config: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {str(path)!r}: {exc}") from None
     try:
         raw = json.loads(text)
@@ -169,10 +167,8 @@ def cmd_attack(args) -> int:
 def cmd_replay(args) -> int:
     try:
         text = Path(args.transcript).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read transcript: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read transcript {args.transcript!r}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read transcript {str(args.transcript)!r}: {exc}") from None
     try:
         transcript = ElectionTranscript.from_jsonl(text)
         recomputed, recorded = audit_transcript(transcript)

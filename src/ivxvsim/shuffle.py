@@ -271,11 +271,11 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
     gammas = _challenges(b"gamma", stmt_digest, messages, params, 1)
 
     # each repetition is posted as the messages gamma hashed, then its responses
-    proof = [PROOF_MAGIC, n.to_bytes(4, "big"), n_rounds.to_bytes(4, "big")]
+    posted = []
     for k, (gamma,) in enumerate(gammas):
         rho, rho_hat, (w_bar, w_dot, w_tld, w_r), w_hat, w_prm = draws[k]
         u_tld = u_tlds[k]
-        proof += [messages[k], encode([
+        posted += [messages[k], encode([
             (w_bar + gamma * sum(rho)) % q,
             (w_dot + gamma * rho_dots[k]) % q,
             (w_tld + gamma * sum(map(mul, rho, us[k]))) % q,
@@ -284,7 +284,15 @@ def prove_shuffle(statement: ShuffleStatement, witness: ShuffleWitness, rng) -> 
             # an integer s'_i is below 2^385 < q, so this leaves it unreduced
             *[(w + gamma * u_i) % q for w, u_i in zip(w_prm, u_tld)],
         ], width)]
-    return b"".join(proof)
+    return serialize_proof(n, n_rounds, posted)
+
+
+def serialize_proof(n: int, n_rounds: int, posted) -> bytes:
+    """A proof as posted: the header (magic, n, repetition count), then
+    the repetitions' bytes in `posted`.  The one writer of the format,
+    whose reader is `_parse_proof`."""
+    header = [PROOF_MAGIC, n.to_bytes(4, "big"), n_rounds.to_bytes(4, "big")]
+    return b"".join(header + posted)
 
 
 def shuffle_equations(statement: ShuffleStatement, proof: bytes):

@@ -284,11 +284,6 @@ def standard_proof():
     return stmt, proof
 
 
-def with_round(stmt, proof, **changes):
-    """The proof with fields of its first repetition replaced."""
-    return with_fields(proof, stmt.pk.params, **changes)
-
-
 def test_field_lists_cover_the_proof_round():
     # the tests' layout against the prover's bytes: 14 fields, 5n + 9
     # values a repetition and the group's repetition count fill the proof
@@ -321,7 +316,7 @@ def test_standard_group_rejects_each_changed_field(standard_proof, field, change
         bump = lambda x: x * params.g % params.p
     value = repetitions(proof, params)[0][field]
     changed = (bump(value[0]), *value[1:]) if isinstance(value, tuple) else bump(value)
-    assert not verify_shuffle(stmt, with_round(stmt, proof, **{field: changed}))
+    assert not verify_shuffle(stmt, with_fields(proof, params, **{field: changed}))
 
 
 def test_standard_group_rejects_non_residues(standard_proof):
@@ -332,8 +327,8 @@ def test_standard_group_rejects_non_residues(standard_proof):
     assert p % 4 == 3
     commits = repetitions(proof, params)[0]["perm_commits"]
     assert not params.is_element(p - commits[0])
-    assert not verify_shuffle(stmt, with_round(stmt, proof,
-                                               perm_commits=(p - commits[0], *commits[1:])))
+    assert not verify_shuffle(stmt, with_fields(proof, params,
+                                                perm_commits=(p - commits[0], *commits[1:])))
     first = stmt.inputs[0]
     assert not params.is_element(p - first.c2)
     bad = ShuffleStatement(pk=stmt.pk, inputs=(Ciphertext(first.c1, p - first.c2), *stmt.inputs[1:]),
@@ -373,7 +368,7 @@ def test_standard_group_shuffle_builds_tables_only_for_fixed_bases():
     # the t3 and t4b equations, each one product over 2n bases, still bind
     for field in ("t3", "t4b"):
         changed = repetitions(proof, params)[0][field] * params.g % params.p
-        assert not verify_shuffle(stmt, with_round(stmt, proof, **{field: changed}))
+        assert not verify_shuffle(stmt, with_fields(proof, params, **{field: changed}))
 
 
 
@@ -390,14 +385,14 @@ def test_standard_group_rejects_changes_that_cancel_in_an_unweighted_product(sta
     p, q, g = params.p, params.q, params.g
     g_inverse = pow(g, -1, p)
     rep = repetitions(proof, params)[0]
-    assert not verify_shuffle(stmt, with_round(stmt, proof, t1=rep["t1"] * g % p,
-                                               t2=rep["t2"] * g_inverse % p))
+    assert not verify_shuffle(stmt, with_fields(proof, params, t1=rep["t1"] * g % p,
+                                                t2=rep["t2"] * g_inverse % p))
     t_hat = (rep["t_hat"][0] * g % p, rep["t_hat"][1] * g_inverse % p, *rep["t_hat"][2:])
-    assert not verify_shuffle(stmt, with_round(stmt, proof, t_hat=t_hat))
-    assert not verify_shuffle(stmt, with_round(stmt, proof, s_bar=(rep["s_bar"] + 1) % q,
-                                               s_dot=(rep["s_dot"] - 1) % q))
+    assert not verify_shuffle(stmt, with_fields(proof, params, t_hat=t_hat))
+    assert not verify_shuffle(stmt, with_fields(proof, params, s_bar=(rep["s_bar"] + 1) % q,
+                                                s_dot=(rep["s_dot"] - 1) % q))
     s_hat = ((rep["s_hat"][0] + 1) % q, (rep["s_hat"][1] - 1) % q, *rep["s_hat"][2:])
-    assert not verify_shuffle(stmt, with_round(stmt, proof, s_hat=s_hat))
+    assert not verify_shuffle(stmt, with_fields(proof, params, s_hat=s_hat))
 
 
 def test_standard_group_verifier_is_one_weighted_product(monkeypatch):
@@ -990,7 +985,7 @@ def test_mid_group_rejects_each_changed_field(mid_proof, field):
         else [lambda x: (x + 1) % p, lambda x: x * g % p]
     for index in range(len(value) if isinstance(value, tuple) else 1):
         for bump in bumps:
-            changed = with_round(stmt, proof, **{field: changed_at(value, index, bump)})
+            changed = with_fields(proof, MID, **{field: changed_at(value, index, bump)})
             assert not verify_shuffle(stmt, changed), (field, index)
 
 
@@ -1001,7 +996,7 @@ def test_mid_group_rejects_non_residues(mid_proof):
     rep = repetitions(proof, MID)[0]
     for field in ELEMENT_FIELDS:
         changed = changed_at(rep[field], 0, lambda x: p - x)
-        assert not verify_shuffle(stmt, with_round(stmt, proof, **{field: changed})), field
+        assert not verify_shuffle(stmt, with_fields(proof, MID, **{field: changed})), field
     first = stmt.inputs[0]
     bad = ShuffleStatement(pk=stmt.pk, inputs=(Ciphertext(p - first.c1, first.c2), *stmt.inputs[1:]),
                            outputs=stmt.outputs)
@@ -1012,10 +1007,10 @@ def test_mid_group_rejects_changes_that_cancel_in_an_unweighted_product(mid_proo
     stmt, proof = mid_proof
     q = MID.q
     rep = repetitions(proof, MID)[0]
-    assert not verify_shuffle(stmt, with_round(stmt, proof, s_bar=(rep["s_bar"] + 1) % q,
-                                               s_dot=(rep["s_dot"] - 1) % q))
+    assert not verify_shuffle(stmt, with_fields(proof, MID, s_bar=(rep["s_bar"] + 1) % q,
+                                                s_dot=(rep["s_dot"] - 1) % q))
     s_hat = ((rep["s_hat"][0] + 1) % q, (rep["s_hat"][1] - 1) % q, *rep["s_hat"][2:])
-    assert not verify_shuffle(stmt, with_round(stmt, proof, s_hat=s_hat))
+    assert not verify_shuffle(stmt, with_fields(proof, MID, s_hat=s_hat))
 
 
 def test_mid_group_soundness_against_tampered_statements():
@@ -1085,7 +1080,7 @@ def _assert_rejects_s_prm_out_of_range(stmt, proof, change):
     params = stmt.pk.params
     s_prm = repetitions(proof, params)[0]["s_prm"]
     bad = {"2^385": 2**385, "q-1": params.q - 1, "plus-q": s_prm[0] + params.q, "255": 255}[change]
-    assert not verify_shuffle(stmt, with_round(stmt, proof, s_prm=(bad, *s_prm[1:])))
+    assert not verify_shuffle(stmt, with_fields(proof, params, s_prm=(bad, *s_prm[1:])))
 
 
 @pytest.mark.parametrize("change", ["plus-q", "255"])
