@@ -101,8 +101,9 @@ class ElectionConfig:
     distribution: Optional[BehaviorDistribution] = _typed(  # None = shipped default
         lambda v: isinstance(v, BehaviorDistribution), None)
     corrupted: tuple = _typed(_is_int_seq, ())  # voter ids with a corrupted casting device
-    # decide(history) -> bool, for corrupted devices
-    policy: object = _typed(lambda v: hasattr(v, "decide"), None)
+    # for corrupted devices: decide(history) -> bool, and describe(), the
+    # JSON value the manifest records for it
+    policy: object = _typed(lambda v: hasattr(v, "decide") and hasattr(v, "describe"), None)
     manipulation_offset: int = _typed(_is_int, 1)
     intents: Optional[tuple] = _typed(_is_int_seq, None)  # None = drawn from the seed
     # per-voter forced scripts, else sampled
@@ -304,15 +305,12 @@ def run_election(config: ElectionConfig) -> ElectionResult:
         intents = tuple(rng_for(seed, "intents").scalars(config.candidate_bound, n))
 
     policy = config.policy
-    policy_desc = None
-    if policy is not None:
-        policy_desc = policy.describe() if hasattr(policy, "describe") else str(policy)
     # every config field, with the JSON form of those that are not JSON values
     manifest = {field.name: getattr(config, field.name) for field in fields(config)}
     manifest.update(
         version=TOOL_VERSION,
         corrupted=list(config.corrupted),
-        policy=policy_desc,
+        policy=None if policy is None else policy.describe(),
         distribution=[[pat, prob] for pat, prob in dist.items()],
         intents=list(intents),
         scripts={str(v): s for v, s in (config.scripts or {}).items()},
@@ -503,57 +501,62 @@ def _material(transcript: ElectionTranscript, kind: str) -> dict:
 
 
 def _audit(transcript: ElectionTranscript) -> AuditVerdict:
-    """The auditor's checks over a transcript's events, in fixed order;
-    the first failure names the verdict's reason.  Raises ReplayError,
-    naming the field, when the transcript lacks the pieces the audit
-    needs or one of them has the wrong type or shape."""
+    """The auditor's verdict: valid, or invalid with the reason of the
+    first check that fails, in this order: one key, posted before the
+    first ballot (`key`); every ballot certified (`bad-signature`); a
+    shuffle posted (`shuffle-proof`) whose inputs are each voter's last
+    ballot (`last-ballot-mismatch`), with one output per voter and a
+    proof that parses (`shuffle-proof`); the shuffle's and plaintexts'
+    equations as one product, else the shuffle alone (`shuffle-proof`,
+    then `decryption`); the tally (`tally`); no complaint (`complaint`).
+    Raises ReplayError, naming the field, when the transcript lacks the
+    pieces the audit needs or one of them has the wrong type or shape."""
     man = transcript.manifest
     _check_fields(man, _MANIFEST_FIELDS, "manifest")
     try:
         params = setup(man["group_preset"], man["candidate_bound"])
     except ValueError as exc:   # unknown preset, or a bound the group cannot encode
         raise ReplayError(f"manifest group_preset/candidate_bound: {exc}") from None
-    sid, n_voters = man["sid"], man["n_voters"]
-
     posts = _replay_board(transcript)
+    if not any(e["kind"] == "pubkey" for board, e in posts if board == "pub"):
+        raise ReplayError("no public key on the recorded board")
+    registry = CertRegistry.from_dump(man["sid"], _material(transcript, "registry-dump")["rows"])
+    sk_value = _material(transcript, "election-key")["sk"]
+
+    steps = _audit_steps(transcript, params, posts, registry, sk_value)
+    failed = next((reason for reason, holds in steps if not holds), None)
+    return AuditVerdict(failed is None, failed)
+
+
+def _audit_steps(transcript: ElectionTranscript, params, posts, registry, sk_value):
+    """`_audit`'s checks as (reason, holds), in its order; a step is
+    computed only when the caller asks for it, after those before it held."""
+    sid, n_voters = transcript.manifest["sid"], transcript.manifest["n_voters"]
     pub_entries = [e for board, e in posts if board == "pub"]
     priv_entries = [e for board, e in posts if board == "priv"]
     keys = [e for e in pub_entries if e["kind"] == "pubkey"]
-    if not keys:
-        raise ReplayError("no public key on the recorded board")
-    registry = CertRegistry.from_dump(sid, _material(transcript, "registry-dump")["rows"])
-    sk_value = _material(transcript, "election-key")["sk"]
-
     # the ballots are cast under one key, posted before the first of them
     first = next(e["kind"] for board, e in posts
                  if (board, e["kind"]) in (("pub", "pubkey"), ("priv", "ballot")))
-    if len(keys) > 1 or first != "pubkey":
-        return AuditVerdict(False, "key")
+    yield "key", len(keys) == 1 and first == "pubkey"
     pk = PublicKey(params, keys[0]["h"])
 
     ballots = [e for e in priv_entries if e["kind"] == "ballot"]
     for e in ballots:
         ct = Ciphertext(*e["c"])
-        if not registry.verify(sid, tuple(e["ssid"]), cipher_bytes(ct), e["sigma"]):
-            return AuditVerdict(False, "bad-signature")
+        yield "bad-signature", registry.verify(sid, tuple(e["ssid"]), cipher_bytes(ct), e["sigma"])
 
     shuffle_entry = latest_entry(priv_entries, "shuffle")
-    if shuffle_entry is None:
-        return AuditVerdict(False, "shuffle-proof")
-
+    yield "shuffle-proof", shuffle_entry is not None
     inputs, outputs = shuffle_entry["inputs"], shuffle_entry["outputs"]
-    if len(inputs) != n_voters or last_ballots(ballots, n_voters) != inputs:
-        return AuditVerdict(False, "last-ballot-mismatch")
-
-    if len(outputs) != n_voters:
-        return AuditVerdict(False, "shuffle-proof")
+    yield "last-ballot-mismatch", (len(inputs) == n_voters
+                                   and last_ballots(ballots, n_voters) == inputs)
+    yield "shuffle-proof", len(outputs) == n_voters
     statement = ShuffleStatement(pk=pk, inputs=inputs, outputs=outputs)
     proof_blob = proof_from_text(shuffle_entry["proof"])
-    if proof_blob is None:
-        return AuditVerdict(False, "shuffle-proof")
+    yield "shuffle-proof", proof_blob is not None
     equations = shuffle_equations(statement, proof_blob)
-    if equations is None:
-        return AuditVerdict(False, "shuffle-proof")
+    yield "shuffle-proof", equations is not None
 
     # shuffle_equations has found h and every output in the group.  The
     # shuffle's and the plaintexts' equations are checked as one weighted
@@ -562,25 +565,20 @@ def _audit(transcript: ElectionTranscript) -> AuditVerdict:
     posted = latest_entry(pub_entries, "plaintexts")
     plain = None if posted is None else plaintext_equations(
         SecretKey(params, sk_value), pk.h, outputs, posted["values"])
-    if plain is None or not products_equal(params, chain(equations, plain)):
-        if not verify_shuffle(statement, proof_blob):
-            return AuditVerdict(False, "shuffle-proof")
-        return AuditVerdict(False, "decryption")
+    product_holds = plain is not None and products_equal(params, chain(equations, plain))
+    yield "shuffle-proof", product_holds or verify_shuffle(statement, proof_blob)
+    yield "decryption", product_holds
+
     tally = latest_entry(pub_entries, "tally")
     counts = tally_alg(posted["values"], params.candidate_bound)
-    if tally is None or tally["counts"] != {str(c): v for c, v in counts.items()}:
-        return AuditVerdict(False, "tally")
-    if transcript.events_of("complaint"):
-        return AuditVerdict(False, "complaint")
-    return AuditVerdict(True, None)
+    yield "tally", tally is not None and tally["counts"] == {str(c): v for c, v in counts.items()}
+    yield "complaint", not transcript.events_of("complaint")
 
 
 def audit_transcript(transcript: ElectionTranscript):
-    """Re-run the audit from a stored transcript.
-
-    Returns (recomputed verdict, recorded verdict); raises ReplayError,
-    naming the field, when the transcript lacks the pieces the audit
-    needs or one of them has the wrong type or shape."""
+    """Re-run `_audit` on a stored transcript.  Returns (recomputed
+    verdict, recorded verdict); raises ReplayError as `_audit` does, or
+    when the recorded verdict is missing or malformed."""
     recomputed = _audit(transcript)
     recorded = _material(transcript, "verdict")
     return recomputed, AuditVerdict(recorded["valid"], recorded["reason"])

@@ -39,6 +39,12 @@ def test_constant_policies():
         assert never.decide(h) is False
 
 
+def test_a_policy_is_a_table_or_a_constant():
+    for kwargs in (dict(table={"": True}, constant=True), dict()):
+        with pytest.raises(ValueError, match="exactly one of table/constant"):
+            ManipulationPolicy("both-or-neither", **kwargs)
+
+
 def test_table_policy_and_domain_error():
     p = ManipulationPolicy.from_table({"": True, "V": False})
     assert p.decide("") is True
@@ -372,6 +378,12 @@ def test_monte_carlo_deterministic_per_seed():
     assert a == b
 
 
+def test_monte_carlo_needs_a_trial():
+    with pytest.raises(ValueError, match="at least one trial"):
+        monte_carlo_success(ManipulationPolicy.always(), default_distribution(),
+                            trials=0, seed=5)
+
+
 def test_monte_carlo_never_policy():
     est, _ = monte_carlo_success(ManipulationPolicy.never(),
                                  default_distribution(), trials=2000, seed=5)
@@ -410,6 +422,13 @@ def test_end_to_end_attack_never_policy_is_silent():
                                corrupted_count=1, trials=50, seed=1)
     assert report.empirical_detected == 0.0
     assert report.survived_total == 0
+
+
+def test_end_to_end_attack_seed_defaults_to_the_configs():
+    config = dataclasses.replace(attack_cfg(), seed=11)
+    policy = ManipulationPolicy.always()
+    assert end_to_end_attack(config, policy, corrupted_count=1, trials=5) == \
+        end_to_end_attack(config, policy, corrupted_count=1, trials=5, seed=11)
 
 
 def test_end_to_end_attack_argument_validation():

@@ -633,6 +633,15 @@ def test_the_one_key_must_come_before_the_first_ballot():
     assert _replayed(moved) == AuditVerdict(False, "key")
 
 
+def test_a_run_with_no_shuffle_posted_is_a_shuffle_proof_verdict():
+    # named ahead of the last-ballot check, which such a run cannot pass
+    events = [json.loads(line) for line in
+              run_election(honest_config()).transcript.to_jsonl().splitlines()]
+    kept = [e for e in events if board_entry(e, "shuffle") is None]
+    assert len(kept) == len(events) - 1
+    assert _replayed(kept) == AuditVerdict(False, "shuffle-proof")
+
+
 @pytest.mark.parametrize("preset", ["toy", "mid"])
 def test_a_shuffle_posted_twice_is_judged_by_the_last(preset):
     # the authority mixes the same inputs again under the run's key, with
@@ -776,6 +785,10 @@ def test_config_validation_errors():
         honest_config(corrupted=(9,), policy=ManipulationPolicy.always())
     with pytest.raises(ValueError):
         honest_config(corrupted=(1,))  # corrupted voters need a policy
+    with pytest.raises(ValueError, match="manipulation needs at least two candidates"):
+        honest_config(corrupted=(1,), policy=ManipulationPolicy.always(), candidate_bound=1)
+    with pytest.raises(ValueError, match="tamper-plaintext needs at least two candidates"):
+        honest_config(tamper="tamper-plaintext", candidate_bound=1)
     for offset in (0, 3, -3):
         # C = 3: the device would encrypt the voter's own intent while its
         # cast event says manipulated, so no trial could be detected
@@ -806,6 +819,20 @@ def test_config_validation_errors():
                        dict(intents=["0"] * 6), dict(scripts=["V"])):
         with pytest.raises(ValueError):
             honest_config(**wrong_type)
+
+
+class DecideOnly:
+    def decide(self, history):
+        return True
+
+
+def test_a_policy_must_describe_itself():
+    # the manifest records policy.describe(): an object's repr would put its
+    # memory address there, and one config would give two transcripts
+    with pytest.raises(ValueError, match="^policy has the wrong type"):
+        corrupted_config(policy=DecideOnly())
+    manifest = run_election(corrupted_config()).transcript.manifest
+    assert manifest["policy"] == ManipulationPolicy.always().describe()
 
 
 def test_config_keeps_every_trustee_index_below_q():

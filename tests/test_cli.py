@@ -80,8 +80,21 @@ def test_run_config_errors_exit_one(tmp_path, capsys):
     # removed settings that changed nothing a completed run shows
     assert main(["run", write_config(tmp_path, "ts.json", threshold_strict=True)]) == 1
     assert main(["run", write_config(tmp_path, "eh.json", ea_strict_halt=True)]) == 1
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    assert main(["run", str(listed)]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 7
+    assert err.count("error:") == 8
+    assert err.endswith("error: config must be a JSON object\n")
+
+
+def test_run_aborted_by_a_tamper_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_voters=2, tamper="mix-non-last", scripts={"1": "V", "2": "V"})
+    assert main(["run", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: run aborted: mix-non-last tamper needs a voter "
+                            "with two ballots\n")
 
 
 def test_run_refuses_more_voters_than_a_proof_holds(tmp_path, capsys):
@@ -190,6 +203,9 @@ def test_seed_precedence(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("IVXV_SIM_SEED", "777")
     assert main(["run", cfg, "--seed", "33"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 777
+    monkeypatch.setenv("IVXV_SIM_SEED", "x")
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == "error: IVXV_SIM_SEED='x' is not an integer\n"
 
 
 # ---------------------------------------------------------------- analyze

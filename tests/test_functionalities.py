@@ -187,6 +187,8 @@ def test_keygen_trustee_id_validation():
         kg.ready(0)
     with pytest.raises(ValueError):
         kg.ready(4)
+    with pytest.raises(ValueError, match="need 1 <= t <= k"):
+        KeyGenService(SID, TOY, 4, 3, Stream(0, "keygen"))
 
 
 def test_keygen_is_stable_after_first_call():

@@ -86,6 +86,9 @@ def test_prove_rejects_wrong_witness():
     wrong = ShuffleWitness((1, 2, 3, 0), rands)
     with pytest.raises(BadWitness):
         prove_shuffle(stmt, wrong, rng)
+    short = ShuffleWitness((0, 1, 2), rands[:3])
+    with pytest.raises(ValueError, match="witness length does not match statement"):
+        prove_shuffle(stmt, short, rng)
 
 
 def test_witness_validation():
